@@ -21,8 +21,10 @@ from .distribution import (d_lambda, decreasing_rearrangement,
                            log_superlevel_measure)
 from .estimate import (interval_estimate, ratio_samples, regression_estimate)
 from .gallery import AnalysisReport, OperatorModel, analyze, make
-from .discretize import (KernelSampler, fft_multiplier, hilbert_matrix,
+from .discretize import (KernelSampler, Section, fft_multiplier,
+                         hilbert_matrix, hilbert_section,
                          pipeline_from_kernel, pipeline_from_matrix,
-                         riemann_liouville_matrix, singular_values)
+                         riemann_liouville_matrix, riemann_liouville_section,
+                         singular_values)
 
 __version__ = "0.1.0"

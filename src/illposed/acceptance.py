@@ -2,7 +2,7 @@
 
 Each criterion function returns a list of (name, passed, detail) records so
 the CLI can print one line per check and the test suite can assert them
-individually.  Heavy artifacts (dense SVDs) are cached across criteria.
+individually.  Heavy artifacts (section spectra) are cached across criteria.
 
 Three checks are known to fail by construction and are kept failing on
 purpose; their tolerances cannot be met by the objects they pin down (see
@@ -44,22 +44,21 @@ def _result(name, passed, detail):
     return CheckResult(name, bool(passed), detail)
 
 
-@lru_cache(maxsize=None)
 def _rl_sigma(alpha, n):
-    return discretize.singular_values(
-        discretize.riemann_liouville_matrix(alpha, n))
+    """Leading singular values of the section, the first n/8 of them."""
+    return _rl_pipeline(alpha, n).sigma
 
 
 @lru_cache(maxsize=None)
 def _rl_pipeline(alpha, n):
     return discretize.pipeline_from_matrix(
-        discretize.riemann_liouville_matrix(alpha, n), operator="j_alpha")
+        discretize.riemann_liouville_section(alpha, n), operator="j_alpha")
 
 
 @lru_cache(maxsize=None)
 def _hilbert_sigma_max(n):
     return float(discretize.singular_values(
-        discretize.hilbert_matrix(n)).values[0])
+        discretize.hilbert_section(n)).values[0])
 
 
 @lru_cache(maxsize=None)
@@ -235,7 +234,7 @@ def criterion_5():
     out.append(_result("5b sigma_max increasing in N and below pi",
                        increasing,
                        f"{smax[64]:.4f} < {smax[256]:.4f} < {smax[1024]:.4f}"))
-    rep = discretize.pipeline_from_matrix(discretize.hilbert_matrix(512),
+    rep = discretize.pipeline_from_matrix(discretize.hilbert_section(512),
                                           operator="hilbert")
     flagged = "discretization_artifact" in rep.diagnostics
     out.append(_result("5c finite-section severity flagged as artifact",

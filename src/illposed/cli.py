@@ -270,10 +270,10 @@ def _cmd_reweight(args):
 def _cmd_discretize(args):
     thresholds = _thresholds(args)
     if args.operator == "hilbert":
-        matrix = discretize.hilbert_matrix(args.n)
+        section = discretize.hilbert_section(args.n)
     else:
-        matrix = discretize.riemann_liouville_matrix(args.alpha, args.n)
-    report = discretize.pipeline_from_matrix(matrix, operator=args.operator,
+        section = discretize.riemann_liouville_section(args.alpha, args.n)
+    report = discretize.pipeline_from_matrix(section, operator=args.operator,
                                              thresholds=thresholds)
     sigma = [float(v) for v in report.sigma.values]
     if args.emit == "json":
@@ -382,7 +382,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=_cmd_reweight)
 
-    p = sub.add_parser("discretize", help="dense sections and their spectra")
+    p = sub.add_parser("discretize", help="finite sections and their spectra")
     p.add_argument("--operator", required=True, choices=("hilbert", "j_alpha"))
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--n", type=int, required=True)

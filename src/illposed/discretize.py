@@ -1,9 +1,11 @@
 """Finite-dimensional realizations and their spectral pipelines.
 
-Dense finite sections (Hilbert matrix, product-quadrature fractional
-integration), singular value computation with an explicit accuracy
-contract, FFT estimation of convolution multipliers from kernel samples,
-and the end-to-end pipeline matrix/kernel -> spectrum -> curve -> interval.
+Finite sections (Hilbert matrix, product-quadrature fractional
+integration), dense or as structured Toeplitz/Hankel sections with FFT
+matrix-vector products; singular value computation with an explicit
+accuracy contract; FFT estimation of convolution multipliers from kernel
+samples; and the end-to-end pipeline matrix/kernel -> spectrum -> curve ->
+interval.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import fft as _fft
+from scipy import integrate, linalg
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, svds
 
 from .core import (DEFAULT_THRESHOLDS, GENERIC_SAMPLED, INDETERMINATE,
                    LEBESGUE_LINE, MODERATE, SEVERE, IllPosednessInterval,
@@ -27,8 +31,11 @@ from . import estimate as _estimate
 __all__ = [
     "hilbert_matrix",
     "riemann_liouville_matrix",
+    "Section",
+    "hilbert_section",
+    "riemann_liouville_section",
+    "Spectrum",
     "singular_values",
-    "svd_factorization",
     "svd_residuals",
     "KernelSampler",
     "SampledMultiplier",
@@ -41,6 +48,10 @@ __all__ = [
 ]
 
 SVD_DROP_TOL = 1e-14
+# per-triplet residual bound ||A v - sigma u|| <= RESIDUAL_TOL * sigma_1
+RESIDUAL_TOL = 1e-10
+TOEPLITZ = "toeplitz"
+HANKEL = "hankel"
 
 
 def hilbert_matrix(n):
@@ -75,6 +86,106 @@ def riemann_liouville_matrix(alpha, n):
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class Section:
+    """Structured n x n finite section given by its generating coefficients.
+
+    ``toeplitz``: lower triangular, entry (i, j) = coeffs[i - j] for i >= j,
+    so ``coeffs`` is the first column (length n).  ``hankel``: entry
+    (i, j) = coeffs[i + j], with ``coeffs`` of length 2n - 1.  Products
+    with the section and its transpose are zero-padded real FFT
+    convolutions, O(n log n), so the matrix itself is never stored.
+    """
+
+    kind: str
+    coeffs: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        if self.kind not in (TOEPLITZ, HANKEL):
+            raise ValueError(f"unknown section kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        c = np.array(self.coeffs, dtype=float)
+        size = self.n if self.kind == TOEPLITZ else 2 * self.n - 1
+        if c.shape != (size,):
+            raise ValueError(f"a {self.kind} section of size {self.n} needs "
+                             f"{size} coefficients, got shape {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("section coefficients must be finite")
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
+
+    def __len__(self):
+        return self.n
+
+    def dense(self):
+        """The section as a dense n x n matrix."""
+        c = self.coeffs
+        if self.kind == TOEPLITZ:
+            return linalg.toeplitz(c, np.zeros(self.n))
+        return linalg.hankel(c[:self.n], c[self.n - 1:])
+
+    def operator(self):
+        """LinearOperator whose products use FFTs, one per n x k block."""
+        n = self.n
+        size = _fft.next_fast_len(2 * n - 1, real=True)
+        spectrum = _fft.rfft(self.coeffs, size)
+
+        def convolve(x):
+            # linear convolution with the coefficients; size >= 2n - 1
+            # keeps every entry used below free of wrap-around
+            s = spectrum if x.ndim == 1 else spectrum[:, None]
+            return _fft.irfft(s * _fft.rfft(x, size, axis=0), size, axis=0)
+
+        if self.kind == TOEPLITZ:
+            def matvec(x):
+                return convolve(x)[:n]
+
+            def rmatvec(x):
+                return convolve(x[::-1])[n - 1::-1]
+        else:
+            def matvec(x):
+                return convolve(x[::-1])[n - 1:2 * n - 1]
+            rmatvec = matvec
+        return LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec,
+                              matmat=matvec, dtype=float)
+
+
+def hilbert_section(n):
+    """The section of ``hilbert_matrix(n)`` as a Hankel Section."""
+    return Section(HANKEL, 1.0 / np.arange(1, 2 * n, dtype=float), n)
+
+
+def riemann_liouville_section(alpha, n):
+    """The section of ``riemann_liouville_matrix(alpha, n)`` as a Toeplitz
+    Section, with the same coefficients entry for entry."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    h = 1.0 / n
+    c = np.empty(n)
+    c[1:] = h ** alpha * np.arange(1, n, dtype=float) ** (alpha - 1.0) \
+        / math.gamma(alpha)
+    c[0] = (0.5 * h) ** alpha / math.gamma(alpha + 1.0)
+    return Section(TOEPLITZ, c, n)
+
+
+@dataclass(frozen=True)
+class Spectrum(SigmaSequence):
+    """Leading singular values of a section and how they were computed.
+
+    ``values`` holds the ``len(values)`` largest singular values; ``kept``
+    is how many of all n values clear the drop tolerance, which is what a
+    dense SVD would keep.  ``method`` is ``propack``, ``eigsh`` or
+    ``dense``.
+    """
+
+    kept: int = 0
+    method: str = "dense"
+
+
 def _check_matrix(m):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -84,11 +195,6 @@ def _check_matrix(m):
     return m
 
 
-def svd_factorization(m):
-    """Full thin SVD (u, s, vt) of a dense matrix."""
-    return np.linalg.svd(_check_matrix(m), full_matrices=False)
-
-
 def svd_residuals(m):
     """Accuracy residuals of the factorization used by singular_values.
 
@@ -96,7 +202,7 @@ def svd_residuals(m):
     defects; the contract is that all three stay below 1e-10.
     """
     m = _check_matrix(m)
-    u, s, vt = svd_factorization(m)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
     norm = np.linalg.norm(m)
     recon = np.linalg.norm(m - (u * s) @ vt) / max(norm, 1e-300)
     k = s.size
@@ -113,13 +219,103 @@ def singular_values(m, drop_tol=SVD_DROP_TOL):
     factorization and are discarded rather than reported as data.  The
     result is flagged exhausted: a finite matrix has no tail to
     extrapolate.
+
+    A ``Section`` gives a ``Spectrum``: its leading values by FFT-matvec
+    Lanczos and the count a dense SVD would keep, or the dense result when
+    that count cannot be certified (see ``_leading_values``).
     """
+    if isinstance(m, Section):
+        leading = _leading_values(m, drop_tol)
+        if leading is not None:
+            return leading
+        seq = _dense_singular_values(m.dense(), drop_tol)
+        return Spectrum(seq.values, exhausted_flag=True, kept=len(seq),
+                        method="dense")
+    return _dense_singular_values(m, drop_tol)
+
+
+def _dense_singular_values(m, drop_tol):
     m = _check_matrix(m)
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] <= 0:
         raise ValueError("matrix has no positive singular values")
     keep = s[s > drop_tol * s[0]]
     return SigmaSequence(keep, exhausted_flag=True)
+
+
+def _clears_drop_tol(c, drop_tol):
+    """Whether every singular value of the lower-triangular Toeplitz section
+    with first column c exceeds drop_tol * sigma_max.
+
+    Its inverse is lower-triangular Toeplitz with first column d (c * d = 1
+    as power series), and both the 1- and the inf-norm of a lower-triangular
+    Toeplitz matrix are the absolute sum of its first column, so
+    sigma_min >= 1 / sum|d| and sigma_max <= sum|c|.
+    """
+    d = np.empty(c.size)
+    with np.errstate(all="ignore"):
+        d[0] = 1.0 / c[0]
+        for k in range(1, c.size):
+            d[k] = -np.dot(c[k:0:-1], d[:k]) / c[0]
+        return bool(np.abs(d).sum() * np.abs(c).sum() * drop_tol < 1.0)
+
+
+def _leading_values(section, drop_tol):
+    """Leading singular values of a section, or None to use the dense SVD.
+
+    Toeplitz sections: once the certificate shows that all n values clear
+    the drop tolerance, the top ``_trusted_window(n)[1]`` come from
+    PROPACK's Lanczos bidiagonalization.  Hankel sections are symmetric and
+    taken to be positive semidefinite, as moment matrices such as the
+    Hilbert section are, so their singular values are their largest
+    eigenvalues: ARPACK finds them with k doubled from 32 until the k-th
+    falls below the tolerance.  No certificate, a k of n/2 or more, a
+    solver that does not converge, a triplet residual above
+    RESIDUAL_TOL * sigma_1, or Hankel values that leave more than
+    RESIDUAL_TOL of the squared Frobenius norm unaccounted for (an
+    indefinite section) all give None.
+    """
+    n = len(section)
+    op = section.operator()
+    try:
+        if section.kind == TOEPLITZ:
+            k = _trusted_window(n)[1]
+            if 2 * k >= n or not _clears_drop_tol(section.coeffs, drop_tol):
+                return None
+            u, s, vt = svds(op, k=k, solver="propack", maxiter=4 * k,
+                            random_state=0)
+            v = vt.T
+            method = "propack"
+        else:
+            k = 32
+            while True:
+                if 2 * k >= n:
+                    return None
+                lam, v = eigsh(op, k=k, which="LA", v0=np.ones(n))
+                s = np.abs(lam)
+                if s.min() < drop_tol * s.max():
+                    break
+                k *= 2
+            u = v * np.sign(lam)
+            method = "eigsh"
+    except (np.linalg.LinAlgError, ArpackError):
+        return None
+    order = np.argsort(s)[::-1]
+    s, u, v = s[order], u[:, order], v[:, order]
+    kept = n
+    if section.kind == HANKEL:
+        # coeffs[j] fills the min(j + 1, 2n - 1 - j) entries of antidiagonal j
+        j = np.arange(2 * n - 1)
+        mass = np.dot(np.minimum(j + 1, 2 * n - 1 - j), section.coeffs ** 2)
+        if mass - np.dot(s, s) > RESIDUAL_TOL * mass:
+            return None
+        kept = int(np.count_nonzero(s > drop_tol * s[0]))
+        s, u, v = s[:kept], u[:, :kept], v[:, :kept]
+    residual = np.linalg.norm(op.matmat(v) - u * s, axis=0)
+    if s[-1] <= 0 or np.any(residual > RESIDUAL_TOL * s[0]):
+        return None
+    return Spectrum(s, exhausted_flag=kept == s.size, kept=kept,
+                    method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +467,7 @@ def _spectrum_fits(seq, window):
 
 def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS,
                          points=60, fit_tol=0.02):
-    """matrix -> singular values -> counting curve -> classification.
+    """matrix or Section -> singular values -> curve -> classification.
 
     Finite sections carry the true spectrum only in their lower index
     range, where raw decay exponents are still biased by constant
@@ -280,16 +476,24 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS,
     model (severe) by the quality of the corresponding fits.
     """
     seq = singular_values(m)
+    if isinstance(seq, Spectrum):
+        kept, method = seq.kept, seq.method
+    else:
+        kept, method = len(seq), "dense"
+    lo, hi = _trusted_window(kept)
+    hi = min(hi, kept)
+    if hi <= lo:
+        raise ValueError(f"{kept} singular value(s) kept: too few for a "
+                         "two-point estimation window")
     sq = seq.squares
-    lo, hi = _trusted_window(len(seq))
-    hi = min(hi, len(seq))
     grid_hi = float(sq[lo - 1]) * 0.999
     grid_lo = float(sq[hi - 1]) * 1.001
     if grid_lo >= grid_hi:
         grid_lo = grid_hi * 1e-9
     grid = geometric_grid(grid_hi, grid_lo, points)
     phi = _counting.counting_curve(seq, grid)
-    diagnostics = {"window_indices": (lo, hi), "kept_values": len(seq)}
+    diagnostics = {"window_indices": (lo, hi), "kept_values": kept,
+                   "spectrum": {"method": method, "computed": len(seq)}}
     fits = _spectrum_fits(seq, (lo, hi))
     diagnostics.update(fits)
     n = np.arange(lo, hi + 1, dtype=float)

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from illposed.core import TruncationWarning
+from illposed import cli
 from illposed import discretize as dz
 
 
@@ -153,9 +155,158 @@ class TestFftMultiplier:
             dz.fft_multiplier(bad)
 
 
+def _section_and_matrix(operator, alpha, n):
+    if operator == "hilbert":
+        return dz.hilbert_section(n), dz.hilbert_matrix(n)
+    return (dz.riemann_liouville_section(alpha, n),
+            dz.riemann_liouville_matrix(alpha, n))
+
+
+def _no_dense(self):
+    raise AssertionError("a certified section was made dense")
+
+
+class TestSections:
+    @pytest.mark.parametrize("operator,alpha", [("j_alpha", 0.5),
+                                                ("j_alpha", 2.0),
+                                                ("hilbert", None)])
+    @pytest.mark.parametrize("n", [1, 7, 64, 129])
+    def test_fft_products_match_the_dense_matrix(self, operator, alpha, n):
+        section, dense = _section_and_matrix(operator, alpha, n)
+        assert len(section) == n
+        assert np.array_equal(section.dense(), dense)
+        op = section.operator()
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        block = rng.standard_normal((n, 3))
+        scale = np.abs(dense).sum(axis=1).max()
+        for got, want in ((op.matvec(x), dense @ x),
+                          (op.rmatvec(x), dense.T @ x),
+                          (op.matmat(block), dense @ block),
+                          (op.rmatmat(block), dense.T @ block)):
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [128, 512, 1024])
+    def test_leading_values_match_the_dense_prefix(self, monkeypatch, alpha,
+                                                   n):
+        monkeypatch.setattr(dz.Section, "dense", _no_dense)
+        seq = dz.singular_values(dz.riemann_liouville_section(alpha, n))
+        dense = np.linalg.svd(dz.riemann_liouville_matrix(alpha, n),
+                              compute_uv=False)
+        assert seq.method == "propack"
+        assert len(seq) == n // 8 and seq.kept == n
+        assert not seq.exhausted_flag
+        assert seq.values == pytest.approx(dense[:n // 8], rel=1e-12)
+
+    @pytest.mark.parametrize("n,kept", [(256, 21), (512, 23), (1024, 26)])
+    def test_hilbert_kept_counts_match_dense(self, monkeypatch, n, kept):
+        dense = dz.singular_values(dz.hilbert_matrix(n))
+        monkeypatch.setattr(dz.Section, "dense", _no_dense)
+        seq = dz.singular_values(dz.hilbert_section(n))
+        assert seq.method == "eigsh"
+        assert len(seq) == seq.kept == len(dense) == kept
+        # the trailing values sit at the rounding floor of both methods
+        assert seq.values[:10] == pytest.approx(dense.values[:10], rel=1e-12)
+        assert seq.values == pytest.approx(dense.values, rel=1e-2)
+
+    def test_uncertified_alpha_takes_the_dense_path(self):
+        n = 256
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = dz.singular_values(dz.riemann_liouville_section(2.0, n))
+        dense = dz.singular_values(dz.riemann_liouville_matrix(2.0, n))
+        assert seq.method == "dense"
+        assert seq.kept == len(seq) == len(dense) == n - 1
+        assert np.array_equal(seq.values, dense.values)
+
+    def test_indefinite_hankel_takes_the_dense_path(self):
+        # rank two with eigenvalues of both signs: the largest eigenvalues
+        # alone would miss the negative one
+        n = 256
+        section = dz.Section("hankel", np.cos(0.3 * np.arange(2 * n - 1)), n)
+        seq = dz.singular_values(section)
+        dense = dz.singular_values(section.dense())
+        assert seq.method == "dense"
+        assert seq.kept == len(seq) == len(dense) == 2
+        assert np.array_equal(seq.values, dense.values)
+
+    def test_failed_solve_falls_back_to_dense(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+        monkeypatch.setattr(dz, "svds", fail)
+        seq = dz.singular_values(dz.riemann_liouville_section(1.0, 128))
+        dense = dz.singular_values(dz.riemann_liouville_matrix(1.0, 128))
+        assert seq.method == "dense"
+        assert np.array_equal(seq.values, dense.values)
+
+    @pytest.mark.parametrize("operator,alpha,n", [("j_alpha", 0.25, 512),
+                                                  ("j_alpha", 1.0, 1024),
+                                                  ("j_alpha", 2.0, 256),
+                                                  ("hilbert", None, 512)])
+    def test_pipeline_agrees_with_the_dense_pipeline(self, operator, alpha,
+                                                     n):
+        section, dense = _section_and_matrix(operator, alpha, n)
+        fast = dz.pipeline_from_matrix(section, operator=operator)
+        slow = dz.pipeline_from_matrix(dense, operator=operator)
+        assert fast.classification == slow.classification
+        for key in ("window_indices", "kept_values"):
+            assert fast.diagnostics[key] == slow.diagnostics[key]
+        if slow.degree is None:
+            assert fast.degree is None
+        else:
+            assert fast.degree == pytest.approx(slow.degree, rel=1e-9)
+        assert slow.diagnostics["spectrum"] == {"method": "dense",
+                                                "computed": len(slow.sigma)}
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            dz.riemann_liouville_section(alpha, 8)
+
+    def test_rejects_bad_coefficients(self):
+        with pytest.raises(ValueError, match="finite"):
+            dz.Section("toeplitz", [1.0, math.inf], 2)
+        with pytest.raises(ValueError, match="coefficients"):
+            dz.Section("hankel", [1.0, 0.5], 2)
+        with pytest.raises(ValueError, match="kind"):
+            dz.Section("circulant", [1.0, 0.5], 2)
+        with pytest.raises(ValueError):
+            dz.hilbert_section(0)
+
+
+class TestDiscretizeCommand:
+    @pytest.mark.parametrize("operator", ["j_alpha", "hilbert"])
+    def test_reruns_are_byte_identical(self, capsys, operator):
+        argv = ["discretize", "--operator", operator, "--n", "512",
+                "--emit", "json"]
+        outs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("operator", ["j_alpha", "hilbert"])
+    def test_too_small_section_is_a_usage_error(self, capsys, operator):
+        code = cli.main(["discretize", "--operator", operator, "--n", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "window" in err
+        assert "Traceback" not in err
+
+    def test_infinite_alpha_is_rejected_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["discretize", "--operator", "j_alpha",
+                             "--alpha", "inf", "--n", "8"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: alpha must be finite and positive\n"
+
+
 class TestPipelines:
     def test_riemann_liouville_end_to_end(self):
-        rep = dz.pipeline_from_matrix(dz.riemann_liouville_matrix(1.0, 2048),
+        rep = dz.pipeline_from_matrix(dz.riemann_liouville_section(1.0, 2048),
                                       operator="j_alpha")
         assert rep.classification == "moderate"
         assert rep.degree == pytest.approx(1.0, abs=0.05)
