@@ -79,18 +79,27 @@ def _write(text, path):
             fh.write(text)
 
 
-def _curve_csv(phi, ratios):
+def _emit(args, payload, header, rows):
+    """Write ``payload`` as JSON, or with ``--emit csv`` the header line and
+    one line per row, every cell formatted by ``_fmt``."""
+    if args.emit == "json":
+        text = to_json(payload) + "\n"
+    else:
+        text = "\n".join([header] + [",".join(map(_fmt, row))
+                                     for row in rows]) + "\n"
+    _write(text, args.out)
+    return 0
+
+
+def _curve_rows(phi, ratios):
     by_eps = dict(ratios)
-    lines = ["eps,log_phi,ratio"]
-    for eps, lp in zip(phi.eps_grid, phi.log_phi):
-        r = by_eps.get(float(eps), math.nan)
-        lines.append(f"{_fmt(float(eps))},{_fmt(float(lp))},{_fmt(float(r))}")
-    return "\n".join(lines) + "\n"
+    return [(float(eps), float(lp), float(by_eps.get(float(eps), math.nan)))
+            for eps, lp in zip(phi.eps_grid, phi.log_phi)]
 
 
-def _report_json(report):
+def _report_payload(report):
     iv = report.interval
-    payload = {
+    return {
         "model": report.model,
         "params": _sanitize(report.params),
         "eps_grid": [float(v) for v in report.phi.eps_grid],
@@ -105,7 +114,6 @@ def _report_json(report):
         "finiteness": report.phi.finiteness,
         "diagnostics": _sanitize(report.diagnostics),
     }
-    return to_json(payload) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +151,11 @@ def _thresholds(args):
     return Thresholds(**overrides)
 
 
-def _grid_for(model, args):
+def _grid_for(model, args, points=None, depth=2.0 ** -59):
+    """The eps grid from the flags; eps_min defaults to depth * eps_max."""
     eps_max = args.eps_max if args.eps_max is not None else model.eps_max
-    eps_min = args.eps_min if args.eps_min is not None else eps_max * 2.0 ** -59
-    return geometric_grid(eps_max, eps_min, args.points)
+    eps_min = args.eps_min if args.eps_min is not None else eps_max * depth
+    return geometric_grid(eps_max, eps_min, points or args.points)
 
 
 def _default_curve(model, grid, thresholds, n_terms):
@@ -182,11 +191,8 @@ def _cmd_analyze(args):
     report = gallery.analyze(model, grid=grid, thresholds=thresholds,
                              n_terms=args.sigma_terms, method=args.method,
                              trim=args.trim)
-    if args.emit == "json":
-        _write(_report_json(report), args.out)
-    else:
-        _write(_curve_csv(report.phi, report.ratios), args.out)
-    return 0
+    return _emit(args, _report_payload(report), "eps,log_phi,ratio",
+                 _curve_rows(report.phi, report.ratios))
 
 
 def _cmd_rearrange(args):
@@ -204,25 +210,15 @@ def _cmd_rearrange(args):
     else:
         # the curve is inverted by interpolation, so sample it densely
         # regardless of how many output points were requested
-        eps_max = args.eps_max if args.eps_max is not None else model.eps_max
-        eps_min = (args.eps_min if args.eps_min is not None
-                   else eps_max * 2.0 ** -59)
-        grid = geometric_grid(eps_max, eps_min, max(args.points, 400))
+        grid = _grid_for(model, args, points=max(args.points, 400))
         phi = _default_curve(model, grid, thresholds, args.sigma_terms)
         ts = np.geomspace(args.t_min, args.t_max, args.points)
         vals = [distribution.decreasing_rearrangement(phi, float(t))
                 for t in ts]
-    if args.emit == "json":
-        payload = {"model": model.id, "mode": args.mode,
-                   "t": [float(t) for t in ts],
-                   "lambda_star": [float(v) for v in vals]}
-        _write(to_json(payload) + "\n", args.out)
-    else:
-        lines = ["t,lambda_star"]
-        lines += [f"{_fmt(float(t))},{_fmt(float(v))}"
-                  for t, v in zip(ts, vals)]
-        _write("\n".join(lines) + "\n", args.out)
-    return 0
+    ts, vals = [float(t) for t in ts], [float(v) for v in vals]
+    payload = {"model": model.id, "mode": args.mode, "t": ts,
+               "lambda_star": vals}
+    return _emit(args, payload, "t,lambda_star", zip(ts, vals))
 
 
 def _named_density(name, model):
@@ -244,27 +240,21 @@ def _cmd_reweight(args):
     if model.multiplier is None:
         raise ValueError("reweighting needs a multiplier model")
     kappa = _named_density(args.density, model)
-    eps_max = args.eps_max if args.eps_max is not None else model.eps_max
-    eps_min = args.eps_min if args.eps_min is not None else eps_max * 1e-8
-    grid = geometric_grid(eps_max, eps_min, args.points)
+    grid = _grid_for(model, args, depth=1e-8)
     curve = distribution.reweight(model.multiplier, model.measure, kappa, grid)
     ratios = estimate.ratio_samples(curve)
-    if args.emit == "json":
-        try:
-            iv = counting.interval_from_counting(curve, thresholds)
-        except InsufficientDataError:
-            iv = IllPosednessInterval(0.0, math.inf, "indeterminate")
-        payload = {"model": model.id, "density": args.density,
-                   "eps_grid": [float(v) for v in curve.eps_grid],
-                   "log_phi": [float(v) for v in curve.log_phi],
-                   "ratios": [[e, r] for e, r in ratios],
-                   "interval": {"A": float(iv.lower), "B": float(iv.upper)},
-                   "classification": iv.classification,
-                   "finiteness": curve.finiteness}
-        _write(to_json(payload) + "\n", args.out)
-    else:
-        _write(_curve_csv(curve, ratios), args.out)
-    return 0
+    try:
+        iv = counting.interval_from_counting(curve, thresholds)
+    except InsufficientDataError:
+        iv = IllPosednessInterval(0.0, math.inf, "indeterminate")
+    payload = {"model": model.id, "density": args.density,
+               "eps_grid": [float(v) for v in curve.eps_grid],
+               "log_phi": [float(v) for v in curve.log_phi],
+               "ratios": [[e, r] for e, r in ratios],
+               "interval": {"A": float(iv.lower), "B": float(iv.upper)},
+               "classification": iv.classification,
+               "finiteness": curve.finiteness}
+    return _emit(args, payload, "eps,log_phi,ratio", _curve_rows(curve, ratios))
 
 
 def _cmd_discretize(args):
@@ -276,21 +266,15 @@ def _cmd_discretize(args):
     report = discretize.pipeline_from_matrix(section, operator=args.operator,
                                              thresholds=thresholds)
     sigma = [float(v) for v in report.sigma.values]
-    if args.emit == "json":
-        payload = {"operator": args.operator, "n": args.n,
-                   "alpha": args.alpha if args.operator == "j_alpha" else None,
-                   "sigma": sigma,
-                   "interval": {"A": float(report.interval.lower),
-                                "B": float(report.interval.upper)},
-                   "classification": report.classification,
-                   "degree": report.degree,
-                   "diagnostics": _sanitize(report.diagnostics)}
-        _write(to_json(payload) + "\n", args.out)
-    else:
-        lines = ["n,sigma"]
-        lines += [f"{i + 1},{_fmt(v)}" for i, v in enumerate(sigma)]
-        _write("\n".join(lines) + "\n", args.out)
-    return 0
+    payload = {"operator": args.operator, "n": args.n,
+               "alpha": args.alpha if args.operator == "j_alpha" else None,
+               "sigma": sigma,
+               "interval": {"A": float(report.interval.lower),
+                            "B": float(report.interval.upper)},
+               "classification": report.classification,
+               "degree": report.degree,
+               "diagnostics": _sanitize(report.diagnostics)}
+    return _emit(args, payload, "n,sigma", enumerate(sigma, 1))
 
 
 def _cmd_fft_multiplier(args):
@@ -303,24 +287,21 @@ def _cmd_fft_multiplier(args):
         decay = fn
     sampled = discretize.fft_multiplier(
         discretize.KernelSampler(fn=fn, decay=decay, L=args.L, N=args.N))
-    if args.emit == "json":
-        payload = {"kernel": args.kernel,
-                   "L": args.L, "N": args.N,
-                   "omega": [float(v) for v in sampled.omega],
-                   "lambda": [float(v) for v in sampled.values],
-                   "truncation_bound": sampled.truncation_bound,
-                   "aliasing_bound": sampled.aliasing_bound}
-        _write(to_json(payload) + "\n", args.out)
-    else:
-        lines = ["omega,lambda"]
-        lines += [f"{_fmt(float(w))},{_fmt(float(v))}"
-                  for w, v in zip(sampled.omega, sampled.values)]
-        _write("\n".join(lines) + "\n", args.out)
-    return 0
+    omega = [float(v) for v in sampled.omega]
+    lam = [float(v) for v in sampled.values]
+    payload = {"kernel": args.kernel, "L": args.L, "N": args.N,
+               "omega": omega, "lambda": lam,
+               "truncation_bound": sampled.truncation_bound,
+               "aliasing_bound": sampled.aliasing_bound}
+    return _emit(args, payload, "omega,lambda", zip(omega, lam))
 
 
 def _cmd_check(args):
     only = set(args.only.split(",")) if args.only else None
+    unknown = sorted(only - set(acceptance.CRITERIA)) if only else []
+    if unknown:
+        raise ValueError(f"unknown criteria {', '.join(unknown)}; choose from "
+                         f"{', '.join(acceptance.CRITERIA)}")
     results = acceptance.run_all(only=only)
     failures = 0
     for res in results:

@@ -37,16 +37,12 @@ LEBESGUE_HALFLINE = "lebesgue_halfline"
 LEBESGUE_LINE = "lebesgue_line"
 LEBESGUE_RADIAL = "lebesgue_radial"
 COUNTING_INTEGERS = "counting_integers"
-WEIGHTED_COUNTING_INTEGERS = "weighted_counting_integers"
-WEIGHTED_LEBESGUE = "weighted_lebesgue"
 LEBESGUE_UNIT_INTERVAL = "lebesgue_unit_interval"
 MEASURE_KINDS = (
     LEBESGUE_HALFLINE,
     LEBESGUE_LINE,
     LEBESGUE_RADIAL,
     COUNTING_INTEGERS,
-    WEIGHTED_COUNTING_INTEGERS,
-    WEIGHTED_LEBESGUE,
     LEBESGUE_UNIT_INTERVAL,
 )
 
@@ -219,32 +215,21 @@ class SigmaSequence:
 
 @dataclass(frozen=True)
 class MeasureSpace:
-    """Benchmark measure descriptor.
-
-    ``dim`` is only meaningful for the radial kind; ``density`` only for the
-    weighted kinds (and must be strictly positive where defined).
-    """
+    """Benchmark measure descriptor; ``dim`` is only meaningful for the
+    radial kind."""
 
     kind: str
     dim: int = 1
-    density: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if self.kind not in MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if self.kind == LEBESGUE_RADIAL and self.dim < 1:
             raise ValueError("radial measure needs a positive dimension")
-        if self.kind in (WEIGHTED_COUNTING_INTEGERS, WEIGHTED_LEBESGUE):
-            if self.density is None:
-                raise ValueError(f"{self.kind} requires a density")
-
-    @property
-    def total_mass(self):
-        return "finite" if self.kind == LEBESGUE_UNIT_INTERVAL else "infinite"
 
     @property
     def is_discrete(self):
-        return self.kind in (COUNTING_INTEGERS, WEIGHTED_COUNTING_INTEGERS)
+        return self.kind == COUNTING_INTEGERS
 
 
 def ball_volume(d, r):
@@ -300,11 +285,6 @@ class Multiplier:
 
     def __call__(self, omega):
         return self.fn(omega)
-
-    @property
-    def has_closed_form(self):
-        return (self.superlevel is not None or self.log_superlevel is not None
-                or self.boundary is not None)
 
 
 @dataclass(frozen=True)

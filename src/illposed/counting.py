@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (DEFAULT_THRESHOLDS, INF, InsufficientDataError,
-                   IllPosednessInterval, LEBESGUE_HALFLINE, MONOTONE_TAIL,
-                   MeasureSpace, Multiplier, NON_INFORMATIVE,
+                   IllPosednessInterval, LEBESGUE_HALFLINE, MODERATE,
+                   MONOTONE_TAIL, MeasureSpace, Multiplier, NON_INFORMATIVE,
                    DistributionFunction, SigmaSequence)
 from . import estimate
 
@@ -25,8 +25,9 @@ __all__ = [
     "counting_curve",
     "interval_from_sigma",
     "interval_from_counting",
+    "estimate_curve",
+    "window_logs",
     "step_multiplier_from_sigma",
-    "sigma_regression",
 ]
 
 
@@ -102,20 +103,10 @@ def _window_indices(n_values, window):
     return lo, hi
 
 
-def sigma_regression(sigma: SigmaSequence, window=None,
-                     thresholds=DEFAULT_THRESHOLDS):
-    """Fit -ln sigma_n ~ s * ln n over the window; returns (slope, rms, degree).
-
-    The degree equals the slope when the fit residual is small enough;
-    like the curve-side regression it is insensitive to constant prefactors
-    in the sigma law.
-    """
-    lo, hi = _window_indices(len(sigma), window)
+def window_logs(seq: SigmaSequence, lo, hi):
+    """(n, -ln sigma_n) over the 1-based index window [lo, hi]."""
     n = np.arange(lo, hi + 1, dtype=float)
-    y = -np.log(sigma.values[lo - 1:hi])
-    slope, _, rms = estimate.power_law_fit(np.log(n), y)
-    degree = slope if rms < thresholds.residual_tol and slope > 0 else None
-    return slope, rms, degree
+    return n, -np.log(seq.values[lo - 1:hi])
 
 
 def interval_from_sigma(sigma: SigmaSequence, window=None,
@@ -124,21 +115,23 @@ def interval_from_sigma(sigma: SigmaSequence, window=None,
 
     The window (1-based index range, default the upper half) stands in for
     the asymptotic liminf/limsup; it is recorded in the diagnostics along
-    with a regression cross-check.
+    with a regression cross-check: the fit -ln sigma_n ~ s ln n, whose
+    slope is the degree when the residual is small and which, like the
+    curve-side regression, is insensitive to constant prefactors.
     """
     if len(sigma) < 32:
         raise InsufficientDataError(
             f"need at least 32 singular values, got {len(sigma)}")
     lo, hi = _window_indices(len(sigma), window)
-    n = np.arange(lo, hi + 1, dtype=float)
-    exponents = -np.log(sigma.values[lo - 1:hi]) / np.log(n)
+    n, y = window_logs(sigma, lo, hi)
+    exponents = y / np.log(n)
     cls, degree, diags = estimate.classify_window(exponents, thresholds)
     diags["window_indices"] = (lo, hi)
-    slope, rms, reg_degree = sigma_regression(sigma, (lo, hi), thresholds)
+    slope, _, rms = estimate.power_law_fit(np.log(n), y)
     diags["regression_slope"] = slope
     diags["regression_rms"] = rms
-    if reg_degree is not None:
-        diags["regression_degree"] = reg_degree
+    if rms < thresholds.residual_tol and slope > 0:
+        diags["regression_degree"] = slope
     lower = max(0.0, float(exponents.min()))
     upper = max(lower, float(exponents.max()))
     return IllPosednessInterval(lower, upper, cls, degree, diags)
@@ -160,6 +153,20 @@ def interval_from_counting(phi: DistributionFunction,
         # tail of the curve is then an artifact of missing data
         iv.diagnostics["exhausted_data"] = True
     return iv
+
+
+def estimate_curve(phi: DistributionFunction, thresholds=DEFAULT_THRESHOLDS):
+    """Interval, degree and regression diagnostics of a distribution curve.
+
+    The degree is the regression-refined one when the interval is moderate
+    and the power-law fit is accepted, since constant prefactors bias the
+    raw ratio window; otherwise it is the interval's own degree.
+    """
+    interval = interval_from_counting(phi, thresholds)
+    slope, rms, degree = estimate.regression_report(phi, thresholds)
+    if interval.classification != MODERATE or degree is None:
+        degree = interval.degree
+    return interval, degree, {"regression_slope": slope, "regression_rms": rms}
 
 
 def step_multiplier_from_sigma(sigma: SigmaSequence):

@@ -43,8 +43,6 @@ __all__ = [
     "PipelineReport",
     "pipeline_from_matrix",
     "pipeline_from_kernel",
-    "matrix_to_csv",
-    "multiplier_samples_to_csv",
 ]
 
 SVD_DROP_TOL = 1e-14
@@ -174,12 +172,12 @@ def riemann_liouville_section(alpha, n):
 
 @dataclass(frozen=True)
 class Spectrum(SigmaSequence):
-    """Leading singular values of a section and how they were computed.
+    """Leading singular values of a matrix and how they were computed.
 
     ``values`` holds the ``len(values)`` largest singular values; ``kept``
     is how many of all n values clear the drop tolerance, which is what a
-    dense SVD would keep.  ``method`` is ``propack``, ``eigsh`` or
-    ``dense``.
+    dense SVD would keep (``len(values)`` for ``dense`` itself).
+    ``method`` is ``propack``, ``eigsh`` or ``dense``.
     """
 
     kept: int = 0
@@ -222,15 +220,14 @@ def singular_values(m, drop_tol=SVD_DROP_TOL):
 
     A ``Section`` gives a ``Spectrum``: its leading values by FFT-matvec
     Lanczos and the count a dense SVD would keep, or the dense result when
-    that count cannot be certified (see ``_leading_values``).
+    that count cannot be certified (see ``_leading_values``); any other
+    matrix gives the dense ``Spectrum`` of all kept values.
     """
     if isinstance(m, Section):
         leading = _leading_values(m, drop_tol)
         if leading is not None:
             return leading
-        seq = _dense_singular_values(m.dense(), drop_tol)
-        return Spectrum(seq.values, exhausted_flag=True, kept=len(seq),
-                        method="dense")
+        m = m.dense()
     return _dense_singular_values(m, drop_tol)
 
 
@@ -240,7 +237,7 @@ def _dense_singular_values(m, drop_tol):
     if s.size == 0 or s[0] <= 0:
         raise ValueError("matrix has no positive singular values")
     keep = s[s > drop_tol * s[0]]
-    return SigmaSequence(keep, exhausted_flag=True)
+    return Spectrum(keep, exhausted_flag=True, kept=keep.size, method="dense")
 
 
 def _clears_drop_tol(c, drop_tol):
@@ -350,18 +347,6 @@ class SampledMultiplier:
     values: np.ndarray
     truncation_bound: float
     aliasing_bound: float
-    x: np.ndarray = None
-    h: np.ndarray = None
-
-    def value_at(self, w):
-        """|F h|^2 at an arbitrary frequency via the direct Riemann sum.
-
-        Off-grid frequencies keep the full quadrature accuracy; the grid
-        samples themselves are the FFT special case of the same sum.
-        """
-        dx = float(self.x[1] - self.x[0])
-        hhat = dx * np.sum(self.h * np.exp(-1j * w * self.x))
-        return float(np.abs(hhat) ** 2)
 
 
 def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
@@ -407,7 +392,7 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
                       resolution=float(np.pi / L), decay=kernel.decay)
     return SampledMultiplier(multiplier=mult, omega=omega.astype(float),
                              values=lam, truncation_bound=float(truncation),
-                             aliasing_bound=float(aliasing), x=x, h=h)
+                             aliasing_bound=float(aliasing))
 
 
 def _gauss_tail_bound(decay, dist):
@@ -453,11 +438,8 @@ def _trusted_window(n_kept):
     return max(4, n_kept // 128), max(16, n_kept // 8)
 
 
-def _spectrum_fits(seq, window):
-    """Power-law vs exponential fit of -log sigma over the index window."""
-    lo, hi = window
-    n = np.arange(lo, hi + 1, dtype=float)
-    y = -np.log(seq.values[lo - 1:hi])
+def _spectrum_fits(n, y):
+    """Power-law vs exponential fit of y = -ln sigma_n over the indices n."""
     slope_p, _, rms_p = _estimate.power_law_fit(np.log(n), y)
     rate_e, _, rms_e = _estimate.power_law_fit(n, y)
     scale = max(float(y.max() - y.min()), 1e-300)
@@ -476,10 +458,7 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS,
     model (severe) by the quality of the corresponding fits.
     """
     seq = singular_values(m)
-    if isinstance(seq, Spectrum):
-        kept, method = seq.kept, seq.method
-    else:
-        kept, method = len(seq), "dense"
+    kept = seq.kept
     lo, hi = _trusted_window(kept)
     hi = min(hi, kept)
     if hi <= lo:
@@ -493,11 +472,11 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS,
     grid = geometric_grid(grid_hi, grid_lo, points)
     phi = _counting.counting_curve(seq, grid)
     diagnostics = {"window_indices": (lo, hi), "kept_values": kept,
-                   "spectrum": {"method": method, "computed": len(seq)}}
-    fits = _spectrum_fits(seq, (lo, hi))
+                   "spectrum": {"method": seq.method, "computed": len(seq)}}
+    n, y = _counting.window_logs(seq, lo, hi)
+    fits = _spectrum_fits(n, y)
     diagnostics.update(fits)
-    n = np.arange(lo, hi + 1, dtype=float)
-    exponents = -np.log(seq.values[lo - 1:hi]) / np.log(n)
+    exponents = y / np.log(n)
     lower = max(0.0, float(exponents.min()))
     upper = max(lower, float(exponents.max()))
     power_ok = fits["power_rms_rel"] <= fit_tol and fits["power_slope"] > 0
@@ -550,11 +529,7 @@ def pipeline_from_kernel(kernel: KernelSampler, thresholds=DEFAULT_THRESHOLDS,
         eps_lo = max(eps_hi * 1e-12, edge)
     grid = geometric_grid(eps_hi, eps_lo, points)
     phi = _distribution.phi_curve(lam, mu, grid)
-    interval = _counting.interval_from_counting(phi, thresholds)
-    degree = interval.degree
-    if interval.classification == "moderate":
-        refined = _estimate.regression_estimate(phi, thresholds)
-        degree = refined if refined is not None else degree
+    interval, degree, _ = _counting.estimate_curve(phi, thresholds)
     diagnostics = {"truncation_bound": sampled.truncation_bound,
                    "aliasing_bound": sampled.aliasing_bound}
     return PipelineReport(operator="kernel", sigma=None, phi=phi,
@@ -562,21 +537,3 @@ def pipeline_from_kernel(kernel: KernelSampler, thresholds=DEFAULT_THRESHOLDS,
                           classification=interval.classification,
                           degree=degree, diagnostics=diagnostics)
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-def matrix_to_csv(m, path):
-    """Write a dense matrix as plain CSV rows."""
-    m = _check_matrix(m)
-    with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def multiplier_samples_to_csv(sampled: SampledMultiplier, path):
-    """Write (omega, lambda) sample pairs as CSV."""
-    with open(path, "w") as fh:
-        fh.write("omega,lambda\n")
-        for w, v in zip(sampled.omega, sampled.values):
-            fh.write(f"{w:.17g},{v:.17g}\n")

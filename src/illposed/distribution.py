@@ -233,15 +233,6 @@ def _sampled_measure(lam, eps):
     raise RuntimeError("sampled superlevel measure did not stabilize")
 
 
-def threshold_point(lam, mu, eps):
-    """Numeric threshold point / radius of the superlevel set."""
-    if lam.shape not in (MONOTONE_TAIL, RADIAL_MONOTONE_TAIL):
-        raise UnsupportedMeasureError(
-            "threshold point requires a monotone-tail multiplier")
-    hint = max(1.0, *(lam.breakpoints or (1.0,)))
-    return _initial_interval_sup(lam.fn, eps, hint=hint)
-
-
 def _numeric_measure(lam, mu, eps, trim=None):
     if lam.shape in (MONOTONE_TAIL, RADIAL_MONOTONE_TAIL):
         cap = 1.0 if mu.kind == LEBESGUE_UNIT_INTERVAL else INF
@@ -278,7 +269,7 @@ def _closed_measure(lam, mu, eps, want_log, trim=None):
             return None
         x = max(0.0, lam.boundary(eps))
         m = _interval_measure(mu, x) - _interval_measure(mu, min(trim, x))
-        return math.log(m) if want_log and m >= 0 else m
+        return (math.log(m) if m > 0 else -INF) if want_log else m
     if want_log and lam.log_superlevel is not None:
         return lam.log_superlevel(eps)
     if lam.superlevel is not None:

@@ -69,8 +69,9 @@ class OperatorModel:
 
 def _positive(**kwargs):
     for name, value in kwargs.items():
-        if not value > 0:
-            raise ValueError(f"parameter {name} must be positive, got {value}")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(
+                f"parameter {name} must be finite and positive, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +468,19 @@ MODEL_IDS = tuple(_FACTORIES)
 
 
 def make(model_id, **params):
-    """Construct a gallery model by id; unknown ids raise with the choices."""
+    """Construct a gallery model by id; unknown ids and parameter names
+    raise with the choices."""
     try:
         factory = _FACTORIES[model_id]
     except KeyError:
         raise ValueError(f"unknown model {model_id!r}; choose from "
                          f"{', '.join(MODEL_IDS)}") from None
+    names = inspect.signature(factory).parameters
+    unknown = [k for k in params if k not in names]
+    if unknown:
+        raise ValueError(f"model {model_id!r} has no parameter "
+                         f"{', '.join(map(repr, unknown))}; its parameters: "
+                         f"{', '.join(names) or 'none'}")
     return factory(**params)
 
 
@@ -507,15 +515,6 @@ class AnalysisReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _refine_degree(interval, phi, thresholds):
-    """Regression-refined degree: prefactors bias the raw ratio window."""
-    slope, rms, degree = _estimate.regression_report(phi, thresholds)
-    info = {"regression_slope": slope, "regression_rms": rms}
-    if interval.classification == MODERATE and degree is not None:
-        return degree, info
-    return interval.degree, info
-
-
 def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
             points=60, method="auto", trim=None, match_tol=0.05,
             run_essinf=True):
@@ -545,30 +544,24 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
         diagnostics["counting_interval"] = (counting_iv.lower,
                                             counting_iv.upper,
                                             counting_iv.classification)
-    elif model.kind == "multiplier":
+    elif model.kind in ("multiplier", "phi"):
         if grid is None:
             grid = geometric_grid(model.eps_max,
                                   model.eps_max * 2.0 ** -59, points)
-        phi = _distribution.phi_curve(model.multiplier, model.measure, grid,
-                                      method=method, trim=trim)
-        interval = _counting.interval_from_counting(phi, thresholds)
-        degree, info = _refine_degree(interval, phi, thresholds)
+        if model.kind == "multiplier":
+            phi = _distribution.phi_curve(model.multiplier, model.measure,
+                                          grid, method=method, trim=trim)
+        else:
+            logs = [model.log_phi_form(float(e)) for e in grid]
+            phi = DistributionFunction.build(np.asarray(grid, dtype=float),
+                                             logs, source="weyl")
+        interval, degree, info = _counting.estimate_curve(phi, thresholds)
         diagnostics.update(info)
-        if run_essinf:
+        if model.kind == "multiplier" and run_essinf:
             ess = _distribution.essinf_estimate(model.multiplier,
                                                 model.measure)
             diagnostics["essinf_value"] = ess.value
             diagnostics["essinf_verdict"] = ess.verdict
-    elif model.kind == "phi":
-        if grid is None:
-            grid = geometric_grid(model.eps_max,
-                                  model.eps_max * 2.0 ** -59, points)
-        logs = [model.log_phi_form(float(e)) for e in grid]
-        phi = DistributionFunction.build(np.asarray(grid, dtype=float), logs,
-                                         source="weyl")
-        interval = _counting.interval_from_counting(phi, thresholds)
-        degree, info = _refine_degree(interval, phi, thresholds)
-        diagnostics.update(info)
     else:
         raise ValueError(f"unknown spectral data kind {model.kind!r}")
 

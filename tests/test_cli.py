@@ -92,6 +92,40 @@ def test_bad_param_value_is_usage_error(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_param_is_usage_error(capsys, value):
+    code, _, err = run(capsys, "analyze", "--model", "multiplier_b",
+                       "--param", f"s={value}")
+    assert code == 2
+    assert "finite" in err
+
+
+def test_unknown_param_key_is_usage_error(capsys):
+    code, _, err = run(capsys, "analyze", "--model", "laplace_kernel",
+                       "--param", "q=1")
+    assert code == 2
+    assert "'q'" in err and "a, b, d" in err
+
+
+def test_trimmed_closed_form_with_empty_superlevel_sets(capsys):
+    # the superlevel set lies inside the trimmed ball at coarse eps
+    code, out, err = run(capsys, "analyze", "--model", "hausdorff",
+                         "--trim", "1")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["log_phi"][0] == "-inf"
+    assert payload["classification"] == "severe"
+    assert payload["diagnostics"]["essinf_verdict"] == "ill_posed"
+    assert payload["matches_expected"] is True
+
+
+def test_check_unknown_criterion_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "--only", "99")
+    assert code == 2
+    assert out == ""
+    assert "99" in err and "1, 2, 3, 4, 5, 6, 7, 8, 9, 10" in err
+
+
 def test_rearrange_decreasing(capsys):
     code, out, _ = run(capsys, "rearrange", "--model", "hausdorff",
                        "--mode", "decreasing", "--t-min", "1",

@@ -89,16 +89,6 @@ class TestSigmaSequence:
 
 
 class TestMeasureSpace:
-    def test_total_mass(self):
-        assert MeasureSpace("lebesgue_line").total_mass == "infinite"
-        assert MeasureSpace("counting_integers").total_mass == "infinite"
-        assert MeasureSpace("lebesgue_unit_interval").total_mass == "finite"
-
-    def test_weighted_requires_density(self):
-        with pytest.raises(ValueError):
-            MeasureSpace("weighted_lebesgue")
-        MeasureSpace("weighted_lebesgue", density=lambda w: 1.0)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             MeasureSpace("borel")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from illposed.core import (InsufficientDataError, SigmaSequence, TailLaw,
-                           geometric_grid)
-from illposed.counting import (counting_curve, counting_phi,
+                           Thresholds, geometric_grid)
+from illposed.counting import (counting_curve, counting_phi, estimate_curve,
                                interval_from_counting, interval_from_sigma,
                                step_multiplier_from_sigma)
 from illposed.distribution import phi_curve, superlevel_measure
@@ -136,6 +136,37 @@ class TestIntervalFromCounting:
                                            source="superlevel")
         iv = interval_from_counting(curve)
         assert iv.classification == "indeterminate"
+
+
+class TestEstimateCurve:
+    @staticmethod
+    def prefactor_curve():
+        # Phi = 2 eps^(-1/2): ln 2 biases the ratio window, not the fit
+        grid = geometric_grid(0.5, 1e-10, 60)
+        return DistributionFunction.build(grid, math.log(2.0) - 0.5 * np.log(grid),
+                                          source="counting")
+
+    def test_accepted_fit_refines_the_degree(self):
+        iv, degree, info = estimate_curve(self.prefactor_curve())
+        assert iv.classification == "moderate"
+        assert iv.degree == pytest.approx(0.93, abs=0.01)
+        assert degree == pytest.approx(1.0, abs=1e-12)
+        assert info["regression_slope"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_rejected_fit_falls_back_to_the_interval_degree(self):
+        strict = Thresholds(residual_tol=0.0)  # no fit is ever accepted
+        iv, degree, info = estimate_curve(self.prefactor_curve(), strict)
+        assert iv.classification == "moderate"
+        assert degree == iv.degree == pytest.approx(0.93, abs=0.01)
+        assert info["regression_rms"] >= strict.residual_tol
+
+    def test_severe_curve_keeps_no_degree(self):
+        grid = geometric_grid(0.5, 1e-12, 60)
+        curve = DistributionFunction.build(
+            grid, np.log(np.log(2.0 * np.pi / grid) / np.pi), source="counting")
+        iv, degree, _ = estimate_curve(curve)
+        assert iv.classification == "severe"
+        assert degree is None
 
 
 class TestStepMultiplier:
