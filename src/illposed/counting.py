@@ -138,8 +138,7 @@ def interval_from_sigma(sigma: SigmaSequence, window=None,
 
 
 def interval_from_counting(phi: DistributionFunction,
-                           thresholds=DEFAULT_THRESHOLDS,
-                           window_fraction=None) -> IllPosednessInterval:
+                           thresholds=DEFAULT_THRESHOLDS) -> IllPosednessInterval:
     """Interval of ill-posedness from a sampled counting/distribution curve."""
     if phi.finiteness == NON_INFORMATIVE:
         return estimate.indeterminate_interval(
@@ -147,7 +146,7 @@ def interval_from_counting(phi: DistributionFunction,
     samples = estimate.ratio_samples(phi)
     if not samples:
         return estimate.indeterminate_interval("no usable ratio samples")
-    iv = estimate.interval_estimate(samples, thresholds, window_fraction)
+    iv = estimate.interval_estimate(samples, thresholds)
     if phi.finiteness == "exhausted":
         # counts saturated at the stored length somewhere on the grid; the
         # tail of the curve is then an artifact of missing data

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 SVD_DROP_TOL = 1e-14
+FIT_TOL = 0.02  # relative rms residual that selects a decay model
 # per-triplet residual bound ||A v - sigma u|| <= RESIDUAL_TOL * sigma_1
 RESIDUAL_TOL = 1e-10
 TOEPLITZ = "toeplitz"
@@ -162,6 +163,17 @@ def riemann_liouville_section(alpha, n):
         raise ValueError("alpha must be finite and positive")
     if n < 1:
         raise ValueError("n must be at least 1")
+    # ln c_k is monotone in k >= 1, so c_0, c_1 and c_{n-1} bound them all;
+    # their squares must stay within the normal floats, e^-708.4 to e^709.8
+    try:
+        logs = [alpha * math.log(0.5 / n) - math.lgamma(alpha + 1.0)]
+        logs += [(alpha - 1.0) * math.log(k) - alpha * math.log(n)
+                 - math.lgamma(alpha) for k in (1, n - 1) if n > 1]
+    except OverflowError:  # lgamma of a huge alpha
+        logs = [math.inf]
+    if not all(-708.0 < 2.0 * v < 709.0 for v in logs):
+        raise ValueError(f"alpha = {alpha!r} at n = {n}: the section's "
+                         "coefficients or their squares leave the float range")
     h = 1.0 / n
     c = np.empty(n)
     c[1:] = h ** alpha * np.arange(1, n, dtype=float) ** (alpha - 1.0) \
@@ -210,8 +222,8 @@ def svd_residuals(m):
             "right_orth": float(right)}
 
 
-def singular_values(m, drop_tol=SVD_DROP_TOL):
-    """Nonincreasing positive singular values above drop_tol * sigma_max.
+def singular_values(m):
+    """Nonincreasing positive singular values above SVD_DROP_TOL * sigma_max.
 
     Values below the drop tolerance are dominated by rounding in the
     factorization and are discarded rather than reported as data.  The
@@ -224,25 +236,25 @@ def singular_values(m, drop_tol=SVD_DROP_TOL):
     matrix gives the dense ``Spectrum`` of all kept values.
     """
     if isinstance(m, Section):
-        leading = _leading_values(m, drop_tol)
+        leading = _leading_values(m)
         if leading is not None:
             return leading
         m = m.dense()
-    return _dense_singular_values(m, drop_tol)
+    return _dense_singular_values(m)
 
 
-def _dense_singular_values(m, drop_tol):
+def _dense_singular_values(m):
     m = _check_matrix(m)
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] <= 0:
         raise ValueError("matrix has no positive singular values")
-    keep = s[s > drop_tol * s[0]]
+    keep = s[s > SVD_DROP_TOL * s[0]]
     return Spectrum(keep, exhausted_flag=True, kept=keep.size, method="dense")
 
 
-def _clears_drop_tol(c, drop_tol):
+def _clears_drop_tol(c):
     """Whether every singular value of the lower-triangular Toeplitz section
-    with first column c exceeds drop_tol * sigma_max.
+    with first column c exceeds SVD_DROP_TOL * sigma_max.
 
     Its inverse is lower-triangular Toeplitz with first column d (c * d = 1
     as power series), and both the 1- and the inf-norm of a lower-triangular
@@ -254,10 +266,10 @@ def _clears_drop_tol(c, drop_tol):
         d[0] = 1.0 / c[0]
         for k in range(1, c.size):
             d[k] = -np.dot(c[k:0:-1], d[:k]) / c[0]
-        return bool(np.abs(d).sum() * np.abs(c).sum() * drop_tol < 1.0)
+        return bool(np.abs(d).sum() * np.abs(c).sum() * SVD_DROP_TOL < 1.0)
 
 
-def _leading_values(section, drop_tol):
+def _leading_values(section):
     """Leading singular values of a section, or None to use the dense SVD.
 
     Toeplitz sections: once the certificate shows that all n values clear
@@ -277,7 +289,7 @@ def _leading_values(section, drop_tol):
     try:
         if section.kind == TOEPLITZ:
             k = _trusted_window(n)[1]
-            if 2 * k >= n or not _clears_drop_tol(section.coeffs, drop_tol):
+            if 2 * k >= n or not _clears_drop_tol(section.coeffs):
                 return None
             u, s, vt = svds(op, k=k, solver="propack", maxiter=4 * k,
                             random_state=0)
@@ -290,7 +302,7 @@ def _leading_values(section, drop_tol):
                     return None
                 lam, v = eigsh(op, k=k, which="LA", v0=np.ones(n))
                 s = np.abs(lam)
-                if s.min() < drop_tol * s.max():
+                if s.min() < SVD_DROP_TOL * s.max():
                     break
                 k *= 2
             u = v * np.sign(lam)
@@ -306,7 +318,7 @@ def _leading_values(section, drop_tol):
         mass = np.dot(np.minimum(j + 1, 2 * n - 1 - j), section.coeffs ** 2)
         if mass - np.dot(s, s) > RESIDUAL_TOL * mass:
             return None
-        kept = int(np.count_nonzero(s > drop_tol * s[0]))
+        kept = int(np.count_nonzero(s > SVD_DROP_TOL * s[0]))
         s, u, v = s[:kept], u[:, :kept], v[:, :kept]
     residual = np.linalg.norm(op.matmat(v) - u * s, axis=0)
     if s[-1] <= 0 or np.any(residual > RESIDUAL_TOL * s[0]):
@@ -447,8 +459,7 @@ def _spectrum_fits(n, y):
             "exp_rate": rate_e, "exp_rms_rel": rms_e / scale}
 
 
-def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS,
-                         points=60, fit_tol=0.02):
+def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
     """matrix or Section -> singular values -> curve -> classification.
 
     Finite sections carry the true spectrum only in their lower index
@@ -469,7 +480,7 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS,
     grid_lo = float(sq[hi - 1]) * 1.001
     if grid_lo >= grid_hi:
         grid_lo = grid_hi * 1e-9
-    grid = geometric_grid(grid_hi, grid_lo, points)
+    grid = geometric_grid(grid_hi, grid_lo)
     phi = _counting.counting_curve(seq, grid)
     diagnostics = {"window_indices": (lo, hi), "kept_values": kept,
                    "spectrum": {"method": seq.method, "computed": len(seq)}}
@@ -479,8 +490,8 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS,
     exponents = y / np.log(n)
     lower = max(0.0, float(exponents.min()))
     upper = max(lower, float(exponents.max()))
-    power_ok = fits["power_rms_rel"] <= fit_tol and fits["power_slope"] > 0
-    exp_ok = fits["exp_rms_rel"] <= fit_tol and fits["exp_rate"] > 0
+    power_ok = fits["power_rms_rel"] <= FIT_TOL and fits["power_slope"] > 0
+    exp_ok = fits["exp_rms_rel"] <= FIT_TOL and fits["exp_rate"] > 0
     degree = None
     if power_ok and (not exp_ok
                      or fits["power_rms_rel"] <= fits["exp_rms_rel"]):
@@ -511,8 +522,7 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS,
                           degree=degree, diagnostics=diagnostics)
 
 
-def pipeline_from_kernel(kernel: KernelSampler, thresholds=DEFAULT_THRESHOLDS,
-                         points=60, eps_min=None):
+def pipeline_from_kernel(kernel: KernelSampler, thresholds=DEFAULT_THRESHOLDS):
     """kernel -> FFT multiplier -> distribution curve -> interval estimate."""
     sampled = fft_multiplier(kernel)
     lam = sampled.multiplier
@@ -520,14 +530,11 @@ def pipeline_from_kernel(kernel: KernelSampler, thresholds=DEFAULT_THRESHOLDS,
     # is the line measure itself
     mu = MeasureSpace(LEBESGUE_LINE)
     eps_hi = 0.99 * min(lam.sup_bound, 1.0)
-    if eps_min is not None:
-        eps_lo = eps_min
-    else:
-        # stay above the multiplier value at the sampled band edge, where
-        # superlevel sets would be truncated by the finite frequency range
-        edge = 4.0 * float(max(sampled.values[0], sampled.values[-1]))
-        eps_lo = max(eps_hi * 1e-12, edge)
-    grid = geometric_grid(eps_hi, eps_lo, points)
+    # stay above the multiplier value at the sampled band edge, where
+    # superlevel sets would be truncated by the finite frequency range
+    edge = 4.0 * float(max(sampled.values[0], sampled.values[-1]))
+    eps_lo = max(eps_hi * 1e-12, edge)
+    grid = geometric_grid(eps_hi, eps_lo)
     phi = _distribution.phi_curve(lam, mu, grid)
     interval, degree, _ = _counting.estimate_curve(phi, thresholds)
     diagnostics = {"truncation_bound": sampled.truncation_bound,

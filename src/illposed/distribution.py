@@ -14,6 +14,7 @@ truncation schedules are deterministic, so results are reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import NamedTuple
@@ -51,6 +52,14 @@ QUAD_REL_TOL = 1e-8
 # stabilizes the ratio near 1 and is never caught by it
 GROWTH_FACTOR = 1.5
 GROWTH_RUNS = 5
+# truncation schedules of essinf and of the L^p check (see their docstrings)
+R0 = 8.0
+ESSINF_DOUBLINGS = 14
+ESSINF_SAMPLES = 2048
+ESSINF_FLOOR_REL = 1e-13
+LP_MAX_DOUBLINGS = 40
+LP_GROWTH_FACTOR = 1.2
+LP_REL_TOL = 1e-6
 
 
 class _Divergent(Exception):
@@ -79,6 +88,28 @@ def _interval_measure(mu, x):
         f"no interval measure for kind {mu.kind!r}")
 
 
+def _midpoint_values(fn, r, n):
+    """fn at the n midpoints of [0, r].  The samples are numpy floats, so
+    an overflowing fn gives the IEEE limit without a warning; nan raises."""
+    x = (np.arange(n) + 0.5) * (r / n)
+    with np.errstate(over="ignore"):
+        return np.asarray([_check_value(fn(v)) for v in x])
+
+
+def _bisect(fn, eps, lo, hi, rising=False):
+    """Where fn crosses eps in [lo, hi], 0 <= lo < hi; fn is above eps on
+    the lo side, or on the hi side when ``rising``."""
+    while hi - lo > BISECT_REL_TOL * max(hi, 1e-30):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if (_check_value(fn(mid)) > eps) != rising:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _initial_interval_sup(fn, eps, hint=1.0, cap=INF):
     """sup{x >= 0 : fn(x) > eps}, assuming {fn > eps} is anchored at 0.
 
@@ -98,84 +129,48 @@ def _initial_interval_sup(fn, eps, hint=1.0, cap=INF):
         hi = min(hi * 2.0, cap)
         if hi > 1e280:
             raise _Divergent
-    while hi - lo > BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if _check_value(fn(mid)) > eps:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(fn, eps, lo, hi)
 
 
-def _branch_crossing(fn, eps, a, b, va, vb):
-    """Crossing point of fn through eps on a monotone branch [a, b]."""
-    lo, hi = a, b
-    inc = vb > va
-    for _ in range(200):
-        if hi - lo <= BISECT_REL_TOL * max(abs(lo), abs(hi), 1e-30):
-            break
-        mid = 0.5 * (lo + hi)
-        if (_check_value(fn(mid)) > eps) == inc:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _piecewise_lengths(lam, eps, domain_hi=INF):
-    """Total length of {lam > eps} within [0, domain_hi], branch by branch."""
+def _superlevel_set(lam, eps, domain_hi=INF):
+    """The nonempty intervals of {lam > eps} within [0, domain_hi], one per
+    monotone branch; on [0, inf) the profile must decay past its last
+    breakpoint."""
+    fn = lam.fn
+    if lam.shape in (MONOTONE_TAIL, RADIAL_MONOTONE_TAIL):
+        hint = max(1.0, *(lam.breakpoints or (1.0,)))
+        x = _initial_interval_sup(fn, eps, hint=hint, cap=domain_hi)
+        return [(0.0, x)] if x > 0 else []
+    if lam.shape != PIECEWISE_MONOTONE:
+        raise UnsupportedMeasureError(f"unsupported shape {lam.shape!r}")
     pts = [0.0] + [b for b in lam.breakpoints if 0.0 < b < domain_hi]
-    total = 0.0
+    bounded = domain_hi < INF
+    if bounded:
+        pts.append(domain_hi)
+    out = []
     for a, b in zip(pts, pts[1:]):
-        va, vb = _check_value(lam.fn(a)), _check_value(lam.fn(b))
+        va, vb = _check_value(fn(a)), _check_value(fn(b))
         if va > eps and vb > eps:
-            total += b - a
-        elif va > eps or vb > eps:
-            c = _branch_crossing(lam.fn, eps, a, b, va, vb)
-            total += (c - a) if va > eps else (b - c)
+            out.append((a, b))
+        elif va > eps:
+            out.append((a, _bisect(fn, eps, a, b)))
+        elif vb > eps:
+            out.append((_bisect(fn, eps, a, b, rising=True), b))
     last = pts[-1]
-    if math.isinf(domain_hi):
-        # final branch must decay at infinity
-        if _check_value(lam.fn(last)) > eps:
-            shifted = lambda x: lam.fn(last + x)
-            total += _initial_interval_sup(shifted, eps, hint=max(1.0, last))
-    else:
-        va, vb = _check_value(lam.fn(last)), _check_value(lam.fn(domain_hi))
-        if va > eps and vb > eps:
-            total += domain_hi - last
-        elif va > eps or vb > eps:
-            c = _branch_crossing(lam.fn, eps, last, domain_hi, va, vb)
-            total += (c - last) if va > eps else (domain_hi - c)
-    return total
+    if not bounded and _check_value(fn(last)) > eps:
+        shifted = lambda x: fn(last + x)
+        x = _initial_interval_sup(shifted, eps, hint=max(1.0, last))
+        out.append((last, last + x))
+    return out
 
 
-def _discrete_scan(lam, eps, weight=None):
-    """Sum of weights over {k in Z : lam(k) > eps}; counts when weight is None.
-
-    With a cutoff hint the scan is exact on |k| <= hint(eps); otherwise the
-    range doubles until two rounds add nothing, with the usual divergence
-    guard.
-    """
-    def w(k):
-        return 1.0 if weight is None else weight(k)
-
-    def scan(kmax):
-        total = 0.0
-        for k in range(-kmax, kmax + 1):
-            if _check_value(lam.fn(k)) > eps:
-                total += w(k)
-        return total
-
-    if lam.cutoff_hint is not None:
-        return scan(int(lam.cutoff_hint(eps)))
-    kmax, total = 8, None
-    stable = 0
-    growth = 0
+def _settle(total_at, size, tol):
+    """total_at(size) for doubling sizes until it is stable to a relative
+    tol twice in a row; sustained growth or 60 rounds mean divergence."""
     prev = None
+    growth = stable = 0
     for _ in range(60):
-        cur = scan(kmax)
+        cur = total_at(size)
         if prev is not None:
             if prev > 0 and cur >= GROWTH_FACTOR * prev:
                 growth += 1
@@ -183,15 +178,30 @@ def _discrete_scan(lam, eps, weight=None):
                     raise _Divergent
             else:
                 growth = 0
-            if cur == prev:
+            if abs(cur - prev) <= tol * max(cur, 1e-300):
                 stable += 1
                 if stable >= 2:
                     return cur
             else:
                 stable = 0
-        prev, total = cur, cur
-        kmax *= 2
+        prev = cur
+        size *= 2
     raise _Divergent
+
+
+def _discrete_scan(lam, eps, weight=None):
+    """Sum of weights over {k in Z : lam(k) > eps}; counts when weight is None.
+    Exact on |k| <= cutoff_hint(eps) when there is one, else settled."""
+    def scan(kmax):
+        total = 0.0
+        for k in range(-kmax, kmax + 1):
+            if _check_value(lam.fn(k)) > eps:
+                total += 1.0 if weight is None else weight(k)
+        return total
+
+    if lam.cutoff_hint is not None:
+        return scan(int(lam.cutoff_hint(eps)))
+    return _settle(scan, 8, 0.0)
 
 
 def _sampled_measure(lam, eps):
@@ -207,60 +217,33 @@ def _sampled_measure(lam, eps):
                           stacklevel=3)
         return step * float(np.count_nonzero(hits))
     step = lam.resolution or (1.0 / 128.0)
-    r = 8.0
-    prev = None
-    growth = stable = 0
-    for _ in range(60):
+
+    def grid_measure(r):
         n = max(16, int(round(r / step)))
-        x = (np.arange(n) + 0.5) * (r / n)
-        vals = np.asarray([_check_value(lam.fn(v)) for v in x])
-        cur = (r / n) * float(np.count_nonzero(vals > eps))
-        if prev is not None:
-            if prev > 0 and cur >= GROWTH_FACTOR * prev:
-                growth += 1
-                if growth >= GROWTH_RUNS:
-                    raise _Divergent
-            else:
-                growth = 0
-            if abs(cur - prev) <= 1e-12 * max(cur, 1e-300):
-                stable += 1
-                if stable >= 2:
-                    return cur
-            else:
-                stable = 0
-        prev = cur
-        r *= 2.0
-    raise RuntimeError("sampled superlevel measure did not stabilize")
+        vals = _midpoint_values(lam.fn, r, n)
+        return (r / n) * float(np.count_nonzero(vals > eps))
+
+    return _settle(grid_measure, 8.0, 1e-12)
 
 
 def _numeric_measure(lam, mu, eps, trim=None):
-    if lam.shape in (MONOTONE_TAIL, RADIAL_MONOTONE_TAIL):
-        cap = 1.0 if mu.kind == LEBESGUE_UNIT_INTERVAL else INF
-        hint = max(1.0, *(lam.breakpoints or (1.0,)))
-        x = _initial_interval_sup(lam.fn, eps, hint=hint, cap=cap)
-        m = _interval_measure(mu, x)
-        if trim:
-            m -= _interval_measure(mu, min(trim, x))
-        return m
-    if trim:
-        raise UnsupportedMeasureError(
-            "pole trimming needs a monotone-tail multiplier")
-    if lam.shape == PIECEWISE_MONOTONE:
-        if mu.kind == LEBESGUE_RADIAL:
-            raise UnsupportedMeasureError(
-                "piecewise multipliers are not supported on radial measures")
-        hi = 1.0 if mu.kind == LEBESGUE_UNIT_INTERVAL else INF
-        length = _piecewise_lengths(lam, eps, domain_hi=hi)
-        return 2.0 * length if mu.kind == LEBESGUE_LINE else length
     if lam.shape == DISCRETE:
-        if mu.kind != COUNTING_INTEGERS:
+        if trim or mu.kind != COUNTING_INTEGERS:
             raise UnsupportedMeasureError(
-                "discrete multipliers need the counting measure")
+                "discrete multipliers need the untrimmed counting measure")
         return _discrete_scan(lam, eps)
     if lam.shape == GENERIC_SAMPLED:
+        if trim:
+            raise UnsupportedMeasureError(
+                "pole trimming needs a multiplier with monotone branches")
         m = _sampled_measure(lam, eps)
         return 2.0 * m if mu.kind == LEBESGUE_LINE and lam.sample_omega is None else m
-    raise UnsupportedMeasureError(f"unsupported shape {lam.shape!r}")
+    t = trim or 0.0
+    hi = 1.0 if mu.kind == LEBESGUE_UNIT_INTERVAL else INF
+    m = 0.0
+    for a, b in _superlevel_set(lam, eps, hi):
+        m += _interval_measure(mu, max(b, t)) - _interval_measure(mu, max(a, t))
+    return m
 
 
 def _closed_measure(lam, mu, eps, want_log, trim=None):
@@ -276,7 +259,12 @@ def _closed_measure(lam, mu, eps, want_log, trim=None):
         m = lam.superlevel(eps)
         return (math.log(m) if m > 0 else -INF) if want_log else m
     if lam.log_superlevel is not None:
-        return math.exp(lam.log_superlevel(eps))  # may overflow to inf
+        log_m = lam.log_superlevel(eps)
+        try:
+            return math.exp(log_m)
+        except OverflowError:
+            raise ValueError(f"the measure exp({log_m!r}) overflows a float; "
+                             "use log_superlevel_measure") from None
     if lam.boundary is not None:
         m = _interval_measure(mu, max(0.0, lam.boundary(eps)))
         return (math.log(m) if m > 0 else -INF) if want_log else m
@@ -303,6 +291,8 @@ def log_superlevel_measure(lam, mu, eps, method="auto", trim=None):
 def _measure(lam, mu, eps, method, trim, want_log):
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if trim is not None and not (math.isfinite(trim) and trim >= 0):
+        raise ValueError(f"trim must be a finite radius >= 0, got {trim!r}")
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     if method != "numeric":
@@ -417,16 +407,8 @@ def increasing_rearrangement(lam, mu, t):
     hi = lam.sup_bound
     if d_lambda(lam, mu, hi) <= t:
         return hi
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= BISECT_REL_TOL * max(hi, 1e-30):
-            break
-        mid = 0.5 * (lo + hi)
-        if d_lambda(lam, mu, mid) <= t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(functools.partial(d_lambda, lam, mu), t, 0.0, hi,
+                   rising=True)
 
 
 # ---------------------------------------------------------------------------
@@ -435,35 +417,6 @@ def increasing_rearrangement(lam, mu, t):
 def _quad(f, a, b):
     val, _ = integrate.quad(f, a, b, epsrel=QUAD_REL_TOL, limit=200)
     return val
-
-
-def _superlevel_intervals(lam, mu, eps):
-    """Qualifying intervals of {lambda > eps} on the positive axis."""
-    if lam.shape == MONOTONE_TAIL:
-        if lam.boundary is not None:
-            x = max(0.0, lam.boundary(eps))
-        else:
-            hint = max(1.0, *(lam.breakpoints or (1.0,)))
-            x = _initial_interval_sup(lam.fn, eps, hint=hint)
-        return [(0.0, x)] if x > 0 else []
-    if lam.shape == PIECEWISE_MONOTONE:
-        pts = [0.0] + list(lam.breakpoints)
-        out = []
-        for a, b in zip(pts, pts[1:]):
-            va, vb = lam.fn(a), lam.fn(b)
-            if va > eps and vb > eps:
-                out.append((a, b))
-            elif va > eps or vb > eps:
-                c = _branch_crossing(lam.fn, eps, a, b, va, vb)
-                out.append((a, c) if va > eps else (c, b))
-        last = pts[-1]
-        if lam.fn(last) > eps:
-            shifted = lambda x: lam.fn(last + x)
-            x = _initial_interval_sup(shifted, eps, hint=max(1.0, last))
-            out.append((last, last + x))
-        return _merge(out)
-    raise UnsupportedMeasureError(
-        f"reweighting is not supported for shape {lam.shape!r}")
 
 
 def _merge(intervals):
@@ -476,7 +429,7 @@ def _merge(intervals):
     return out
 
 
-def reweight(lam, mu, kappa, grid, method="auto"):
+def reweight(lam, mu, kappa, grid):
     """Distribution curve of the reweighted measure kappa * mu.
 
     Integrates kappa over the superlevel sets: adaptive quadrature on
@@ -485,28 +438,33 @@ def reweight(lam, mu, kappa, grid, method="auto"):
     changes the apparent growth of the curve, which is exactly why the
     benchmark measure must stay fixed when classifying.
     """
+    if not mu.is_discrete and mu.kind not in (
+            LEBESGUE_LINE, LEBESGUE_HALFLINE, LEBESGUE_UNIT_INTERVAL):
+        raise UnsupportedMeasureError(f"reweighting not supported on {mu.kind!r}")
+    weight = _positive(kappa)
+    hi = 1.0 if mu.kind == LEBESGUE_UNIT_INTERVAL else INF
     logs = []
     for e in grid:
         eps = float(e)
         try:
             if mu.is_discrete:
-                mass = _discrete_scan(lam, eps, weight=_positive(kappa))
+                mass = _discrete_scan(lam, eps, weight=weight)
             else:
+                if lam.shape == MONOTONE_TAIL and lam.boundary is not None:
+                    x = min(max(0.0, lam.boundary(eps)), hi)
+                    spans = [(0.0, x)] if x > 0 else []
+                else:
+                    spans = _merge(_superlevel_set(lam, eps, hi))
                 mass = 0.0
-                for a, b in _superlevel_intervals(lam, mu, eps):
+                for a, b in spans:
                     if mu.kind == LEBESGUE_LINE:
-                        mass += _quad(_positive(kappa), -b, -a) if a > 0 else 0.0
-                        mass += _quad(_positive(kappa), a if a > 0 else -b, b)
-                    elif mu.kind in (LEBESGUE_HALFLINE, LEBESGUE_UNIT_INTERVAL):
-                        mass += _quad(_positive(kappa), a, min(b, 1.0) if
-                                      mu.kind == LEBESGUE_UNIT_INTERVAL else b)
+                        mass += _quad(weight, -b, -a) if a > 0 else 0.0
+                        mass += _quad(weight, a if a > 0 else -b, b)
                     else:
-                        raise UnsupportedMeasureError(
-                            f"reweighting not supported on {mu.kind!r}")
+                        mass += _quad(weight, a, b)
         except _Divergent:
             mass = INF
-        logs.append(math.log(mass) if mass > 0 else
-                    (-INF if mass == 0 else INF))
+        logs.append(math.log(mass) if mass > 0 else -INF)
     return DistributionFunction.build(np.asarray(grid, dtype=float), logs,
                                       source="reweighted",
                                       sup_bound=lam.sup_bound)
@@ -530,8 +488,7 @@ class EssinfResult(NamedTuple):
     history: tuple
 
 
-def essinf_estimate(lam, mu, r0=8.0, doublings=14, base_samples=2048,
-                    floor_rel=1e-13):
+def essinf_estimate(lam, mu):
     """Sampled infimum over expanding truncations with refinement.
 
     The infimum over [0, R] is sampled on midpoint grids that are refined
@@ -543,27 +500,26 @@ def essinf_estimate(lam, mu, r0=8.0, doublings=14, base_samples=2048,
     history = []
     seen_max = 0.0
     hit_zero = False
-    for k in range(doublings + 1):
-        r = r0 * 2.0 ** k
+    for k in range(ESSINF_DOUBLINGS + 1):
+        r = R0 * 2.0 ** k
         if lam.shape == DISCRETE:
             ks = np.arange(-int(r), int(r) + 1)
             vals = np.asarray([_check_value(lam.fn(int(i))) for i in ks])
             m = float(vals.min())
             seen_max = max(seen_max, float(vals.max()))
         else:
-            m, mx, stable = _refined_min(lam.fn, r, base_samples, seen_max,
-                                         floor_rel)
+            m, mx, stable = _refined_min(lam.fn, r, seen_max)
             seen_max = max(seen_max, mx)
             if not stable:
                 hit_zero = True
         history.append(m)
-        floor = floor_rel * max(seen_max, 1e-300)
+        floor = ESSINF_FLOOR_REL * max(seen_max, 1e-300)
         if m <= floor:
             hit_zero = True
         if hit_zero:
             # the infimum over a larger domain can only be smaller still
             break
-    floor = floor_rel * max(seen_max, 1e-300)
+    floor = ESSINF_FLOOR_REL * max(seen_max, 1e-300)
     if hit_zero or history[-1] <= floor:
         return EssinfResult(0.0, "ill_posed", tuple(history))
     last = history[-3:]
@@ -577,7 +533,7 @@ def essinf_estimate(lam, mu, r0=8.0, doublings=14, base_samples=2048,
     return EssinfResult(history[-1], "indeterminate", tuple(history))
 
 
-def _refined_min(fn, r, n0, seen_max, floor_rel):
+def _refined_min(fn, r, seen_max):
     """Min of fn over midpoint grids on [0, r], refined until stable.
 
     Returns (min, max_seen, stable); an unstable result means the sampled
@@ -585,16 +541,15 @@ def _refined_min(fn, r, n0, seen_max, floor_rel):
     numerical resolution.  Two consecutive collapses (a factor >= 3 drop
     each) already decide the outcome, so the refinement stops there.
     """
-    n = n0
+    n = ESSINF_SAMPLES
     prev = None
     collapses = 0
     mx = seen_max
     for _ in range(7):
-        x = (np.arange(n) + 0.5) * (r / n)
-        vals = np.asarray([_check_value(fn(v)) for v in x])
+        vals = _midpoint_values(fn, r, n)
         m = float(vals.min())
         mx = max(mx, float(vals.max()))
-        if m <= floor_rel * max(mx, 1e-300):
+        if m <= ESSINF_FLOOR_REL * max(mx, 1e-300):
             return m, mx, True
         if prev is not None:
             if abs(m - prev) <= 0.05 * max(prev, 1e-300):
@@ -612,12 +567,11 @@ class LpResult(NamedTuple):
     value: float | None
 
 
-def lp_check(lam, mu, p=None, f=None, lo=0.0, r0=8.0, max_doublings=40,
-             growth_factor=1.2, growth_runs=5, rel_tol=1e-6):
+def lp_check(lam, mu, p=None, f=None):
     """Numeric integrability check of lambda**p (or f(lambda)) over mu.
 
     Partial integrals over expanding truncations converge (relative
-    increments below ``rel_tol`` twice in a row, with the tail dominated by
+    increments below LP_REL_TOL twice in a row, with the tail dominated by
     the declared decay envelope) -> finite with the accumulated value;
     sustained growth across doublings -> infinite; neither, or convergence
     without a declared envelope -> indeterminate.
@@ -632,8 +586,7 @@ def lp_check(lam, mu, p=None, f=None, lo=0.0, r0=8.0, max_doublings=40,
         return g(_check_value(lam.fn(x)))
 
     if mu.is_discrete:
-        return _lp_discrete(lam, g, max_doublings, growth_factor,
-                            growth_runs, rel_tol)
+        return _lp_discrete(lam, g)
 
     if mu.kind == LEBESGUE_LINE:
         factor, weight = 2.0, integrand
@@ -647,21 +600,21 @@ def lp_check(lam, mu, p=None, f=None, lo=0.0, r0=8.0, max_doublings=40,
         raise UnsupportedMeasureError(f"unsupported measure {mu.kind!r}")
 
     if mu.kind == LEBESGUE_UNIT_INTERVAL:
-        return LpResult("finite", factor * _quad(weight, lo, 1.0))
+        return LpResult("finite", factor * _quad(weight, 0.0, 1.0))
 
-    total = factor * _quad(weight, lo, r0)
+    total = factor * _quad(weight, 0.0, R0)
     growth = converged = 0
-    r = r0
-    for _ in range(max_doublings):
+    r = R0
+    for _ in range(LP_MAX_DOUBLINGS):
         seg = factor * _quad(weight, r, 2.0 * r)
         new = total + seg
-        if total > 0 and new >= growth_factor * total:
+        if total > 0 and new >= LP_GROWTH_FACTOR * total:
             growth += 1
-            if growth >= growth_runs:
+            if growth >= GROWTH_RUNS:
                 return LpResult("infinite", None)
         else:
             growth = 0
-        if new > 0 and (new - total) / new < rel_tol:
+        if new > 0 and (new - total) / new < LP_REL_TOL:
             converged += 1
             if converged >= 2:
                 total = new
@@ -683,27 +636,27 @@ def lp_check(lam, mu, p=None, f=None, lo=0.0, r0=8.0, max_doublings=40,
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         tail, _ = integrate.quad(env_weight, r, np.inf, epsrel=QUAD_REL_TOL,
                                  limit=200)
-    if not math.isfinite(tail) or tail > max(rel_tol * total, 1e-12):
+    if not math.isfinite(tail) or tail > max(LP_REL_TOL * total, 1e-12):
         return LpResult("indeterminate", total)
     return LpResult("finite", total + factor * tail)
 
 
-def _lp_discrete(lam, g, max_doublings, growth_factor, growth_runs, rel_tol):
+def _lp_discrete(lam, g):
     kmax = 8
     total = sum(g(_check_value(lam.fn(k)))
                 for k in range(-kmax, kmax + 1))
     growth = converged = 0
-    for _ in range(max_doublings):
+    for _ in range(LP_MAX_DOUBLINGS):
         new_total = total + sum(
             g(_check_value(lam.fn(s * k)))
             for k in range(kmax + 1, 2 * kmax + 1) for s in (1, -1))
-        if total > 0 and new_total >= growth_factor * total:
+        if total > 0 and new_total >= LP_GROWTH_FACTOR * total:
             growth += 1
-            if growth >= growth_runs:
+            if growth >= GROWTH_RUNS:
                 return LpResult("infinite", None)
         else:
             growth = 0
-        if new_total > 0 and (new_total - total) / new_total < rel_tol:
+        if new_total > 0 and (new_total - total) / new_total < LP_REL_TOL:
             converged += 1
             if converged >= 2:
                 return LpResult("finite", new_total)

@@ -123,21 +123,19 @@ def _tail(seq, fraction, minimum):
     return seq[-k:]
 
 
-def interval_estimate(samples, thresholds=DEFAULT_THRESHOLDS,
-                      window_fraction=None):
+def interval_estimate(samples, thresholds=DEFAULT_THRESHOLDS):
     """Interval estimate from ratio samples ordered coarse to fine.
 
     ``samples`` is a sequence of (eps, r) pairs with eps descending, e.g.
     the output of :func:`ratio_samples`.  The window is the trailing
-    fraction of the samples (default a third).
+    ``thresholds.window_fraction`` of the samples.
     """
     t = thresholds
-    frac = t.window_fraction if window_fraction is None else window_fraction
-    tail = _tail(list(samples), frac, t.min_tail_samples)
+    tail = _tail(list(samples), t.window_fraction, t.min_tail_samples)
     w = [r for _, r in tail]
     cls, degree, diags = classify_window(w, t)
     diags["window_eps"] = [e for e, _ in tail]
-    diags["window_fraction"] = frac
+    diags["window_fraction"] = t.window_fraction
     lower = max(0.0, min(w))
     upper = max(lower, max(w))
     return IllPosednessInterval(lower, upper, cls, degree, diags)
@@ -150,7 +148,7 @@ def indeterminate_interval(reason, diagnostics=None):
     return IllPosednessInterval(0.0, math.inf, INDETERMINATE, None, d)
 
 
-def regression_report(phi, thresholds=DEFAULT_THRESHOLDS, window_fraction=None):
+def regression_report(phi, thresholds=DEFAULT_THRESHOLDS):
     """Power-law fit of log Phi against ln(1/eps) over the tail window.
 
     Returns ``(slope, rms, degree)`` where the degree 1/(2*slope) is None
@@ -159,7 +157,6 @@ def regression_report(phi, thresholds=DEFAULT_THRESHOLDS, window_fraction=None):
     fitted slope is insensitive to constant prefactors in Phi.
     """
     t = thresholds
-    frac = t.window_fraction if window_fraction is None else window_fraction
     if phi.finiteness == NON_INFORMATIVE:
         return None, math.inf, None
     pairs = [(math.log(1.0 / e), lp)
@@ -167,7 +164,7 @@ def regression_report(phi, thresholds=DEFAULT_THRESHOLDS, window_fraction=None):
              if np.isfinite(lp) and lp > 0 and 0 < e < 1]
     if len(pairs) < t.min_tail_samples:
         return None, math.inf, None
-    tail = _tail(pairs, frac, t.min_tail_samples)
+    tail = _tail(pairs, t.window_fraction, t.min_tail_samples)
     x = [p[0] for p in tail]
     y = [p[1] for p in tail]
     slope, _, rms = power_law_fit(x, y)
@@ -177,8 +174,7 @@ def regression_report(phi, thresholds=DEFAULT_THRESHOLDS, window_fraction=None):
     return slope, rms, degree
 
 
-def regression_estimate(phi, thresholds=DEFAULT_THRESHOLDS,
-                        window_fraction=None):
+def regression_estimate(phi, thresholds=DEFAULT_THRESHOLDS):
     """Degree from the power-law fit, or None when the fit is poor."""
-    _, _, degree = regression_report(phi, thresholds, window_fraction)
+    _, _, degree = regression_report(phi, thresholds)
     return degree

@@ -30,6 +30,8 @@ from . import estimate as _estimate
 __all__ = ["Expected", "OperatorModel", "AnalysisReport", "make", "analyze",
            "available_models", "weyl_from_theta", "MODEL_IDS"]
 
+MATCH_TOL = 0.05  # largest |degree - tagged degree| that matches
+
 
 @dataclass(frozen=True)
 class Expected:
@@ -74,6 +76,13 @@ def _positive(**kwargs):
                 f"parameter {name} must be finite and positive, got {value}")
 
 
+def _dimension(d):
+    """The integer dimension d >= 1, checked before the conversion."""
+    if not (math.isfinite(d) and d >= 1):
+        raise ValueError(f"parameter d must be a finite integer >= 1, got {d}")
+    return int(d)
+
+
 # ---------------------------------------------------------------------------
 # compact models (singular value laws)
 
@@ -93,8 +102,7 @@ def multivariate_integration(d=2):
     The limit degree is 1 for every d, but the log factors push finite
     windows well below it: the report shows the honest finite-size value.
     """
-    d = int(d)
-    _positive(d=d)
+    d = _dimension(d)
     return OperatorModel(
         id="multivariate_integration", parameters={"d": d},
         kind="sigma", sigma_law=TailLaw.power_log(d),
@@ -104,8 +112,8 @@ def multivariate_integration(d=2):
 
 def sobolev_embedding(p=2.0, d=2):
     """Embedding of the order-p Sobolev space over a d-cube into L2."""
-    d = int(d)
-    _positive(p=p, d=d)
+    d = _dimension(d)
+    _positive(p=p)
     return OperatorModel(
         id="sobolev_embedding", parameters={"p": float(p), "d": d},
         kind="sigma", sigma_law=TailLaw.power(p / d),
@@ -131,8 +139,8 @@ def weyl(p=2.0, d=2, c=1.0):
 
     Theta(t) = t^-p, so Phi = c * eps^(-d/(2p)) and the degree is p/d.
     """
-    d = int(d)
-    _positive(p=p, d=d, c=c)
+    d = _dimension(d)
+    _positive(p=p, c=c)
     return OperatorModel(
         id="weyl", parameters={"p": float(p), "d": d, "c": float(c)},
         kind="phi",
@@ -143,8 +151,7 @@ def weyl(p=2.0, d=2, c=1.0):
 
 def inverse_laplacian(d=2):
     """Squared inverse of the Laplacian on a d-dimensional manifold."""
-    d = int(d)
-    _positive(d=d)
+    d = _dimension(d)
     base = weyl(p=2.0, d=d, c=1.0)
     return OperatorModel(
         id="inverse_laplacian", parameters={"d": d}, kind="phi",
@@ -315,8 +322,7 @@ def hausdorff():
 
 def gaussian_kernel(d=1):
     """Convolution by exp(-|t|^2): lambda = pi^d exp(-|w|^2/2), radial."""
-    d = int(d)
-    _positive(d=d)
+    d = _dimension(d)
     peak = math.pi ** d
 
     def fn(r):
@@ -340,8 +346,8 @@ def laplace_kernel(a=1.0, b=1.0, d=1):
     The radial computation gives degree 2a/d; at d = 1 this matches the
     dimension-free reading 2a.
     """
-    d = int(d)
-    _positive(a=a, b=b, d=d)
+    d = _dimension(d)
+    _positive(a=a, b=b)
     a, b = float(a), float(b)
 
     def fn(r):
@@ -385,8 +391,8 @@ def fractional_line(s=0.5):
 
 def parabolic_source(diffusivity=1.0, t0=1.0, d=1):
     """Heat-source identification: lambda = (1 - exp(-t0 k^2 |w|^2))^2 / (k^4 |w|^4)."""
-    d = int(d)
-    _positive(diffusivity=diffusivity, t0=t0, d=d)
+    d = _dimension(d)
+    _positive(diffusivity=diffusivity, t0=t0)
     kap, t0 = float(diffusivity), float(t0)
     kap4 = kap ** 4
 
@@ -516,8 +522,7 @@ class AnalysisReport:
 
 
 def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
-            points=60, method="auto", trim=None, match_tol=0.05,
-            run_essinf=True):
+            method="auto", trim=None, run_essinf=True):
     """Run the full pipeline for a gallery model and compare with its tag.
 
     Dispatches on the model's spectral data: singular value laws go through
@@ -533,7 +538,7 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
             lo, hi = float(sq[-1]) * 1.01, float(sq[0]) * 0.99
             if lo >= hi:
                 lo = hi / 1e6
-            grid = geometric_grid(hi, lo, points)
+            grid = geometric_grid(hi, lo)
         phi = _counting.counting_curve(seq, grid)
         interval = _counting.interval_from_sigma(seq, thresholds=thresholds)
         degree = interval.degree
@@ -546,8 +551,7 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
                                             counting_iv.classification)
     elif model.kind in ("multiplier", "phi"):
         if grid is None:
-            grid = geometric_grid(model.eps_max,
-                                  model.eps_max * 2.0 ** -59, points)
+            grid = geometric_grid(model.eps_max, model.eps_max * 2.0 ** -59)
         if model.kind == "multiplier":
             phi = _distribution.phi_curve(model.multiplier, model.measure,
                                           grid, method=method, trim=trim)
@@ -569,7 +573,7 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
     matches = interval.classification == model.expected.classification
     if matches and model.expected.degree is not None:
         matches = (degree is not None and
-                   abs(degree - model.expected.degree) <= match_tol)
+                   abs(degree - model.expected.degree) <= MATCH_TOL)
     if model.expected.essinf_verdict is not None and run_essinf and \
             model.kind == "multiplier":
         matches = matches and (diagnostics.get("essinf_verdict") ==

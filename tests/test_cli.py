@@ -100,6 +100,29 @@ def test_non_finite_param_is_usage_error(capsys, value):
     assert "finite" in err
 
 
+DIMENSION_MODELS = ("multivariate_integration", "sobolev_embedding", "weyl",
+                    "inverse_laplacian", "gaussian_kernel", "laplace_kernel",
+                    "parabolic_source")
+
+
+@pytest.mark.parametrize("model", DIMENSION_MODELS)
+@pytest.mark.parametrize("value", ["inf", "nan", "0.5"])
+def test_bad_integer_dimension_is_usage_error(capsys, model, value):
+    code, _, err = run(capsys, "analyze", "--model", model,
+                       "--param", f"d={value}")
+    assert code == 2
+    assert err.startswith("error: parameter d") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("trim", ["-1", "nan", "inf", "-inf"])
+def test_invalid_trim_is_usage_error(capsys, trim):
+    code, out, err = run(capsys, "analyze", "--model", "fractional_line",
+                         f"--trim={trim}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: trim must be a finite radius >= 0")
+
+
 def test_unknown_param_key_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "--model", "laplace_kernel",
                        "--param", "q=1")

@@ -305,6 +305,18 @@ class TestDiscretizeCommand:
         assert capsys.readouterr().err == \
             "error: alpha must be finite and positive\n"
 
+    @pytest.mark.parametrize("alpha, n", [("300", 64), ("150", 2048),
+                                          ("100", 64), ("1e308", 8)])
+    def test_huge_alpha_is_rejected_without_warnings(self, capsys, alpha, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["discretize", "--operator", "j_alpha",
+                             "--alpha", alpha, "--n", str(n)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: alpha = {float(alpha)!r} at n = {n}:")
+        assert err.count("\n") == 1
+
 
 class TestPipelines:
     def test_riemann_liouville_end_to_end(self):

@@ -96,6 +96,14 @@ class TestSuperlevelMeasure:
         with pytest.raises(ValueError):
             dist.superlevel_measure(lam, HALF, 1e-6, method="numeric")
 
+    def test_overflowing_closed_form_is_not_divergence(self):
+        model = gallery.make("multiplier_c")
+        lam, mu = model.multiplier, model.measure
+        assert dist.log_superlevel_measure(lam, mu, 1e-6) \
+            == pytest.approx(1000.0 + math.log(2.0), rel=1e-12)
+        with pytest.raises(ValueError, match="log_superlevel_measure"):
+            dist.superlevel_measure(lam, mu, 1e-6)
+
 
 class TestPhiCurve:
     def test_a2_matches_quartic_oracle(self):

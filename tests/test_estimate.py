@@ -83,7 +83,7 @@ class TestIntervalEstimate:
 
     def test_window_policy_recorded(self):
         iv = interval_estimate(ratio_samples(power_curve(0.5)),
-                               window_fraction=0.5)
+                               Thresholds(window_fraction=0.5))
         assert iv.diagnostics["window_fraction"] == 0.5
         assert len(iv.diagnostics["window_eps"]) >= 10
 
@@ -119,7 +119,8 @@ def test_window_robustness_on_power_laws():
     for s in (0.5, 1.0, 2.0):
         curve = power_curve(s, c=2.0)
         full = regression_estimate(curve)
-        halved = regression_estimate(curve, window_fraction=1.0 / 6.0)
+        halved = regression_estimate(curve,
+                                     Thresholds(window_fraction=1.0 / 6.0))
         assert abs(full - halved) < 0.01
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +12,11 @@ from illposed.core import (MONOTONE_TAIL, MeasureSpace, Multiplier,
                            SigmaSequence, classify, geometric_grid, ratio)
 from illposed.counting import counting_phi, step_multiplier_from_sigma
 from illposed.distribution import (decreasing_rearrangement, phi_curve,
-                                   superlevel_measure)
-from illposed.core import DistributionFunction, LEBESGUE_HALFLINE
+                                   reweight, superlevel_measure)
+from illposed.core import (DistributionFunction, LEBESGUE_HALFLINE,
+                           LEBESGUE_LINE, LEBESGUE_UNIT_INTERVAL,
+                           PIECEWISE_MONOTONE)
+from illposed import cli
 
 
 HALF = MeasureSpace(LEBESGUE_HALFLINE)
@@ -117,3 +123,78 @@ def test_rearrangement_is_nonincreasing(t_pair):
     lo, hi = sorted(t_pair)
     assert decreasing_rearrangement(curve, lo) \
         >= decreasing_rearrangement(curve, hi)
+
+
+@given(knots=st.lists(st.tuples(st.floats(min_value=0.05, max_value=0.6),
+                                st.floats(min_value=0.0, max_value=1.0)),
+                      min_size=2, max_size=5),
+       v0=st.floats(min_value=0.05, max_value=1.0),
+       kind=st.sampled_from([LEBESGUE_HALFLINE, LEBESGUE_LINE,
+                             LEBESGUE_UNIT_INTERVAL]),
+       levels=st.sets(st.integers(min_value=1, max_value=99), min_size=2,
+                      max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_unit_density_reweighting_matches_the_numeric_curve(knots, v0, kind,
+                                                            levels):
+    # piecewise linear through (0, v0) and the knots; past the last knot it
+    # decays like 1/x on the unbounded domains and stays constant on the
+    # unit interval, where knots beyond 1 lie outside the domain
+    xs = np.concatenate([[0.0], np.cumsum([g for g, _ in knots])])
+    ys = np.array([v0] + [v for _, v in knots])
+    decays = kind != LEBESGUE_UNIT_INTERVAL
+
+    def fn(w):
+        w = abs(w)
+        if w <= xs[-1] or not decays:
+            return float(np.interp(w, xs, ys))
+        return float(ys[-1]) / (1.0 + w - xs[-1])
+
+    lam = Multiplier(fn=fn, shape=PIECEWISE_MONOTONE, sup_bound=float(ys.max()),
+                     breakpoints=tuple(float(x) for x in xs[1:]))
+    mu = MeasureSpace(kind)
+    grid = np.array(sorted(levels, reverse=True)) / 100.0
+    weighted = reweight(lam, mu, lambda w: 1.0, grid)
+    numeric = phi_curve(lam, mu, grid, method="numeric")
+    np.testing.assert_allclose(np.exp(weighted.log_phi),
+                               np.exp(numeric.log_phi), rtol=1e-6, atol=0.0)
+
+
+odd_floats = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "-1", "0", "1e-300", "0.5", "2",
+                     "300", "1e308"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+# sizes stay small so that a valid request finishes at once; "1e9" and the
+# non-finite spellings are rejected by the parser
+odd_sizes = st.one_of(st.sampled_from(["inf", "nan", "1e9", "-3"]),
+                      st.integers(min_value=-2, max_value=64).map(str))
+odd_requests = st.one_of(
+    odd_floats.map(lambda v: ["analyze", "--model", "fractional_line",
+                              f"--trim={v}"]),
+    st.tuples(st.sampled_from(["multiplier_a1", "multiplier_b",
+                               "multiplier_c", "fractional_line"]),
+              odd_floats).map(lambda mv: ["analyze", "--model", mv[0],
+                                          "--param", f"s={mv[1]}"]),
+    st.tuples(st.sampled_from(["gaussian_kernel", "laplace_kernel",
+                               "parabolic_source"]),
+              odd_floats).map(lambda mv: ["analyze", "--model", mv[0],
+                                          "--param", f"d={mv[1]}"]),
+    st.tuples(odd_floats, odd_sizes).map(
+        lambda an: ["discretize", "--operator", "j_alpha",
+                    f"--alpha={an[0]}", f"--n={an[1]}"]))
+
+
+@given(argv=odd_requests)
+@settings(max_examples=30, deadline=None)
+def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the spelling
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue()
