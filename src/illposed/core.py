@@ -257,9 +257,10 @@ class Multiplier:
     Closed forms, when present, take precedence over the numeric search:
     ``superlevel`` (plain measure), ``log_superlevel`` (log measure, for
     models whose Phi overflows) or ``boundary`` (threshold point / radius of
-    the superlevel set).  ``decay`` is an integrable envelope used for tail
-    bounds; ``cutoff_hint`` maps eps to a safe enumeration cutoff for
-    discrete multipliers.
+    the superlevel set); ``cutoff_hint`` maps eps to a safe enumeration
+    cutoff for discrete multipliers.  Integrals of functions of the
+    multiplier need no further data: they follow from the superlevel
+    measures by the layer-cake formula (see ``distribution.lp_check``).
     """
 
     fn: Callable
@@ -269,7 +270,6 @@ class Multiplier:
     superlevel: Callable | None = None
     log_superlevel: Callable | None = None
     boundary: Callable | None = None
-    decay: Callable | None = None
     cutoff_hint: Callable | None = None
     sample_omega: np.ndarray | None = None
     sample_value: np.ndarray | None = None

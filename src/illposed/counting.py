@@ -198,6 +198,5 @@ def step_multiplier_from_sigma(sigma: SigmaSequence):
 
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL,
                       sup_bound=float(sq[0]),
-                      superlevel=superlevel, log_superlevel=log_superlevel,
-                      decay=lambda w: fn(w))
+                      superlevel=superlevel, log_superlevel=log_superlevel)
     return mult, MeasureSpace(LEBESGUE_HALFLINE)

@@ -2,10 +2,10 @@
 
 Finite sections (Hilbert matrix, product-quadrature fractional
 integration), dense or as structured Toeplitz/Hankel sections with FFT
-matrix-vector products; singular value computation with an explicit
-accuracy contract; FFT estimation of convolution multipliers from kernel
-samples; and the end-to-end pipeline matrix/kernel -> spectrum -> curve ->
-interval.
+matrix-vector products; singular value computation with a drop
+tolerance and residual-checked Lanczos; FFT estimation of convolution
+multipliers from kernel samples; and the end-to-end pipeline
+matrix/kernel -> spectrum -> curve -> interval.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "riemann_liouville_section",
     "Spectrum",
     "singular_values",
-    "svd_residuals",
     "KernelSampler",
     "SampledMultiplier",
     "fft_multiplier",
@@ -203,23 +202,6 @@ def _check_matrix(m):
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def svd_residuals(m):
-    """Accuracy residuals of the factorization used by singular_values.
-
-    Returns relative reconstruction error and the two orthogonality
-    defects; the contract is that all three stay below 1e-10.
-    """
-    m = _check_matrix(m)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    norm = np.linalg.norm(m)
-    recon = np.linalg.norm(m - (u * s) @ vt) / max(norm, 1e-300)
-    k = s.size
-    left = np.linalg.norm(u.T @ u - np.eye(k))
-    right = np.linalg.norm(vt @ vt.T - np.eye(k))
-    return {"reconstruction": float(recon), "left_orth": float(left),
-            "right_orth": float(right)}
 
 
 def singular_values(m):
@@ -401,7 +383,7 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
     mult = Multiplier(fn=_interp_fn(omega, lam), shape=GENERIC_SAMPLED,
                       sup_bound=max(sup, 1e-300),
                       sample_omega=omega.astype(float), sample_value=lam,
-                      resolution=float(np.pi / L), decay=kernel.decay)
+                      resolution=float(np.pi / L))
     return SampledMultiplier(multiplier=mult, omega=omega.astype(float),
                              values=lam, truncation_bound=float(truncation),
                              aliasing_bound=float(aliasing))

@@ -6,7 +6,8 @@ superlevel sets numerically (bisection on monotone profiles, branchwise
 bisection on piecewise monotone ones, enumeration on the integers,
 indicator sums on sampled data), evaluates closed forms when a model
 carries them, and builds the derived objects: rearrangements, reweighted
-curves, essential-infimum and integrability diagnostics.
+curves, the essential-infimum diagnostic and, by the layer-cake formula,
+L^p integrability.
 
 All functions are pure; per-epsilon evaluations are independent and
 truncation schedules are deterministic, so results are reproducible.
@@ -22,13 +23,15 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate
 
-from .core import (COUNTING_INTEGERS, DISCRETE, GENERIC_SAMPLED, INF,
+from .core import (COUNTING_INTEGERS, DEFAULT_THRESHOLDS, DISCRETE,
+                   GENERIC_SAMPLED, INF,
                    LEBESGUE_HALFLINE, LEBESGUE_LINE, LEBESGUE_RADIAL,
                    LEBESGUE_UNIT_INTERVAL, MONOTONE_TAIL, Multiplier,
                    NON_INFORMATIVE, PIECEWISE_MONOTONE,
                    RADIAL_MONOTONE_TAIL, TruncationWarning,
                    UnsupportedMeasureError, ball_volume, DistributionFunction,
-                   MeasureSpace)
+                   MeasureSpace, geometric_grid)
+from .estimate import power_law_fit
 
 __all__ = [
     "superlevel_measure",
@@ -52,14 +55,13 @@ QUAD_REL_TOL = 1e-8
 # stabilizes the ratio near 1 and is never caught by it
 GROWTH_FACTOR = 1.5
 GROWTH_RUNS = 5
-# truncation schedules of essinf and of the L^p check (see their docstrings)
+# truncation schedule of essinf (see its docstring)
 R0 = 8.0
 ESSINF_DOUBLINGS = 14
 ESSINF_SAMPLES = 2048
 ESSINF_FLOOR_REL = 1e-13
-LP_MAX_DOUBLINGS = 40
-LP_GROWTH_FACTOR = 1.2
-LP_REL_TOL = 1e-6
+# a fitted layer-cake tail slope this close to one decides nothing
+LP_SLOPE_TOL = 0.05
 
 
 class _Divergent(Exception):
@@ -288,11 +290,15 @@ def log_superlevel_measure(lam, mu, eps, method="auto", trim=None):
     return _measure(lam, mu, eps, method, trim, want_log=True)
 
 
+def _check_trim(trim):
+    if trim is not None and not (math.isfinite(trim) and trim >= 0):
+        raise ValueError(f"trim must be a finite radius >= 0, got {trim!r}")
+
+
 def _measure(lam, mu, eps, method, trim, want_log):
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if trim is not None and not (math.isfinite(trim) and trim >= 0):
-        raise ValueError(f"trim must be a finite radius >= 0, got {trim!r}")
+    _check_trim(trim)
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     if method != "numeric":
@@ -374,8 +380,7 @@ def rearrangement_multiplier(phi):
     function as the one the curve came from, which the suite verifies.
     """
     fn = lambda t: decreasing_rearrangement(phi, t)
-    mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=phi.sup_bound,
-                      decay=fn)
+    mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=phi.sup_bound)
     return mult, MeasureSpace(LEBESGUE_HALFLINE)
 
 
@@ -568,100 +573,59 @@ class LpResult(NamedTuple):
 
 
 def lp_check(lam, mu, p=None, f=None):
-    """Numeric integrability check of lambda**p (or f(lambda)) over mu.
+    """Integrability of lambda**p (or of f(lambda)) over mu, by the layer cake.
 
-    Partial integrals over expanding truncations converge (relative
-    increments below LP_REL_TOL twice in a row, with the tail dominated by
-    the declared decay envelope) -> finite with the accumulated value;
-    sustained growth across doublings -> infinite; neither, or convergence
-    without a declared envelope -> indeterminate.
+    int g(lambda) dmu = int_0^inf Phi(g^-1(t)) dt for g increasing with
+    g(0) = 0, so the distribution function decides it on every measure
+    space.  Each end is decided by a power-law fit of ln Phi(eps) against
+    ln(1/g(eps)) over the tail window of a default-depth curve: as eps -> 0
+    a slope above one diverges, as eps -> inf (only when sup_bound is
+    infinite) a slope below one does, and a slope within LP_SLOPE_TOL of
+    one is indeterminate; a divergent sample is infinite.  A finite value
+    is the quadrature over u = ln(1/t) of the numeric measure between the
+    ends plus the fitted power-law tails beyond them.
     """
     if (p is None) == (f is None):
         raise ValueError("exactly one of p or f is required")
     if p is not None and p < 1:
         raise ValueError("p must be >= 1")
-    g = (lambda v: v ** p) if p is not None else f
-
-    def integrand(x):
-        return g(_check_value(lam.fn(x)))
-
-    if mu.is_discrete:
-        return _lp_discrete(lam, g)
-
-    if mu.kind == LEBESGUE_LINE:
-        factor, weight = 2.0, integrand
-    elif mu.kind in (LEBESGUE_HALFLINE, LEBESGUE_UNIT_INTERVAL):
-        factor, weight = 1.0, integrand
-    elif mu.kind == LEBESGUE_RADIAL:
-        d = mu.dim
-        surf = d * ball_volume(d, 1.0)
-        factor, weight = 1.0, (lambda x: surf * x ** (d - 1) * integrand(x))
+    top = min(lam.sup_bound, 1.0)
+    lo, hi = top * 2.0 ** -59, lam.sup_bound
+    ends = [(1.0, geometric_grid(top, lo))]
+    if hi == INF:
+        hi = 2.0 ** 59
+        ends.append((-1.0, geometric_grid(hi, 1.0)))
+    if p is not None:
+        u_of = lambda e: -p * math.log(e)
+        eps_of = lambda u: math.exp(-u / p)
     else:
-        raise UnsupportedMeasureError(f"unsupported measure {mu.kind!r}")
-
-    if mu.kind == LEBESGUE_UNIT_INTERVAL:
-        return LpResult("finite", factor * _quad(weight, 0.0, 1.0))
-
-    total = factor * _quad(weight, 0.0, R0)
-    growth = converged = 0
-    r = R0
-    for _ in range(LP_MAX_DOUBLINGS):
-        seg = factor * _quad(weight, r, 2.0 * r)
-        new = total + seg
-        if total > 0 and new >= LP_GROWTH_FACTOR * total:
-            growth += 1
-            if growth >= GROWTH_RUNS:
-                return LpResult("infinite", None)
-        else:
-            growth = 0
-        if new > 0 and (new - total) / new < LP_REL_TOL:
-            converged += 1
-            if converged >= 2:
-                total = new
-                r *= 2.0
-                break
-        else:
-            converged = 0
-        total = new
-        r *= 2.0
-    else:
-        return LpResult("indeterminate", None)
-
-    if lam.decay is None:
-        return LpResult("indeterminate", total)
-    env = (lambda x: g(max(0.0, lam.decay(x))))
-    env_weight = env if mu.kind != LEBESGUE_RADIAL else (
-        lambda x: mu.dim * ball_volume(mu.dim, 1.0) * x ** (mu.dim - 1) * env(x))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        tail, _ = integrate.quad(env_weight, r, np.inf, epsrel=QUAD_REL_TOL,
-                                 limit=200)
-    if not math.isfinite(tail) or tail > max(LP_REL_TOL * total, 1e-12):
-        return LpResult("indeterminate", total)
-    return LpResult("finite", total + factor * tail)
-
-
-def _lp_discrete(lam, g):
-    kmax = 8
-    total = sum(g(_check_value(lam.fn(k)))
-                for k in range(-kmax, kmax + 1))
-    growth = converged = 0
-    for _ in range(LP_MAX_DOUBLINGS):
-        new_total = total + sum(
-            g(_check_value(lam.fn(s * k)))
-            for k in range(kmax + 1, 2 * kmax + 1) for s in (1, -1))
-        if total > 0 and new_total >= LP_GROWTH_FACTOR * total:
-            growth += 1
-            if growth >= GROWTH_RUNS:
-                return LpResult("infinite", None)
-        else:
-            growth = 0
-        if new_total > 0 and (new_total - total) / new_total < LP_REL_TOL:
-            converged += 1
-            if converged >= 2:
-                return LpResult("finite", new_total)
-        else:
-            converged = 0
-        total = new_total
-        kmax *= 2
-    return LpResult("indeterminate", None)
+        u_of = lambda e: -math.log(f(e)) if f(e) > 0 else INF
+        # g^-1 by bisection in ln eps, which resolves eps relative to itself
+        eps_of = lambda u: lo * math.exp(_bisect(
+            lambda v: f(lo * math.exp(v)), math.exp(-u), 0.0,
+            math.log(hi / lo), rising=True))
+    # Phi is nonincreasing: a divergent sample anywhere shows at the finest
+    # eps, and deciding it here spares a curve of divergent samples
+    if log_superlevel_measure(lam, mu, lo) == INF:
+        return LpResult("infinite", None)
+    # the u limits of the quadrature, keyed by end: -1 large eps, +1 eps -> 0
+    span, tails = {-1.0: u_of(hi)}, 0.0
+    for sign, grid in ends:
+        phi = phi_curve(lam, mu, grid)
+        pts = [(u_of(float(e)), lp) for e, lp in zip(grid, phi.log_phi)]
+        pts = [(u, lp) for u, lp in pts if math.isfinite(u) and lp > -INF]
+        if sign < 0:
+            pts.reverse()  # the window sits at the coarse end
+        if len(pts) < 2:
+            return LpResult("indeterminate", None)
+        n = max(2, math.ceil(len(pts) * DEFAULT_THRESHOLDS.window_fraction))
+        k, _, _ = power_law_fit(*zip(*pts[-n:]))
+        if abs(k - 1.0) <= LP_SLOPE_TOL:
+            return LpResult("indeterminate", None)
+        if sign * (k - 1.0) > 0:
+            return LpResult("infinite", None)
+        span[sign], lp = pts[-1]
+        tails += math.exp(lp - span[sign]) / (sign * (1.0 - k))
+    body = _quad(lambda u: math.exp(log_superlevel_measure(
+        lam, mu, eps_of(u), method="numeric") - u), span[-1.0], span[1.0])
+    return LpResult("finite", body + tails)

@@ -191,8 +191,7 @@ def backward_heat(t_bar=1.0):
         superlevel=count,
         log_superlevel=lambda e: math.log(count(e)) if count(e) > 0 else -INF,
         cutoff_hint=lambda e: math.ceil(
-            math.sqrt(max(0.0, math.log(1.0 / e)) / t)) + 2,
-        decay=fn)
+            math.sqrt(max(0.0, math.log(1.0 / e)) / t)) + 2)
     return OperatorModel(
         id="backward_heat", parameters={"t_bar": t}, kind="multiplier",
         multiplier=mult, measure=MeasureSpace(COUNTING_INTEGERS),
@@ -212,8 +211,7 @@ def multiplier_a1(s=1.0):
         return math.sqrt(eps ** (-1.0 / s) - 1.0) if eps < 1.0 else 0.0
 
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
-                      superlevel=lambda e: 2.0 * boundary(e),
-                      boundary=boundary, decay=fn)
+                      boundary=boundary)
     return OperatorModel(
         id="multiplier_a1", parameters={"s": s}, kind="multiplier",
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
@@ -236,7 +234,7 @@ def multiplier_a2():
         return 2.0 * (math.sqrt(y_hi) - math.sqrt(y_lo))
 
     mult = Multiplier(fn=fn, shape=PIECEWISE_MONOTONE, sup_bound=0.5,
-                      breakpoints=(1.0,), superlevel=superlevel, decay=fn)
+                      breakpoints=(1.0,), superlevel=superlevel)
     return OperatorModel(
         id="multiplier_a2", parameters={}, kind="multiplier",
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
@@ -257,8 +255,7 @@ def multiplier_b(s=1.0):
         return math.log(1.0 / eps) ** (1.0 / s) if eps < 1.0 else 0.0
 
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
-                      superlevel=lambda e: 2.0 * boundary(e),
-                      boundary=boundary, decay=fn)
+                      boundary=boundary)
     return OperatorModel(
         id="multiplier_b", parameters={"s": s}, kind="multiplier",
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
@@ -286,8 +283,7 @@ def multiplier_c(s=1.0):
         return math.log(2.0) + eps ** (-1.0 / (2.0 * s))
 
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
-                      breakpoints=(math.e,), log_superlevel=log_superlevel,
-                      decay=fn)
+                      breakpoints=(math.e,), log_superlevel=log_superlevel)
     return OperatorModel(
         id="multiplier_c", parameters={"s": s}, kind="multiplier",
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
@@ -312,7 +308,7 @@ def hausdorff():
         return max(0.0, math.log(2.0 * math.pi / eps) / math.pi)
 
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=math.pi,
-                      boundary=boundary, decay=fn)
+                      boundary=boundary)
     return OperatorModel(
         id="hausdorff", parameters={}, kind="multiplier",
         multiplier=mult, measure=MeasureSpace(LEBESGUE_HALFLINE),
@@ -332,7 +328,7 @@ def gaussian_kernel(d=1):
         return math.sqrt(2.0 * math.log(peak / eps)) if eps < peak else 0.0
 
     mult = Multiplier(fn=fn, shape=RADIAL_MONOTONE_TAIL, sup_bound=peak,
-                      boundary=boundary, decay=fn)
+                      boundary=boundary)
     return OperatorModel(
         id="gaussian_kernel", parameters={"d": d}, kind="multiplier",
         multiplier=mult, measure=MeasureSpace(LEBESGUE_RADIAL, dim=d),
@@ -359,7 +355,7 @@ def laplace_kernel(a=1.0, b=1.0, d=1):
         return math.sqrt((eps ** (-0.5 / a) - 1.0) / b)
 
     mult = Multiplier(fn=fn, shape=RADIAL_MONOTONE_TAIL, sup_bound=1.0,
-                      boundary=boundary, decay=fn)
+                      boundary=boundary)
     return OperatorModel(
         id="laplace_kernel", parameters={"a": a, "b": b, "d": d},
         kind="multiplier", multiplier=mult,
@@ -380,8 +376,7 @@ def fractional_line(s=0.5):
         return eps ** (-0.5 / s)
 
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=INF,
-                      superlevel=lambda e: 2.0 * boundary(e),
-                      boundary=boundary, decay=fn)
+                      boundary=boundary)
     return OperatorModel(
         id="fractional_line", parameters={"s": s}, kind="multiplier",
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
@@ -403,13 +398,7 @@ def parabolic_source(diffusivity=1.0, t0=1.0, d=1):
         num = -math.expm1(-a)
         return (num * num) / (kap4 * r ** 4)
 
-    def envelope(r):
-        if r <= 0:
-            return t0 * t0
-        return min(t0 * t0, 1.0 / (kap4 * r ** 4))
-
-    mult = Multiplier(fn=fn, shape=RADIAL_MONOTONE_TAIL, sup_bound=t0 * t0,
-                      decay=envelope)
+    mult = Multiplier(fn=fn, shape=RADIAL_MONOTONE_TAIL, sup_bound=t0 * t0)
     return OperatorModel(
         id="parabolic_source",
         parameters={"diffusivity": kap, "t0": t0, "d": d},
@@ -530,6 +519,7 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
     counting asymptotics are sampled as curves.  The reported degree is the
     regression-refined one whenever the tail is power-law.
     """
+    _distribution._check_trim(trim)
     diagnostics = {}
     if model.kind == "sigma":
         seq = model.sigma_sequence(n_terms)

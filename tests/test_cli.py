@@ -114,9 +114,13 @@ def test_bad_integer_dimension_is_usage_error(capsys, model, value):
     assert err.startswith("error: parameter d") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("trim", ["-1", "nan", "inf", "-inf"])
-def test_invalid_trim_is_usage_error(capsys, trim):
-    code, out, err = run(capsys, "analyze", "--model", "fractional_line",
+@pytest.mark.parametrize("model,trim", [
+    *(pytest.param("fractional_line", t, id=t)
+      for t in ("-1", "nan", "inf", "-inf")),
+    # a sigma and a phi model, which never use the trim
+    ("riemann_liouville", "nan"), ("weyl", "-3")])
+def test_invalid_trim_is_usage_error(capsys, model, trim):
+    code, out, err = run(capsys, "analyze", "--model", model,
                          f"--trim={trim}")
     assert code == 2
     assert out == ""

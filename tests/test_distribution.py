@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def bare(model_id, **params):
     model = gallery.make(model_id, **params)
     lam = model.multiplier
     stripped = Multiplier(fn=lam.fn, shape=lam.shape, sup_bound=lam.sup_bound,
-                          breakpoints=lam.breakpoints, decay=lam.decay,
+                          breakpoints=lam.breakpoints,
                           cutoff_hint=lam.cutoff_hint,
                           sample_omega=lam.sample_omega,
                           sample_value=lam.sample_value,
@@ -333,3 +334,35 @@ class TestLpCheck:
     def test_constant_diverges(self):
         lam, mu = bare("counterexample_const", c=0.5)
         assert dist.lp_check(lam, mu, p=1).verdict == "infinite"
+
+    @pytest.mark.parametrize("model_id,params,exact", [
+        ("hausdorff", {}, math.pi / 2.0),
+        ("multiplier_a1", {"s": 1.0}, math.pi),
+        ("multiplier_a2", {}, math.pi / math.sqrt(2.0)),
+        ("multiplier_b", {}, 2.0),
+        ("laplace_kernel", {}, math.pi / 2.0),
+        ("gaussian_kernel", {"d": 2}, 2.0 * math.pi ** 3),
+        # sum of exp(-k^2) over the integers
+        ("backward_heat", {}, 1.7726372048266521),
+    ], ids=["hausdorff", "a1", "a2", "b", "laplace", "gaussian_d2", "heat"])
+    def test_l1_matches_exact_integral(self, model_id, params, exact):
+        model = gallery.make(model_id, **params)
+        res = dist.lp_check(model.multiplier, model.measure, p=1)
+        assert res.verdict == "finite"
+        assert res.value == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("s", [0.75, 2.0])
+    def test_fractional_line_diverges_at_an_end(self, s):
+        # Phi = 2 eps^(-1/(2s)) is integrable at eps -> 0 only for s > 1/2
+        # and at eps -> inf only for s < 1/2: |w|^-2s is never in L^1
+        model = gallery.make("fractional_line", s=s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = dist.lp_check(model.multiplier, model.measure, p=1)
+        assert res == ("infinite", None)
+
+    def test_fractional_line_critical_exponent_is_never_finite(self):
+        # s = 1/2: Phi = 2/eps sits exactly on the borderline at both ends
+        model = gallery.make("fractional_line", s=0.5)
+        res = dist.lp_check(model.multiplier, model.measure, p=1)
+        assert res.verdict != "finite"

@@ -156,8 +156,7 @@ class TestGalleryInvariants:
         c = 5.0
         scaled = Multiplier(fn=lambda w: c * lam.fn(w), shape=lam.shape,
                             sup_bound=c * lam.sup_bound,
-                            boundary=lambda e: lam.boundary(e / c),
-                            superlevel=lambda e: lam.superlevel(e / c))
+                            boundary=lambda e: lam.boundary(e / c))
         grid = geometric_grid(c * 0.99, c * 1e-10, 60)
         phi = dist.phi_curve(scaled, model.measure, grid)
         from illposed.counting import interval_from_counting
