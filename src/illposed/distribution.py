@@ -24,14 +24,14 @@ import numpy as np
 from scipy import integrate
 
 from .core import (COUNTING_INTEGERS, DEFAULT_THRESHOLDS, DISCRETE,
-                   GENERIC_SAMPLED, INF,
+                   GENERIC_SAMPLED, INF, InsufficientDataError,
                    LEBESGUE_HALFLINE, LEBESGUE_LINE, LEBESGUE_RADIAL,
                    LEBESGUE_UNIT_INTERVAL, MONOTONE_TAIL, Multiplier,
                    NON_INFORMATIVE, PIECEWISE_MONOTONE,
                    RADIAL_MONOTONE_TAIL, TruncationWarning,
                    UnsupportedMeasureError, ball_volume, DistributionFunction,
                    MeasureSpace, geometric_grid)
-from .estimate import power_law_fit
+from .estimate import _tail, power_law_fit
 
 __all__ = [
     "superlevel_measure",
@@ -580,18 +580,26 @@ def lp_check(lam, mu, p=None, f=None):
     space.  Each end is decided by a power-law fit of ln Phi(eps) against
     ln(1/g(eps)) over the tail window of a default-depth curve: as eps -> 0
     a slope above one diverges, as eps -> inf (only when sup_bound is
-    infinite) a slope below one does, and a slope within LP_SLOPE_TOL of
-    one is indeterminate; a divergent sample is infinite.  A finite value
-    is the quadrature over u = ln(1/t) of the numeric measure between the
-    ends plus the fitted power-law tails beyond them.
+    infinite) a slope below one does.  A slope within LP_SLOPE_TOL of one,
+    or one that moves by more than that across the window toward the other
+    verdict, is indeterminate.  A divergent sample is infinite when it shows
+    among the first min_tail_samples points of the eps -> 0 grid; deeper,
+    the numeric searches cannot tell a set beyond their reach from an
+    unbounded one, and it is indeterminate.  A finite value is the quadrature over
+    u = ln(1/t) of the numeric measure between the ends plus the fitted
+    power-law tails beyond them; where quad cannot follow a staircase
+    (counting, step and sampled multipliers) the body is summed by
+    bisection, exactly on its flat steps.
     """
     if (p is None) == (f is None):
         raise ValueError("exactly one of p or f is required")
     if p is not None and p < 1:
         raise ValueError("p must be >= 1")
+    t = DEFAULT_THRESHOLDS
     top = min(lam.sup_bound, 1.0)
     lo, hi = top * 2.0 ** -59, lam.sup_bound
-    ends = [(1.0, geometric_grid(top, lo))]
+    fine = geometric_grid(top, lo)
+    ends = [(1.0, fine)]
     if hi == INF:
         hi = 2.0 ** 59
         ends.append((-1.0, geometric_grid(hi, 1.0)))
@@ -607,25 +615,68 @@ def lp_check(lam, mu, p=None, f=None):
     # Phi is nonincreasing: a divergent sample anywhere shows at the finest
     # eps, and deciding it here spares a curve of divergent samples
     if log_superlevel_measure(lam, mu, lo) == INF:
-        return LpResult("infinite", None)
+        reach = float(fine[t.min_tail_samples - 1])
+        diverges = log_superlevel_measure(lam, mu, reach) == INF
+        return LpResult("infinite" if diverges else "indeterminate", None)
     # the u limits of the quadrature, keyed by end: -1 large eps, +1 eps -> 0
-    span, tails = {-1.0: u_of(hi)}, 0.0
+    span, tails, knots = {-1.0: u_of(hi)}, 0.0, set()
     for sign, grid in ends:
         phi = phi_curve(lam, mu, grid)
         pts = [(u_of(float(e)), lp) for e, lp in zip(grid, phi.log_phi)]
         pts = [(u, lp) for u, lp in pts if math.isfinite(u) and lp > -INF]
         if sign < 0:
             pts.reverse()  # the window sits at the coarse end
-        if len(pts) < 2:
+        try:
+            tail = _tail(pts, t.window_fraction, t.min_tail_samples)
+        except InsufficientDataError:
             return LpResult("indeterminate", None)
-        n = max(2, math.ceil(len(pts) * DEFAULT_THRESHOLDS.window_fraction))
-        k, _, _ = power_law_fit(*zip(*pts[-n:]))
-        if abs(k - 1.0) <= LP_SLOPE_TOL:
-            return LpResult("indeterminate", None)
-        if sign * (k - 1.0) > 0:
+        half = len(tail) // 2
+        k, near, far = (power_law_fit(*zip(*w))[0]
+                        for w in (tail, tail[:half], tail[half:]))
+        # > 0: the slope still moves toward divergence at the window's end
+        drift = sign * (far - near)
+        if sign * (k - 1.0) > LP_SLOPE_TOL and drift >= -LP_SLOPE_TOL:
             return LpResult("infinite", None)
+        if sign * (k - 1.0) >= -LP_SLOPE_TOL or drift > LP_SLOPE_TOL:
+            return LpResult("indeterminate", None)
         span[sign], lp = pts[-1]
         tails += math.exp(lp - span[sign]) / (sign * (1.0 - k))
-    body = _quad(lambda u: math.exp(log_superlevel_measure(
-        lam, mu, eps_of(u), method="numeric") - u), span[-1.0], span[1.0])
+        knots.update(u for u, _ in pts)
+    a, b = span[-1.0], span[1.0]
+    log_phi = lambda u: log_superlevel_measure(
+        lam, mu, eps_of(u), method="numeric")
+    # with full_output quad reports failure as a fourth item, not a warning
+    body, _, _, *failed = integrate.quad(
+        lambda u: math.exp(log_phi(u) - u), a, b, epsrel=QUAD_REL_TOL,
+        limit=200, full_output=1)
+    if failed and math.isfinite(body):
+        cuts = [a] + sorted(u for u in knots if a < u < b) + [b]
+        body = _layers(log_phi, cuts, QUAD_REL_TOL * abs(body))
+    if not math.isfinite(body):
+        return LpResult("indeterminate", None)
     return LpResult("finite", body + tails)
+
+
+def _layers(log_phi, cuts, tol):
+    """int Phi(u) exp(-u) du over the cuts for a nondecreasing Phi.
+
+    On a cell [a, b] the integral lies between Phi(a) and Phi(b) times the
+    weight exp(-a) - exp(-b).  A cell is halved until that bracket is at
+    most tol; it then counts the bracket's mean, which is exact where Phi
+    is flat and otherwise off by at most half the bracket.
+    """
+    total = 0.0
+    vals = [log_phi(u) for u in cuts]
+    cells = list(zip(cuts, cuts[1:], vals, vals[1:]))
+    while cells:
+        a, b, la, lb = cells.pop()
+        low = math.exp(la - a) * -math.expm1(a - b)
+        high = math.exp(lb - b) * math.expm1(b - a)
+        m = 0.5 * (a + b)
+        # a non-finite bracket is kept, so the sum reports it
+        if high - low > tol and b - m > BISECT_REL_TOL * max(1.0, abs(m)):
+            lm = log_phi(m)
+            cells += [(a, m, la, lm), (m, b, lm, lb)]
+        else:
+            total += 0.5 * (low + high)
+    return total

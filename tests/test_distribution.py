@@ -4,12 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from illposed.core import (LEBESGUE_HALFLINE, LEBESGUE_LINE,
+from illposed.core import (COUNTING_INTEGERS, DISCRETE,
+                           LEBESGUE_HALFLINE, LEBESGUE_LINE,
                            LEBESGUE_UNIT_INTERVAL, MONOTONE_TAIL,
                            PIECEWISE_MONOTONE, GENERIC_SAMPLED,
                            MeasureSpace, Multiplier,
                            UnsupportedMeasureError, geometric_grid,
                            DistributionFunction)
+from illposed import counting
+from illposed import discretize as dz
 from illposed import distribution as dist
 from illposed import gallery
 
@@ -366,3 +369,61 @@ class TestLpCheck:
         model = gallery.make("fractional_line", s=0.5)
         res = dist.lp_check(model.multiplier, model.measure, p=1)
         assert res.verdict != "finite"
+
+    @pytest.mark.parametrize("s", [7.0, 8.0])
+    def test_slope_rising_past_the_grid_is_never_finite(self, s):
+        # ln Phi = ln 2 + eps^(-1/(2s)) is convex in ln(1/eps): lambda is never
+        # in L^1, yet the slope over the grid's window stays below one
+        model = gallery.make("multiplier_c", s=s)
+        res = dist.lp_check(model.multiplier, model.measure, p=1)
+        assert res.verdict != "finite"
+
+    def test_slope_falling_past_the_grid_is_never_infinite(self):
+        # lambda = exp(-(ln w)^2 / 196) beyond 1 is in L^1 (ln Phi = 14
+        # sqrt(ln(1/eps)) bends below slope one only past eps ~ e^-49), yet
+        # the window's slope is above one
+        def fn(w):
+            return 1.0 if w <= 1.0 else math.exp(-math.log(w) ** 2 / 196.0)
+
+        lam = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
+                         log_superlevel=lambda e: 14.0 * math.sqrt(
+                             math.log(1.0 / e)) if e < 1.0 else -math.inf)
+        assert dist.lp_check(lam, HALF, p=1).verdict != "infinite"
+
+    def test_growth_function_on_the_numeric_path(self):
+        # f(lambda) = exp(-1.1 / sqrt(lambda)) = |w|^-1.1 beyond e and
+        # exp(-1.1) inside: 2 e exp(-1.1) + 20 exp(-0.1) = 22 exp(-0.1)
+        model = gallery.make("multiplier_c", s=1.0)
+        res = dist.lp_check(model.multiplier, model.measure,
+                            f=lambda z: math.exp(-1.1 / math.sqrt(z))
+                            if z > 0 else 0.0)
+        assert res.verdict == "finite"
+        assert res.value == pytest.approx(22.0 * math.exp(-0.1), rel=1e-8)
+
+    def test_step_multiplier_l1_is_basel_sum(self):
+        # lambda = sigma_n^2 = 1/n^2 on [n-1, n): a staircase distribution
+        # function whose jumps never end
+        seq = gallery.make("riemann_liouville").sigma_sequence(256)
+        lam, mu = counting.step_multiplier_from_sigma(seq)
+        res = dist.lp_check(lam, mu, p=1)
+        assert res.verdict == "finite"
+        assert res.value == pytest.approx(math.pi ** 2 / 6.0, rel=1e-6)
+
+    def test_sampled_multiplier_l1_is_riemann_sum(self):
+        # Phi counts samples, so the layer cake is the sum of the samples
+        # times their spacing
+        sampled = dz.fft_multiplier(dz.KernelSampler(
+            fn=lambda x: math.exp(-x * x), decay=lambda x: math.exp(-x * x),
+            L=8.0, N=256))
+        res = dist.lp_check(sampled.multiplier, LINE, p=1)
+        assert res.verdict == "finite"
+        exact = float(np.sum(sampled.values)) * sampled.multiplier.resolution
+        assert res.value == pytest.approx(exact, rel=1e-7)
+
+    def test_set_beyond_enumeration_reach_is_not_infinite(self):
+        # sum 1/(1+k^2) is finite, but without a cutoff hint the integer scan
+        # flags the sets at small eps as divergent
+        lam = Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), shape=DISCRETE,
+                         sup_bound=1.0)
+        res = dist.lp_check(lam, MeasureSpace(COUNTING_INTEGERS), p=1)
+        assert res.verdict != "infinite"
