@@ -83,11 +83,11 @@ def criterion_1():
     model = gallery.make("hausdorff")
     lam, mu = model.multiplier, model.measure
     worst = 0.0
-    for eps in geometric_grid(1e-3, 1e-12, points=19):
-        num = distribution.superlevel_measure(lam, mu, float(eps),
-                                              method="numeric")
+    grid = geometric_grid(1e-3, 1e-12, points=19)
+    curve = distribution.phi_curve(lam, mu, grid, method="numeric")
+    for eps, lp in zip(curve.eps_grid, curve.log_phi):
         ref = math.log(2.0 * math.pi / eps) / math.pi
-        worst = max(worst, abs(num - ref) / ref)
+        worst = max(worst, abs(math.exp(lp) - ref) / ref)
     out.append(_result("1a hausdorff curve vs log(2 pi/eps)/pi", worst <= 5e-3,
                        f"max rel dev {worst:.3e} (tol 5e-3)"))
     report = gallery.analyze(model, grid=geometric_grid(0.99, 1e-12, 60))

@@ -213,8 +213,7 @@ def _cmd_rearrange(args):
         grid = _grid_for(model, args, points=max(args.points, 400))
         phi = _default_curve(model, grid, thresholds, args.sigma_terms)
         ts = np.geomspace(args.t_min, args.t_max, args.points)
-        vals = [distribution.decreasing_rearrangement(phi, float(t))
-                for t in ts]
+        vals = distribution.decreasing_rearrangement(phi, ts)
     ts, vals = [float(t) for t in ts], [float(v) for v in vals]
     payload = {"model": model.id, "mode": args.mode, "t": ts,
                "lambda_star": vals}

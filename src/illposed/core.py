@@ -233,19 +233,27 @@ class MeasureSpace:
 
 
 def ball_volume(d, r):
-    """Lebesgue volume of the d-ball of radius r: pi^(d/2) r^d / Gamma(d/2+1)."""
-    if r <= 0:
-        return 0.0
-    return math.pi ** (d / 2.0) * r ** d / math.gamma(d / 2.0 + 1.0)
+    """Lebesgue volume of the d-ball of radius r: pi^(d/2) r^d / Gamma(d/2+1).
+
+    ``r`` may be an array; radii r <= 0 give 0.  A volume beyond the float
+    range raises FloatingPointError, so it is never mistaken for +inf.
+    """
+    r = np.maximum(r, 0.0)
+    with np.errstate(over="raise"):
+        return math.pi ** (d / 2.0) * r ** d / math.gamma(d / 2.0 + 1.0)
 
 
 @dataclass(frozen=True)
 class Multiplier:
     """Nonnegative multiplier with enough structure to measure superlevel sets.
 
-    ``fn`` evaluates the multiplier pointwise (on the radius for radial
-    shapes, on integers for discrete ones).  ``shape`` declares how the
-    superlevel sets {fn > eps} can be found numerically:
+    ``fn`` evaluates the multiplier (on the radius for radial shapes, on
+    integers for discrete ones) at every point of a numpy array and returns
+    an array of the same shape.  Values must be nonnegative; saturating to
+    +inf (a pole) or to 0 (underflow) is allowed, and the evaluator runs
+    the callback under ``np.errstate``, so overflow warnings need no
+    handling inside it.  ``shape`` declares how the superlevel sets
+    {fn > eps} can be found numerically:
 
       monotone_tail         initial-interval superlevel sets; fn nonincreasing
                             beyond ``breakpoints[0]`` (default 0)

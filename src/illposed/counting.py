@@ -180,14 +180,12 @@ def step_multiplier_from_sigma(sigma: SigmaSequence):
     law = sigma.tail_law
 
     def fn(omega):
-        if omega < 0:
+        if np.any(omega < 0):
             raise ValueError("the step multiplier lives on [0, inf)")
-        n = int(math.floor(omega))
-        if n < sq.size:
-            return float(sq[n])
-        if law is not None:
-            return float(law.sigma(n + 1) ** 2)
-        return 0.0
+        n = np.floor(omega)
+        stored = n < sq.size
+        beyond = 0.0 if law is None else law.sigma(n + 1.0) ** 2
+        return np.where(stored, sq[np.where(stored, n, 0).astype(int)], beyond)
 
     def superlevel(eps):
         return counting_phi(sigma, eps).count

@@ -402,7 +402,7 @@ def _gauss_tail_bound(decay, dist):
 
 def _interp_fn(omega, lam):
     def fn(w):
-        return float(np.interp(w, omega, lam, left=0.0, right=0.0))
+        return np.interp(w, omega, lam, left=0.0, right=0.0)
     return fn
 
 

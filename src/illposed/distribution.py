@@ -9,13 +9,22 @@ carries them, and builds the derived objects: rearrangements, reweighted
 curves, the essential-infimum diagnostic and, by the layer-cake formula,
 L^p integrability.
 
-All functions are pure; per-epsilon evaluations are independent and
+The numeric search works on a whole eps grid at once.  Multiplier
+callbacks take an array of points and return an array of its shape, and
+``_values`` evaluates and checks each grid in one call.  A superlevel set
+anchored at 0 gets one bracket per eps: the brackets grow along one ladder
+of doublings shared by the grid, and one bisection then halves all of them
+together, each stopping on the rule a lone bracket would use.  The
+doubling loops of the enumerations settle each eps on its own.  A single
+eps is a one-element grid, so a sample's value does not depend on the grid
+it was computed in.
+
+All functions are pure; per-epsilon results are independent and
 truncation schedules are deterministic, so results are reproducible.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from typing import NamedTuple
@@ -64,20 +73,30 @@ ESSINF_FLOOR_REL = 1e-13
 LP_SLOPE_TOL = 0.05
 
 
-class _Divergent(Exception):
-    """Internal: the superlevel set has unbounded measure."""
+def _values(fn, x):
+    """fn on the array x, checked: an array of x's shape, nonnegative, no NaN.
 
-
-def _check_value(v):
-    if v < 0 or math.isnan(v):
-        raise ValueError(f"multiplier must be nonnegative, got {v!r}")
+    The callback runs under ``np.errstate``, so one that overflows or hits
+    a pole saturates (to +inf or 0) without a warning.
+    """
+    with np.errstate(all="ignore"):
+        v = np.asarray(fn(x), dtype=float)
+    if v.shape != x.shape:
+        raise ValueError(f"multiplier must return an array of shape {x.shape}, "
+                         f"got shape {v.shape}")
+    ok = v >= 0
+    if np.count_nonzero(ok) < ok.size:
+        raise ValueError(
+            f"multiplier must be nonnegative, got {float(v[~ok][0])!r}")
     return v
 
 
+def _log(m):
+    return math.log(m) if m > 0 else -INF
+
+
 def _interval_measure(mu, x):
-    """Measure of an initial interval / centered ball of extent x >= 0."""
-    if x <= 0:
-        return 0.0
+    """Measure of initial intervals / centered balls of extents x >= 0."""
     if mu.kind == LEBESGUE_HALFLINE:
         return x
     if mu.kind == LEBESGUE_LINE:
@@ -85,150 +104,194 @@ def _interval_measure(mu, x):
     if mu.kind == LEBESGUE_RADIAL:
         return ball_volume(mu.dim, x)
     if mu.kind == LEBESGUE_UNIT_INTERVAL:
-        return min(x, 1.0)
+        return np.minimum(x, 1.0)
     raise UnsupportedMeasureError(
         f"no interval measure for kind {mu.kind!r}")
 
 
 def _midpoint_values(fn, r, n):
-    """fn at the n midpoints of [0, r].  The samples are numpy floats, so
-    an overflowing fn gives the IEEE limit without a warning; nan raises."""
-    x = (np.arange(n) + 0.5) * (r / n)
-    with np.errstate(over="ignore"):
-        return np.asarray([_check_value(fn(v)) for v in x])
+    """fn at the n midpoints of [0, r], in one call."""
+    return _values(fn, (np.arange(n) + 0.5) * (r / n))
+
+
+def _count_above(vals, eps):
+    """#{v in vals : v > e} for every e in eps."""
+    return vals.size - np.searchsorted(np.sort(vals), eps, side="right")
 
 
 def _bisect(fn, eps, lo, hi, rising=False):
-    """Where fn crosses eps in [lo, hi], 0 <= lo < hi; fn is above eps on
-    the lo side, or on the hi side when ``rising``."""
-    while hi - lo > BISECT_REL_TOL * max(hi, 1e-30):
+    """Where fn crosses eps[i] in [lo[i], hi[i]], 0 <= lo < hi, for every i.
+
+    fn is above eps on the lo side, or on the hi side where ``rising`` (a
+    bool, or an array of them).  All brackets are halved together, one call
+    of fn per step, and each stops on its own at relative width
+    BISECT_REL_TOL or when its midpoint rounds to an end, so a bracket ends
+    where it would on its own.
+    """
+    out = np.empty(eps.shape)
+    idx = np.arange(eps.size)
+    rising = np.broadcast_to(rising, eps.shape)
+    while idx.size:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if (_check_value(fn(mid)) > eps) != rising:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        keep = ((hi - lo > BISECT_REL_TOL * np.maximum(hi, 1e-30))
+                & (mid != lo) & (mid != hi))
+        if np.count_nonzero(keep) < idx.size:
+            out[idx[~keep]] = mid[~keep]
+            idx, eps, lo, hi, mid, rising = (
+                a[keep] for a in (idx, eps, lo, hi, mid, rising))
+            if not idx.size:
+                break
+        up = (_values(fn, mid) > eps) != rising
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return out
 
 
 def _initial_interval_sup(fn, eps, hint=1.0, cap=INF):
-    """sup{x >= 0 : fn(x) > eps}, assuming {fn > eps} is anchored at 0.
+    """sup{x >= 0 : fn(x) > eps[i]} for every i, assuming each superlevel
+    set is an initial interval.
 
-    Monotonicity of fn is not required, only that the superlevel set is an
-    initial interval; the bisection then converges to its endpoint.  The
-    upper bracket grows by doubling; exceeding 1e280 means the set is
-    unbounded for every practical purpose and raises the divergence signal.
+    Monotonicity of fn is not required, only that the superlevel set is
+    anchored at 0; the bisection then converges to its endpoint.  The upper
+    brackets grow by doubling along one ladder of points shared by the
+    whole grid; a bracket beyond 1e280 means the set is unbounded for every
+    practical purpose, and that eps alone gets +inf.
     """
-    if cap <= 0 or not _check_value(fn(0.0)) > eps:
-        return 0.0
-    hi = min(max(hint, 1e-6), cap)
-    lo = 0.0
-    while _check_value(fn(hi)) > eps:
-        lo = hi
-        if hi >= cap:
-            return cap
-        hi = min(hi * 2.0, cap)
-        if hi > 1e280:
-            raise _Divergent
-    return _bisect(fn, eps, lo, hi)
+    x = np.zeros(eps.shape)
+    if cap <= 0:
+        return x
+    live = np.flatnonzero(_values(fn, np.zeros(1))[0] > eps)
+    lo, hi = np.zeros(eps.shape), np.zeros(eps.shape)
+    low, step = 0.0, min(max(hint, 1e-6), cap)
+    while live.size:
+        above = _values(fn, np.array([step]))[0] > eps[live]
+        lo[live[~above]], hi[live[~above]] = low, step
+        live = live[above]
+        if step >= cap:
+            x[live] = cap
+            break
+        low, step = step, min(step * 2.0, cap)
+        if step > 1e280:
+            x[live] = INF
+            break
+    found = hi > 0
+    x[found] = _bisect(fn, eps[found], lo[found], hi[found])
+    return x
 
 
 def _superlevel_set(lam, eps, domain_hi=INF):
-    """The nonempty intervals of {lam > eps} within [0, domain_hi], one per
-    monotone branch; on [0, inf) the profile must decay past its last
-    breakpoint."""
+    """{lam > eps[i]} within [0, domain_hi] for every i, as one (a, b) pair
+    of arrays per monotone branch, a == b where the branch holds none of it.
+
+    On [0, inf) the profile must decay past its last breakpoint; b is +inf
+    where the set is unbounded.
+    """
     fn = lam.fn
     if lam.shape in (MONOTONE_TAIL, RADIAL_MONOTONE_TAIL):
         hint = max(1.0, *(lam.breakpoints or (1.0,)))
-        x = _initial_interval_sup(fn, eps, hint=hint, cap=domain_hi)
-        return [(0.0, x)] if x > 0 else []
+        return [(np.zeros(eps.shape),
+                 _initial_interval_sup(fn, eps, hint=hint, cap=domain_hi))]
     if lam.shape != PIECEWISE_MONOTONE:
         raise UnsupportedMeasureError(f"unsupported shape {lam.shape!r}")
     pts = [0.0] + [b for b in lam.breakpoints if 0.0 < b < domain_hi]
     bounded = domain_hi < INF
     if bounded:
         pts.append(domain_hi)
-    out = []
-    for a, b in zip(pts, pts[1:]):
-        va, vb = _check_value(fn(a)), _check_value(fn(b))
-        if va > eps and vb > eps:
-            out.append((a, b))
-        elif va > eps:
-            out.append((a, _bisect(fn, eps, a, b)))
-        elif vb > eps:
-            out.append((_bisect(fn, eps, a, b, rising=True), b))
-    last = pts[-1]
-    if not bounded and _check_value(fn(last)) > eps:
-        shifted = lambda x: fn(last + x)
-        x = _initial_interval_sup(shifted, eps, hint=max(1.0, last))
-        out.append((last, last + x))
+    # one row per branch [a, b] and one column per eps; the bracket of each
+    # crossing is bisected in one search, rising where fn(b) > fn(a)
+    vals = _values(fn, np.array(pts))
+    shape = (len(pts) - 1, eps.size)
+    a = np.broadcast_to(np.array(pts[:-1])[:, None], shape)
+    b = np.broadcast_to(np.array(pts[1:])[:, None], shape)
+    in_a, in_b = vals[:-1, None] > eps, vals[1:, None] > eps
+    rising = np.broadcast_to((vals[1:] > vals[:-1])[:, None], shape)
+    lo, hi = a.copy(), np.where(in_a | in_b, b, a)
+    cross = in_a != in_b
+    x = _bisect(fn, np.broadcast_to(eps, shape)[cross], a[cross], b[cross],
+                rising=rising[cross])
+    lo[cross] = np.where(rising[cross], x, a[cross])
+    hi[cross] = np.where(rising[cross], b[cross], x)
+    out = list(zip(lo, hi))
+    if not bounded:
+        last = pts[-1]
+        x = _initial_interval_sup(lambda w: fn(last + w), eps,
+                                  hint=max(1.0, last))
+        out.append((np.full(eps.shape, last), last + x))
     return out
 
 
 def _settle(total_at, size, tol):
-    """total_at(size) for doubling sizes until it is stable to a relative
-    tol twice in a row; sustained growth or 60 rounds mean divergence."""
-    prev = None
-    growth = stable = 0
-    for _ in range(60):
-        cur = total_at(size)
-        if prev is not None:
-            if prev > 0 and cur >= GROWTH_FACTOR * prev:
-                growth += 1
-                if growth >= GROWTH_RUNS:
-                    raise _Divergent
-            else:
-                growth = 0
-            if abs(cur - prev) <= tol * max(cur, 1e-300):
-                stable += 1
-                if stable >= 2:
-                    return cur
-            else:
-                stable = 0
-        prev = cur
+    """total_at(size), an array over the eps grid, for doubling sizes until
+    each entry is stable to a relative tol twice in a row; sustained growth
+    or 60 rounds mean divergence, and that entry gets +inf."""
+    prev = total_at(size)
+    out = np.full(prev.shape, INF)
+    live = np.ones(prev.shape, dtype=bool)
+    growth = stable = np.zeros(prev.shape, dtype=int)
+    for _ in range(59):
         size *= 2
-    raise _Divergent
+        cur = total_at(size)
+        growth = np.where((prev > 0) & (cur >= GROWTH_FACTOR * prev),
+                          growth + 1, 0)
+        live &= growth < GROWTH_RUNS
+        stable = np.where(np.abs(cur - prev) <= tol * np.maximum(cur, 1e-300),
+                          stable + 1, 0)
+        done = live & (stable >= 2)
+        out[done] = cur[done]
+        live &= ~done
+        if not live.any():
+            break
+        prev = cur
+    return out
 
 
 def _discrete_scan(lam, eps, weight=None):
-    """Sum of weights over {k in Z : lam(k) > eps}; counts when weight is None.
-    Exact on |k| <= cutoff_hint(eps) when there is one, else settled."""
-    def scan(kmax):
-        total = 0.0
-        for k in range(-kmax, kmax + 1):
-            if _check_value(lam.fn(k)) > eps:
-                total += 1.0 if weight is None else weight(k)
-        return total
+    """Sum of weights over {k in Z : lam(k) > eps[i]} for every i; counts
+    when weight is None.  Exact on |k| <= cutoff_hint(eps) when there is
+    one, else settled; one call of fn per enumeration."""
+    def totals(kmax):
+        top = int(kmax.max(initial=0))
+        ks = np.arange(-top, top + 1)
+        vals = _values(lam.fn, ks)
+        out = np.empty(eps.shape)
+        for i, (e, m) in enumerate(zip(eps, kmax)):
+            window = slice(top - m, top + m + 1)
+            hits = ks[window][vals[window] > e]
+            if weight is None:
+                out[i] = float(hits.size)
+            else:
+                total = 0.0
+                for k in hits:
+                    total += weight(int(k))
+                out[i] = total
+        return out
 
     if lam.cutoff_hint is not None:
-        return scan(int(lam.cutoff_hint(eps)))
-    return _settle(scan, 8, 0.0)
+        return totals(np.array([int(lam.cutoff_hint(float(e))) for e in eps]))
+    return _settle(lambda k: totals(np.full(eps.shape, k)), 8, 0.0)
 
 
 def _sampled_measure(lam, eps):
-    """Indicator sum on declared samples, or on a growing truncated grid."""
+    """Indicator sums on declared samples, or on a growing truncated grid."""
     if lam.sample_omega is not None:
         om = lam.sample_omega
         vals = lam.sample_value
         step = lam.resolution or float(np.median(np.diff(np.sort(om))))
-        hits = vals > eps
-        if hits.size and (hits[0] or hits[-1]):
+        if vals.size and np.any(max(vals[0], vals[-1]) > eps):
             warnings.warn("superlevel set reaches the sampled boundary; "
                           "measure is truncated", TruncationWarning,
                           stacklevel=3)
-        return step * float(np.count_nonzero(hits))
+        return step * _count_above(vals, eps)
     step = lam.resolution or (1.0 / 128.0)
 
     def grid_measure(r):
         n = max(16, int(round(r / step)))
-        vals = _midpoint_values(lam.fn, r, n)
-        return (r / n) * float(np.count_nonzero(vals > eps))
+        return (r / n) * _count_above(_midpoint_values(lam.fn, r, n), eps)
 
     return _settle(grid_measure, 8.0, 1e-12)
 
 
 def _numeric_measure(lam, mu, eps, trim=None):
+    """mu({lam > eps[i]}) for every i of the array eps, +inf where divergent."""
     if lam.shape == DISCRETE:
         if trim or mu.kind != COUNTING_INTEGERS:
             raise UnsupportedMeasureError(
@@ -242,24 +305,32 @@ def _numeric_measure(lam, mu, eps, trim=None):
         return 2.0 * m if mu.kind == LEBESGUE_LINE and lam.sample_omega is None else m
     t = trim or 0.0
     hi = 1.0 if mu.kind == LEBESGUE_UNIT_INTERVAL else INF
-    m = 0.0
+    m = np.zeros(eps.shape)
     for a, b in _superlevel_set(lam, eps, hi):
-        m += _interval_measure(mu, max(b, t)) - _interval_measure(mu, max(a, t))
+        m += (_interval_measure(mu, np.maximum(b, t))
+              - _interval_measure(mu, np.maximum(a, t)))
     return m
+
+
+def _closed_form(lam, trim):
+    """Whether _closed_measure has a hook for this multiplier and trim."""
+    if trim:
+        return lam.boundary is not None
+    return any(h is not None for h in
+               (lam.superlevel, lam.log_superlevel, lam.boundary))
 
 
 def _closed_measure(lam, mu, eps, want_log, trim=None):
     if trim:
-        if lam.boundary is None:
-            return None
         x = max(0.0, lam.boundary(eps))
-        m = _interval_measure(mu, x) - _interval_measure(mu, min(trim, x))
-        return (math.log(m) if m > 0 else -INF) if want_log else m
+        m = float(_interval_measure(mu, x)
+                  - _interval_measure(mu, min(trim, x)))
+        return _log(m) if want_log else m
     if want_log and lam.log_superlevel is not None:
         return lam.log_superlevel(eps)
     if lam.superlevel is not None:
         m = lam.superlevel(eps)
-        return (math.log(m) if m > 0 else -INF) if want_log else m
+        return _log(m) if want_log else m
     if lam.log_superlevel is not None:
         log_m = lam.log_superlevel(eps)
         try:
@@ -267,10 +338,8 @@ def _closed_measure(lam, mu, eps, want_log, trim=None):
         except OverflowError:
             raise ValueError(f"the measure exp({log_m!r}) overflows a float; "
                              "use log_superlevel_measure") from None
-    if lam.boundary is not None:
-        m = _interval_measure(mu, max(0.0, lam.boundary(eps)))
-        return (math.log(m) if m > 0 else -INF) if want_log else m
-    return None
+    m = float(_interval_measure(mu, max(0.0, lam.boundary(eps))))
+    return _log(m) if want_log else m
 
 
 def superlevel_measure(lam, mu, eps, method="auto", trim=None):
@@ -295,38 +364,45 @@ def _check_trim(trim):
         raise ValueError(f"trim must be a finite radius >= 0, got {trim!r}")
 
 
-def _measure(lam, mu, eps, method, trim, want_log):
-    if eps <= 0:
+def _numeric_path(lam, mu, eps, method, trim):
+    """Check a request; True when it takes the numeric search."""
+    if np.any(eps <= 0):
         raise ValueError("eps must be positive")
     _check_trim(trim)
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "numeric":
-        closed = _closed_measure(lam, mu, eps, want_log, trim)
-        if closed is not None:
-            return closed
-        if method == "closed":
-            raise ValueError("multiplier has no usable closed form")
-    try:
-        m = _numeric_measure(lam, mu, eps, trim)
-    except _Divergent:
-        return INF
-    if want_log:
-        return math.log(m) if m > 0 else -INF
-    return m
+    if method == "numeric":
+        return True
+    if _closed_form(lam, trim):
+        return False
+    if method == "closed":
+        raise ValueError("multiplier has no usable closed form")
+    return True
+
+
+def _measure(lam, mu, eps, method, trim, want_log):
+    if not _numeric_path(lam, mu, eps, method, trim):
+        return _closed_measure(lam, mu, eps, want_log, trim)
+    m = float(_numeric_measure(lam, mu, np.array([float(eps)]), trim)[0])
+    return _log(m) if want_log else m
 
 
 def phi_curve(lam, mu, grid, method="auto", trim=None):
     """Distribution function of the multiplier sampled on a descending grid.
 
-    Divergent samples are stored as the +inf sentinel and flag the whole
-    curve as non-informative; the curve is still returned.  Monotonicity is
-    enforced at construction (violations raise, they are numeric failures).
+    The numeric search runs once over the whole grid; closed forms are
+    evaluated per eps.  Divergent samples are stored as the +inf sentinel
+    and flag the whole curve as non-informative; the curve is still
+    returned.  Monotonicity is enforced at construction (violations raise,
+    they are numeric failures).
     """
-    logs = [log_superlevel_measure(lam, mu, float(e), method, trim)
-            for e in grid]
-    return DistributionFunction.build(np.asarray(grid, dtype=float), logs,
-                                      source="superlevel",
+    eps = np.asarray(grid, dtype=float)
+    if _numeric_path(lam, mu, eps, method, trim):
+        logs = [_log(m) for m in _numeric_measure(lam, mu, eps, trim)]
+    else:
+        logs = [log_superlevel_measure(lam, mu, float(e), method, trim)
+                for e in eps]
+    return DistributionFunction.build(eps, logs, source="superlevel",
                                       sup_bound=lam.sup_bound)
 
 
@@ -336,41 +412,44 @@ def phi_curve(lam, mu, grid, method="auto", trim=None):
 def decreasing_rearrangement(phi, t):
     """Generalized inverse lambda*(t) = inf{tau > 0 : Phi(tau) <= t}.
 
-    Evaluated from the stored curve by monotone log-log interpolation
-    between grid knots; lambda*(0) is the squared-norm bound sup_bound, and
-    values of t below the reachable range of the curve also return it.
+    ``t`` is a number or an array, and the result has its shape.  Evaluated
+    from the stored curve by monotone log-log interpolation between grid
+    knots; lambda*(0) is the squared-norm bound sup_bound, and values of t
+    below the reachable range of the curve also return it.  Beyond the
+    finest knot the last log-log segment is continued.
     """
     if phi.finiteness == NON_INFORMATIVE:
         raise ValueError("cannot invert a non-informative curve")
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        return phi.sup_bound
-    eps = phi.eps_grid
-    lp = phi.log_phi
-    lt = math.log(t)
-    if lt < lp[0]:
-        return phi.sup_bound
-    if lt >= lp[-1]:
-        return _tail_extrapolate(eps, lp, lt)
-    k = int(np.searchsorted(lp, lt, side="right"))  # lp[k-1] <= lt < lp[k]
+    eps, lp = phi.eps_grid, phi.log_phi
+    with np.errstate(divide="ignore"):
+        lt = np.log(t)
+    out = np.full(t.shape, phi.sup_bound)
+    tail = (t > 0) & (lt >= lp[0]) & (lt >= lp[-1])
+    out[tail] = _tail_extrapolate(eps, lp, lt[tail])
+    inner = (t > 0) & (lt >= lp[0]) & ~tail
+    lt = lt[inner]
+    k = np.searchsorted(lp, lt, side="right")  # lp[k-1] <= lt < lp[k]
     la, lb = lp[k - 1], lp[k]
-    if not np.isfinite(la) or lb <= la:
-        return float(eps[k - 1])
-    frac = (lb - lt) / (lb - la)
-    return float(math.exp(math.log(eps[k]) +
-                          frac * (math.log(eps[k - 1]) - math.log(eps[k]))))
+    le = np.log(eps)
+    kink = np.isfinite(la) & (lb > la)
+    with np.errstate(invalid="ignore"):
+        frac = (lb - lt) / (lb - la)
+    out[inner] = np.where(kink, np.exp(le[k] + frac * (le[k - 1] - le[k])),
+                          eps[k - 1])
+    return float(out) if out.ndim == 0 else out
 
 
 def _tail_extrapolate(eps, lp, lt):
     """Continue the last log-log segment past the finest grid point."""
-    fin = np.isfinite(lp)
-    idx = np.where(fin)[0]
+    idx = np.flatnonzero(np.isfinite(lp))
     if idx.size < 2 or lp[idx[-1]] <= lp[idx[-2]]:
-        return float(eps[-1])
+        return eps[-1]
     i, j = idx[-2], idx[-1]
     slope = (math.log(eps[j]) - math.log(eps[i])) / (lp[j] - lp[i])
-    return float(math.exp(math.log(eps[j]) + (lt - lp[j]) * slope))
+    return np.exp(math.log(eps[j]) + (lt - lp[j]) * slope)
 
 
 def rearrangement_multiplier(phi):
@@ -391,11 +470,16 @@ def d_lambda(lam, mu, eps):
             "the sublevel distribution needs the unit-interval measure")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if eps == 0:
-        # {lambda <= 0} has measure zero for the injective models handled here
-        return 0.0
-    above = _numeric_measure(lam, mu, eps)
-    return min(1.0, max(0.0, 1.0 - above))
+    return float(_sublevel(lam, mu, np.array([float(eps)]))[0])
+
+
+def _sublevel(lam, mu, eps):
+    """d_lambda at every eps of the array."""
+    out = np.zeros(eps.shape)
+    # {lambda <= 0} has measure zero for the injective models handled here
+    pos = eps > 0
+    out[pos] = np.clip(1.0 - _numeric_measure(lam, mu, eps[pos]), 0.0, 1.0)
+    return out
 
 
 def increasing_rearrangement(lam, mu, t):
@@ -412,8 +496,8 @@ def increasing_rearrangement(lam, mu, t):
     hi = lam.sup_bound
     if d_lambda(lam, mu, hi) <= t:
         return hi
-    return _bisect(functools.partial(d_lambda, lam, mu), t, 0.0, hi,
-                   rising=True)
+    return float(_bisect(lambda e: _sublevel(lam, mu, e), np.array([float(t)]),
+                         np.zeros(1), np.array([hi]), rising=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -448,31 +532,38 @@ def reweight(lam, mu, kappa, grid):
         raise UnsupportedMeasureError(f"reweighting not supported on {mu.kind!r}")
     weight = _positive(kappa)
     hi = 1.0 if mu.kind == LEBESGUE_UNIT_INTERVAL else INF
-    logs = []
-    for e in grid:
-        eps = float(e)
-        try:
-            if mu.is_discrete:
-                mass = _discrete_scan(lam, eps, weight=weight)
-            else:
-                if lam.shape == MONOTONE_TAIL and lam.boundary is not None:
-                    x = min(max(0.0, lam.boundary(eps)), hi)
-                    spans = [(0.0, x)] if x > 0 else []
-                else:
-                    spans = _merge(_superlevel_set(lam, eps, hi))
-                mass = 0.0
-                for a, b in spans:
-                    if mu.kind == LEBESGUE_LINE:
-                        mass += _quad(weight, -b, -a) if a > 0 else 0.0
-                        mass += _quad(weight, a if a > 0 else -b, b)
-                    else:
-                        mass += _quad(weight, a, b)
-        except _Divergent:
-            mass = INF
-        logs.append(math.log(mass) if mass > 0 else -INF)
-    return DistributionFunction.build(np.asarray(grid, dtype=float), logs,
+    eps = np.asarray(grid, dtype=float)
+    if mu.is_discrete:
+        masses = _discrete_scan(lam, eps, weight=weight)
+    else:
+        if lam.shape == MONOTONE_TAIL and lam.boundary is not None:
+            # the closed form's set [0, x) from its measure, so that each
+            # closed-form evaluation is one measure call like any other
+            per_x = 2.0 if mu.kind == LEBESGUE_LINE else 1.0
+            x = [superlevel_measure(lam, mu, float(e)) / per_x for e in eps]
+            pieces = [(np.zeros(eps.shape), np.array(x))]
+        else:
+            pieces = _superlevel_set(lam, eps, hi)
+        masses = [_mass(weight, mu, [(a[i], b[i]) for a, b in pieces])
+                  for i in range(eps.size)]
+    return DistributionFunction.build(eps, [_log(m) for m in masses],
                                       source="reweighted",
                                       sup_bound=lam.sup_bound)
+
+
+def _mass(weight, mu, pieces):
+    """The integral of weight over the union of the (a, b) pieces."""
+    spans = _merge([(float(a), float(b)) for a, b in pieces if a < b])
+    if spans and spans[-1][1] == INF:
+        return INF
+    mass = 0.0
+    for a, b in spans:
+        if mu.kind == LEBESGUE_LINE:
+            mass += _quad(weight, -b, -a) if a > 0 else 0.0
+            mass += _quad(weight, a if a > 0 else -b, b)
+        else:
+            mass += _quad(weight, a, b)
+    return mass
 
 
 def _positive(kappa):
@@ -508,8 +599,7 @@ def essinf_estimate(lam, mu):
     for k in range(ESSINF_DOUBLINGS + 1):
         r = R0 * 2.0 ** k
         if lam.shape == DISCRETE:
-            ks = np.arange(-int(r), int(r) + 1)
-            vals = np.asarray([_check_value(lam.fn(int(i))) for i in ks])
+            vals = _values(lam.fn, np.arange(-int(r), int(r) + 1))
             m = float(vals.min())
             seen_max = max(seen_max, float(vals.max()))
         else:
@@ -585,11 +675,12 @@ def lp_check(lam, mu, p=None, f=None):
     verdict, is indeterminate.  A divergent sample is infinite when it shows
     among the first min_tail_samples points of the eps -> 0 grid; deeper,
     the numeric searches cannot tell a set beyond their reach from an
-    unbounded one, and it is indeterminate.  A finite value is the quadrature over
-    u = ln(1/t) of the numeric measure between the ends plus the fitted
-    power-law tails beyond them; where quad cannot follow a staircase
-    (counting, step and sampled multipliers) the body is summed by
-    bisection, exactly on its flat steps.
+    unbounded one, and it is indeterminate.  A finite value is the
+    tanh-sinh quadrature over u = ln(1/t) of the numeric measure between the
+    ends plus the fitted power-law tails beyond them; where the quadrature
+    cannot follow a staircase (counting, step and sampled multipliers) the
+    body is summed by bisection, exactly on its flat steps.  Like a multiplier callback, ``f``
+    takes an array of values and returns an array of the same shape.
     """
     if (p is None) == (f is None):
         raise ValueError("exactly one of p or f is required")
@@ -603,15 +694,18 @@ def lp_check(lam, mu, p=None, f=None):
     if hi == INF:
         hi = 2.0 ** 59
         ends.append((-1.0, geometric_grid(hi, 1.0)))
+    # u = ln(1/g(eps)) and its inverse, on arrays; u is +inf where g vanishes
     if p is not None:
-        u_of = lambda e: -p * math.log(e)
-        eps_of = lambda u: math.exp(-u / p)
+        u_of = lambda e: -p * np.log(e)
+        eps_of = lambda u: np.exp(-u / p)
     else:
-        u_of = lambda e: -math.log(f(e)) if f(e) > 0 else INF
+        def u_of(e):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return -np.log(np.asarray(f(e), dtype=float))
         # g^-1 by bisection in ln eps, which resolves eps relative to itself
-        eps_of = lambda u: lo * math.exp(_bisect(
-            lambda v: f(lo * math.exp(v)), math.exp(-u), 0.0,
-            math.log(hi / lo), rising=True))
+        eps_of = lambda u: lo * np.exp(_bisect(
+            lambda v: f(lo * np.exp(v)), np.exp(-u), np.zeros(u.shape),
+            np.full(u.shape, math.log(hi / lo)), rising=True))
     # Phi is nonincreasing: a divergent sample anywhere shows at the finest
     # eps, and deciding it here spares a curve of divergent samples
     if log_superlevel_measure(lam, mu, lo) == INF:
@@ -619,11 +713,11 @@ def lp_check(lam, mu, p=None, f=None):
         diverges = log_superlevel_measure(lam, mu, reach) == INF
         return LpResult("infinite" if diverges else "indeterminate", None)
     # the u limits of the quadrature, keyed by end: -1 large eps, +1 eps -> 0
-    span, tails, knots = {-1.0: u_of(hi)}, 0.0, set()
+    span, tails, knots = {-1.0: float(u_of(np.array([hi]))[0])}, 0.0, set()
     for sign, grid in ends:
         phi = phi_curve(lam, mu, grid)
-        pts = [(u_of(float(e)), lp) for e, lp in zip(grid, phi.log_phi)]
-        pts = [(u, lp) for u, lp in pts if math.isfinite(u) and lp > -INF]
+        pts = [(float(u), lp) for u, lp in zip(u_of(grid), phi.log_phi)
+               if math.isfinite(u) and lp > -INF]
         if sign < 0:
             pts.reverse()  # the window sits at the coarse end
         try:
@@ -643,15 +737,20 @@ def lp_check(lam, mu, p=None, f=None):
         tails += math.exp(lp - span[sign]) / (sign * (1.0 - k))
         knots.update(u for u, _ in pts)
     a, b = span[-1.0], span[1.0]
-    log_phi = lambda u: log_superlevel_measure(
-        lam, mu, eps_of(u), method="numeric")
-    # with full_output quad reports failure as a fourth item, not a warning
-    body, _, _, *failed = integrate.quad(
-        lambda u: math.exp(log_phi(u) - u), a, b, epsrel=QUAD_REL_TOL,
-        limit=200, full_output=1)
-    if failed and math.isfinite(body):
+
+    def log_phi(u):
+        u = np.asarray(u, dtype=float)
+        m = _numeric_measure(lam, mu, eps_of(u.ravel()))
+        with np.errstate(divide="ignore"):
+            return np.log(m).reshape(u.shape)
+
+    # tanh-sinh evaluates each level of nodes in one call
+    res = integrate.tanhsinh(lambda u: np.exp(log_phi(u) - u), a, b,
+                             rtol=QUAD_REL_TOL)
+    body = float(res.integral)
+    if res.status != 0 and math.isfinite(body):
         cuts = [a] + sorted(u for u in knots if a < u < b) + [b]
-        body = _layers(log_phi, cuts, QUAD_REL_TOL * abs(body))
+        body = _layers(log_phi, np.array(cuts), QUAD_REL_TOL * abs(body))
     if not math.isfinite(body):
         return LpResult("indeterminate", None)
     return LpResult("finite", body + tails)
@@ -663,20 +762,24 @@ def _layers(log_phi, cuts, tol):
     On a cell [a, b] the integral lies between Phi(a) and Phi(b) times the
     weight exp(-a) - exp(-b).  A cell is halved until that bracket is at
     most tol; it then counts the bracket's mean, which is exact where Phi
-    is flat and otherwise off by at most half the bracket.
+    is flat and otherwise off by at most half the bracket.  All cells of
+    one round are halved together, with one call of log_phi.
     """
     total = 0.0
-    vals = [log_phi(u) for u in cuts]
-    cells = list(zip(cuts, cuts[1:], vals, vals[1:]))
-    while cells:
-        a, b, la, lb = cells.pop()
-        low = math.exp(la - a) * -math.expm1(a - b)
-        high = math.exp(lb - b) * math.expm1(b - a)
-        m = 0.5 * (a + b)
-        # a non-finite bracket is kept, so the sum reports it
-        if high - low > tol and b - m > BISECT_REL_TOL * max(1.0, abs(m)):
-            lm = log_phi(m)
-            cells += [(a, m, la, lm), (m, b, lm, lb)]
-        else:
-            total += 0.5 * (low + high)
-    return total
+    vals = log_phi(cuts)
+    a, b, la, lb = cuts[:-1], cuts[1:], vals[:-1], vals[1:]
+    while True:
+        with np.errstate(invalid="ignore", over="ignore"):
+            low = np.exp(la - a) * -np.expm1(a - b)
+            high = np.exp(lb - b) * np.expm1(b - a)
+            m = 0.5 * (a + b)
+            # a non-finite bracket is kept, so the sum reports it
+            split = ((high - low > tol)
+                     & (b - m > BISECT_REL_TOL * np.maximum(1.0, np.abs(m))))
+            total += float(np.sum(0.5 * (low + high)[~split]))
+        a, m, b, la, lb = a[split], m[split], b[split], la[split], lb[split]
+        if not m.size:
+            return total
+        lm = log_phi(m)
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        la, lb = np.concatenate([la, lm]), np.concatenate([lm, lb])

@@ -169,7 +169,7 @@ def backward_heat(t_bar=1.0):
     t = float(t_bar)
 
     def fn(k):
-        return math.exp(-t * k * k)
+        return np.exp(-t * k * k)
 
     def strict_root(x):
         # largest integer k >= 0 with k^2 < x
@@ -249,7 +249,7 @@ def multiplier_b(s=1.0):
     s = float(s)
 
     def fn(w):
-        return math.exp(-abs(w) ** s)
+        return np.exp(-np.abs(w) ** s)
 
     def boundary(eps):
         return math.log(1.0 / eps) ** (1.0 / s) if eps < 1.0 else 0.0
@@ -274,8 +274,9 @@ def multiplier_c(s=1.0):
     s = float(s)
 
     def fn(w):
-        a = abs(w)
-        return 1.0 if a < math.e else math.log(a) ** (-2.0 * s)
+        a = np.abs(w)
+        return np.where(a < math.e, 1.0,
+                        np.log(np.maximum(a, math.e)) ** (-2.0 * s))
 
     def log_superlevel(eps):
         if eps >= 1.0:
@@ -299,10 +300,9 @@ def hausdorff():
     threshold, which agrees with it to O(eps^2).
     """
     def fn(w):
-        x = math.pi * abs(w)
-        if x > 700.0:
-            return 0.0  # cosh overflows and the quotient underflows anyway
-        return math.pi / math.cosh(x)
+        x = math.pi * np.abs(w)
+        # cosh overflows beyond 700, where the quotient underflows anyway
+        return np.where(x > 700.0, 0.0, math.pi / np.cosh(np.minimum(x, 700.0)))
 
     def boundary(eps):
         return max(0.0, math.log(2.0 * math.pi / eps) / math.pi)
@@ -322,7 +322,7 @@ def gaussian_kernel(d=1):
     peak = math.pi ** d
 
     def fn(r):
-        return peak * math.exp(-0.5 * r * r)
+        return peak * np.exp(-0.5 * r * r)
 
     def boundary(eps):
         return math.sqrt(2.0 * math.log(peak / eps)) if eps < peak else 0.0
@@ -370,7 +370,9 @@ def fractional_line(s=0.5):
     s = float(s)
 
     def fn(w):
-        return INF if w == 0 else abs(w) ** (-2.0 * s)
+        a = np.abs(w)
+        pole = a == 0  # kept out of the power, which warns at 0
+        return np.where(pole, INF, np.where(pole, 1.0, a) ** (-2.0 * s))
 
     def boundary(eps):
         return eps ** (-0.5 / s)
@@ -392,11 +394,12 @@ def parabolic_source(diffusivity=1.0, t0=1.0, d=1):
     kap4 = kap ** 4
 
     def fn(r):
-        if r == 0.0:
-            return t0 * t0
+        # lambda(0) = t0^2 is the limit of the quotient, which is 0/0 there
+        at0 = np.equal(r, 0.0)
+        r = np.where(at0, 1.0, r)
         a = t0 * kap * kap * r * r
-        num = -math.expm1(-a)
-        return (num * num) / (kap4 * r ** 4)
+        num = -np.expm1(-a)
+        return np.where(at0, t0 * t0, (num * num) / (kap4 * r ** 4))
 
     mult = Multiplier(fn=fn, shape=RADIAL_MONOTONE_TAIL, sup_bound=t0 * t0)
     return OperatorModel(
@@ -412,7 +415,7 @@ def parabolic_source(diffusivity=1.0, t0=1.0, d=1):
 def counterexample_sin2():
     """lambda = sin^2 on [0, inf): ill-posed but with a useless Phi."""
     def fn(w):
-        return math.sin(w) ** 2
+        return np.sin(w) ** 2
 
     mult = Multiplier(fn=fn, shape=GENERIC_SAMPLED, sup_bound=1.0,
                       resolution=1.0 / 64.0,
@@ -428,7 +431,8 @@ def counterexample_const(c=0.5):
     """lambda identically c: Phi is non-informative and nothing is ill-posed."""
     _positive(c=c)
     c = float(c)
-    mult = Multiplier(fn=lambda w: c, shape=GENERIC_SAMPLED, sup_bound=c,
+    mult = Multiplier(fn=lambda w: np.full(np.shape(w), c),
+                      shape=GENERIC_SAMPLED, sup_bound=c,
                       resolution=1.0 / 64.0,
                       log_superlevel=lambda e: INF if e < c else -INF)
     return OperatorModel(

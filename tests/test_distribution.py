@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -95,10 +96,20 @@ class TestSuperlevelMeasure:
             == math.inf
 
     def test_negative_multiplier_rejected(self):
-        lam = Multiplier(fn=lambda w: -1.0, shape=MONOTONE_TAIL,
+        lam = Multiplier(fn=lambda w: np.full_like(w, -1.0), shape=MONOTONE_TAIL,
                          sup_bound=1.0)
         with pytest.raises(ValueError):
             dist.superlevel_measure(lam, HALF, 1e-6, method="numeric")
+
+    @pytest.mark.parametrize("bad,text", [(-1.0, "-1.0"), (math.nan, "nan")])
+    def test_bad_value_at_one_interior_grid_point_is_named(self, bad, text):
+        # the 1001st midpoint of essinf's first grid, 2048 points on [0, 8]
+        x0 = 1000.5 * 8.0 / 2048.0
+        lam = Multiplier(fn=lambda w: np.where(w == x0, bad, 1.0 / (1.0 + w)),
+                         shape=MONOTONE_TAIL, sup_bound=1.0)
+        with pytest.raises(ValueError,
+                           match=rf"^multiplier must be nonnegative, got {text}$"):
+            dist.essinf_estimate(lam, HALF)
 
     def test_overflowing_closed_form_is_not_divergence(self):
         model = gallery.make("multiplier_c")
@@ -183,6 +194,19 @@ class TestDecreasingRearrangement:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert mu.kind == LEBESGUE_HALFLINE
 
+    def test_array_of_t_matches_each_t(self):
+        # t = 0, below the curve, between knots and beyond the finest knot
+        model = gallery.make("hausdorff")
+        curve = dist.phi_curve(model.multiplier, model.measure,
+                               geometric_grid(0.99, 1e-8, 60))
+        ts = np.concatenate([[0.0, 1e-3], np.geomspace(0.1, 1e3, 30)])
+        got = dist.decreasing_rearrangement(curve, ts)
+        assert got.shape == ts.shape
+        assert list(got) == [dist.decreasing_rearrangement(curve, float(t))
+                             for t in ts]
+        with pytest.raises(ValueError):
+            dist.decreasing_rearrangement(curve, np.array([1.0, math.nan]))
+
 
 class TestRearrangementDuality:
     @pytest.mark.parametrize("model_id,params", [
@@ -219,7 +243,7 @@ class TestUnitInterval:
                 == pytest.approx(t, abs=1e-9)
 
     def test_tent_profile(self):
-        lam = Multiplier(fn=lambda w: min(w, 1.0 - w),
+        lam = Multiplier(fn=lambda w: np.minimum(w, 1.0 - w),
                          shape=PIECEWISE_MONOTONE, sup_bound=0.5,
                          breakpoints=(0.5,))
         # {min(w, 1-w) <= 1/4} = [0, 1/4] u [3/4, 1]
@@ -325,8 +349,7 @@ class TestLpCheck:
         # f(z) = exp(-2 / sqrt(z)) turns the log tail into an integrable one
         model = gallery.make("multiplier_c", s=1.0)
         res = dist.lp_check(model.multiplier, model.measure,
-                            f=lambda z: math.exp(-2.0 / math.sqrt(z))
-                            if z > 0 else 0.0)
+                            f=lambda z: np.exp(-2.0 / np.sqrt(z)))
         assert res.verdict == "finite"
 
     def test_p_below_one_rejected(self):
@@ -383,7 +406,7 @@ class TestLpCheck:
         # sqrt(ln(1/eps)) bends below slope one only past eps ~ e^-49), yet
         # the window's slope is above one
         def fn(w):
-            return 1.0 if w <= 1.0 else math.exp(-math.log(w) ** 2 / 196.0)
+            return np.exp(-np.log(np.maximum(w, 1.0)) ** 2 / 196.0)
 
         lam = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
                          log_superlevel=lambda e: 14.0 * math.sqrt(
@@ -395,8 +418,7 @@ class TestLpCheck:
         # exp(-1.1) inside: 2 e exp(-1.1) + 20 exp(-0.1) = 22 exp(-0.1)
         model = gallery.make("multiplier_c", s=1.0)
         res = dist.lp_check(model.multiplier, model.measure,
-                            f=lambda z: math.exp(-1.1 / math.sqrt(z))
-                            if z > 0 else 0.0)
+                            f=lambda z: np.exp(-1.1 / np.sqrt(z)))
         assert res.verdict == "finite"
         assert res.value == pytest.approx(22.0 * math.exp(-0.1), rel=1e-8)
 
@@ -427,3 +449,37 @@ class TestLpCheck:
                          sup_bound=1.0)
         res = dist.lp_check(lam, MeasureSpace(COUNTING_INTEGERS), p=1)
         assert res.verdict != "infinite"
+
+
+def _counted(lam):
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return lam.fn(x)
+    return dataclasses.replace(lam, fn=fn), calls
+
+
+class TestCallsPerGrid:
+    """Each grid is one call of the multiplier, however many points it has."""
+
+    @pytest.mark.parametrize("model_id", [m for m in gallery.MODEL_IDS
+                                          if gallery.make(m).kind == "multiplier"])
+    def test_essinf_calls_once_per_refinement(self, model_id):
+        model = gallery.make(model_id)
+        lam, calls = _counted(model.multiplier)
+        dist.essinf_estimate(lam, model.measure)
+        assert 0 < calls[0] <= (dist.ESSINF_DOUBLINGS + 1) * 7
+
+    def test_numeric_curve_calls_do_not_grow_with_the_grid(self):
+        model = gallery.make("parabolic_source")
+        counts = []
+        for points in (60, 120):
+            lam, calls = _counted(model.multiplier)
+            grid = geometric_grid(model.eps_max, model.eps_max * 2.0 ** -59,
+                                  points)
+            dist.phi_curve(lam, model.measure, grid, method="numeric")
+            counts.append(calls[0])
+        # the ladder and about 45 halvings, not a search per point
+        assert counts[0] < 100
+        assert abs(counts[1] - counts[0]) <= 3

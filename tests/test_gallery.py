@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,3 +190,37 @@ class TestGalleryInvariants:
             model = gallery.make(model_id, **params)
             res = dist.essinf_estimate(model.multiplier, model.measure)
             assert res.verdict == "ill_posed", model_id
+
+
+# points on which every multiplier is compared with its scalar values, plus
+# each model's edge points
+POINTS = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 41), [250.0, 1e4]])
+EDGES = {
+    "fractional_line": ([0.0, -0.0], [math.inf, math.inf]),
+    "hausdorff": ([700.0 / math.pi + 1e-9, 1e3, 1e300], [0.0, 0.0, 0.0]),
+    "parabolic_source": ([0.0], [1.0]),  # t0^2
+    "multiplier_c": ([0.0, 0.5, 1.0, 2.7], [1.0, 1.0, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("model_id", [m for m in gallery.MODEL_IDS
+                                      if gallery.make(m).kind == "multiplier"])
+def test_array_callback_matches_its_scalar_values(model_id):
+    lam = gallery.make(model_id).multiplier
+    if lam.shape == "discrete":
+        points = np.arange(-60, 61)
+        scalars = [lam.fn(int(k)) for k in points]
+    else:
+        edge, want = EDGES.get(model_id, ([], []))
+        points = np.concatenate([POINTS, -POINTS, edge])
+        scalars = [lam.fn(float(w)) for w in points]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = lam.fn(points)
+    assert isinstance(values, np.ndarray) and values.shape == points.shape
+    scalars = np.array(scalars, dtype=float)
+    finite = np.isfinite(scalars)
+    np.testing.assert_array_equal(values[~finite], scalars[~finite])
+    np.testing.assert_array_max_ulp(values[finite], scalars[finite], maxulp=1)
+    if lam.shape != "discrete" and edge:
+        np.testing.assert_array_equal(values[-len(edge):], want)

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from illposed.core import (MONOTONE_TAIL, MeasureSpace, Multiplier,
                            SigmaSequence, classify, geometric_grid, ratio)
 from illposed.counting import counting_phi, step_multiplier_from_sigma
-from illposed.distribution import (decreasing_rearrangement, phi_curve,
+from illposed.distribution import (decreasing_rearrangement,
+                                   log_superlevel_measure, phi_curve,
                                    reweight, superlevel_measure)
 from illposed.core import (DistributionFunction, LEBESGUE_HALFLINE,
                            LEBESGUE_LINE, LEBESGUE_UNIT_INTERVAL,
                            PIECEWISE_MONOTONE)
-from illposed import cli
+from illposed import cli, gallery
 
 
 HALF = MeasureSpace(LEBESGUE_HALFLINE)
@@ -98,6 +99,44 @@ def test_phi_curves_are_monotone(s, c):
     assert np.all(np.diff(finite) >= -1e-12)
 
 
+@given(s=st.floats(min_value=0.2, max_value=3.0),
+       c=st.floats(min_value=0.5, max_value=5.0),
+       knots=st.lists(st.tuples(st.floats(min_value=0.05, max_value=0.6),
+                                st.floats(min_value=0.0, max_value=1.0)),
+                      min_size=2, max_size=5),
+       kind=st.sampled_from([LEBESGUE_HALFLINE, LEBESGUE_LINE,
+                             LEBESGUE_UNIT_INTERVAL]))
+@settings(max_examples=20, deadline=None)
+def test_numeric_curve_equals_its_single_eps_measures(s, c, knots, kind):
+    # one search over the grid gives each sample bit for bit what a
+    # one-element grid gives: a power law and a piecewise-linear profile
+    xs = np.concatenate([[0.0], np.cumsum([g for g, _ in knots])])
+    ys = np.array([c] + [c * v for _, v in knots])
+    power = Multiplier(fn=lambda w: c / (1.0 + w) ** s, shape=MONOTONE_TAIL,
+                       sup_bound=c)
+    linear = Multiplier(fn=lambda w: np.interp(np.abs(w), xs, ys),
+                        shape=PIECEWISE_MONOTONE, sup_bound=float(ys.max()),
+                        breakpoints=tuple(float(x) for x in xs[1:]))
+    grid = geometric_grid(0.9 * c, 1e-6 * c, 24)
+    for lam, mu in ((power, HALF), (linear, MeasureSpace(kind))):
+        curve = phi_curve(lam, mu, grid, method="numeric")
+        assert list(curve.log_phi) == [
+            log_superlevel_measure(lam, mu, float(e), method="numeric")
+            for e in grid]
+
+
+def test_divergence_guard_marks_only_the_eps_that_trip_it():
+    # Phi = 2 exp(eps^(-1/2)): the search passes 1e280 below eps ~ 2.4e-6
+    model = gallery.make("multiplier_c", s=1.0)
+    lam, mu = model.multiplier, model.measure
+    grid = geometric_grid(0.99, 1e-8, 40)
+    curve = phi_curve(lam, mu, grid, method="numeric")
+    single = [log_superlevel_measure(lam, mu, float(e), method="numeric")
+              for e in grid]
+    assert list(curve.log_phi) == single
+    assert np.isfinite(curve.log_phi[0]) and np.isposinf(curve.log_phi[-1])
+
+
 @given(s=st.floats(min_value=0.3, max_value=3.0),
        t=st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=40, deadline=None)
@@ -144,10 +183,11 @@ def test_unit_density_reweighting_matches_the_numeric_curve(knots, v0, kind,
     decays = kind != LEBESGUE_UNIT_INTERVAL
 
     def fn(w):
-        w = abs(w)
-        if w <= xs[-1] or not decays:
-            return float(np.interp(w, xs, ys))
-        return float(ys[-1]) / (1.0 + w - xs[-1])
+        w = np.abs(w)
+        inner = np.interp(w, xs, ys)
+        if not decays:
+            return inner
+        return np.where(w <= xs[-1], inner, float(ys[-1]) / (1.0 + w - xs[-1]))
 
     lam = Multiplier(fn=fn, shape=PIECEWISE_MONOTONE, sup_bound=float(ys.max()),
                      breakpoints=tuple(float(x) for x in xs[1:]))
