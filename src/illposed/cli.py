@@ -277,6 +277,9 @@ def _cmd_discretize(args):
 
 
 def _cmd_fft_multiplier(args):
+    if not (math.isfinite(args.a) and math.isfinite(args.b) and args.b > 0):
+        raise ValueError(f"--a must be finite and --b finite and positive, "
+                         f"got a = {args.a!r}, b = {args.b!r}")
     if args.kernel == "gaussian":
         fn = lambda x: math.exp(-x * x)
         decay = fn
@@ -390,13 +393,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InsufficientDataError as exc:  # a ValueError, but numerical
+        failure = exc
     except (ValueError, UnsupportedMeasureError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical failures
-        print(f"numerical failure: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 1
+        failure = exc
+    print(f"numerical failure: {type(failure).__name__}: {failure}",
+          file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import fft as _fft
-from scipy import integrate, linalg
+from scipy import linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, svds
 
 from .core import (DEFAULT_THRESHOLDS, GENERIC_SAMPLED, INDETERMINATE,
@@ -326,10 +326,15 @@ class KernelSampler:
     N: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be finite and positive, got {self.L!r}")
         if self.N < 2 or self.N & (self.N - 1):
             raise ValueError("N must be a power of two")
+        # the window 2L and the alias reach pi N / L must be floats
+        if not (math.isfinite(2.0 * self.L)
+                and math.isfinite(math.pi * self.N / self.L)):
+            raise ValueError(f"L = {self.L!r} with N = {self.N}: the sample or "
+                             "frequency grid leaves the float range")
 
 
 @dataclass(frozen=True)
@@ -356,7 +361,7 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
     L, N = kernel.L, kernel.N
     dx = 2.0 * L / N
     x = -L + dx * np.arange(N)
-    h = np.asarray([kernel.fn(v) for v in x], dtype=float)
+    h = np.asarray([kernel.fn(v) for v in x.tolist()], dtype=float)
     edge = max(abs(h[0]), abs(kernel.fn(L)))
     env_edge = abs(kernel.decay(L))
     if edge > max(env_edge * (1.0 + 1e-9), 1e-12):
@@ -365,16 +370,16 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
             f"declared envelope {env_edge:.3g}; transform values carry "
             "truncation error", TruncationWarning, stacklevel=2)
     k = np.arange(-N // 2, N // 2)
-    dft = np.fft.fftshift(np.fft.fft(h))
-    hhat = dx * (-1.0) ** k * dft
+    # a kernel too large for its transform or |transform|^2 to be a float
+    # raises FloatingPointError
+    with np.errstate(over="raise", invalid="raise"):
+        dft = np.fft.fftshift(np.fft.fft(h))
+        hhat = dx * (-1.0) ** k * dft
+        lam = np.abs(hhat) ** 2
     omega = np.pi * k / L
-    lam = np.abs(hhat) ** 2
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        tail, _ = integrate.quad(lambda t: abs(kernel.decay(t)), L, np.inf,
-                                 epsrel=1e-8, limit=200)
-    truncation = 2.0 * tail
+    truncation = 2.0 * _distribution._quad(lambda t: abs(kernel.decay(t)),
+                                           L, math.inf)
     # first alias image sits 2 pi / dx away from the kept band
     alias_dist = 2.0 * math.pi / dx - np.abs(omega).max()
     aliasing = _gauss_tail_bound(kernel.decay, alias_dist)
@@ -393,11 +398,8 @@ def _gauss_tail_bound(decay, dist):
     """Crude |F env|(dist) bound: L1 mass of the envelope beyond dist/2."""
     if dist <= 0:
         return math.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(lambda t: abs(decay(t)), dist / 2.0, np.inf,
-                                epsrel=1e-8, limit=200)
-    return 2.0 * val
+    return 2.0 * _distribution._quad(lambda t: abs(decay(t)), dist / 2.0,
+                                     math.inf)
 
 
 def _interp_fn(omega, lam):

@@ -271,6 +271,30 @@ def test_internal_failure_maps_to_exit_one(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def test_too_few_samples_is_a_numerical_failure(capsys):
+    code, _, err = run(capsys, "analyze", "--model", "hausdorff",
+                       "--points", "3")
+    assert code == 1
+    assert "need at least 10 samples, got 2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--a=nan", "--b=0", "--b=-1", "--b=inf",
+                                  "--L=inf", "--L=nan"])
+def test_bad_kernel_numbers_are_usage_errors(capsys, flag):
+    code, _, err = run(capsys, "fft-multiplier", "--kernel", "laplace",
+                       "--L=8", "--N=64", flag)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_kernel_too_large_for_its_transform_is_a_numerical_failure(capsys):
+    code, _, err = run(capsys, "fft-multiplier", "--kernel", "gaussian",
+                       "--L=1e300", "--N=8")
+    assert code == 1
+    assert "FloatingPointError" in err
+
+
 def test_check_subset_runs_and_reports(capsys):
     code, out, _ = run(capsys, "check", "--only", "1,7")
     assert code == 0

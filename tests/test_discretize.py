@@ -134,6 +134,26 @@ class TestFftMultiplier:
         assert errs[0] > 1e-5  # aliasing really is the dominant term here
         assert errs[1] <= 0.5 * errs[0]
 
+    @pytest.mark.parametrize("a,b,L,n", [(1.0, 1.0, 64.0, 16384),
+                                         (3.0, 0.5, 20.0, 256)])
+    def test_laplace_bounds_are_the_exact_tails(self, a, b, L, n):
+        # 2 int_r^inf a exp(-t / b) dt = 2 a b exp(-r / b)
+        env = lambda x: a * math.exp(-abs(x) / b)
+        sampled = dz.fft_multiplier(dz.KernelSampler(fn=env, decay=env,
+                                                     L=L, N=n))
+        # the first alias image sits 2 pi / dx - pi N / (2 L) = pi N / (2 L)
+        # from the band, and the bound counts the mass beyond half of that
+        half_dist = math.pi * n / (4.0 * L)
+        assert sampled.truncation_bound == pytest.approx(
+            2.0 * a * b * math.exp(-L / b), rel=1e-6)
+        assert sampled.aliasing_bound == pytest.approx(
+            2.0 * a * b * math.exp(-half_dist / b), rel=1e-6)
+
+    def test_gaussian_truncation_bound_is_the_exact_tail(self):
+        sampled = dz.fft_multiplier(dz.KernelSampler(L=6.0, N=64, **GAUSS))
+        assert sampled.truncation_bound == pytest.approx(
+            math.sqrt(math.pi) * math.erfc(6.0), rel=1e-10)
+
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError):
             dz.KernelSampler(L=4.0, N=100, **GAUSS)

@@ -302,6 +302,78 @@ class TestReweight:
                           lambda w: -1.0, np.array([0.1, 0.01]))
 
 
+class TestQuad:
+    """The adaptive Gauss-Kronrod rule behind reweighting and the FFT bounds."""
+
+    @staticmethod
+    def promised(exact):
+        return max(dist.QUAD_ABS_TOL, dist.QUAD_REL_TOL * abs(exact))
+
+    @pytest.mark.parametrize("x", [0.5, 3.0, 6.4])
+    def test_criterion_7a_integrand(self, x):
+        got = dist._quad(lambda w: 0.5 * math.exp(math.pi * w), 0.0, x)
+        exact = math.expm1(math.pi * x) / (2.0 * math.pi)
+        assert abs(got - exact) <= self.promised(exact)
+        assert got == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("lower", [0.0, 1.0, 5.0, 64.0, 200.0])
+    def test_exponential_tail(self, lower):
+        got = dist._quad(lambda t: math.exp(-t), lower, math.inf)
+        exact = math.exp(-lower)
+        assert abs(got - exact) <= self.promised(exact)
+        assert got == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("lower", [0.0, 2.0, 6.0, 12.0])
+    def test_gaussian_tail(self, lower):
+        got = dist._quad(lambda t: math.exp(-t * t), lower, math.inf)
+        exact = 0.5 * math.sqrt(math.pi) * math.erfc(lower)
+        assert abs(got - exact) <= self.promised(exact)
+        assert got == pytest.approx(exact, rel=1e-10)
+
+    def test_square_root_with_its_endpoint_singularity(self):
+        got = dist._quad(math.sqrt, 0.0, 1.0)
+        assert abs(got - 2.0 / 3.0) <= self.promised(2.0 / 3.0)
+
+    def test_polynomials_to_degree_31_in_one_cell(self):
+        for deg in range(32):
+            got = dist._quad(lambda x: x ** deg, 0.0, 1.0)
+            assert got == pytest.approx(1.0 / (deg + 1), rel=1e-14, abs=0.0)
+
+    def test_empty_range(self):
+        assert dist._quad(math.exp, 2.0, 2.0) == 0.0
+
+    def test_agrees_with_scipy_on_the_reweighting_integrands(self):
+        # the hausdorff sets [-x, x] of `reweight`, on the grid the README's
+        # `illposed reweight` command uses; backward_heat sums, it never
+        # integrates
+        from scipy import integrate
+
+        model = gallery.make("hausdorff")
+        grid = geometric_grid(model.eps_max, model.eps_max * 1e-8, 60)
+        for kappa in (lambda w: 0.5 * math.exp(math.pi * w), lambda w: 1.0):
+            for eps in grid:
+                x = dist.superlevel_measure(model.multiplier, model.measure,
+                                            float(eps)) / 2.0
+                ref, _ = integrate.quad(kappa, -x, x, epsrel=dist.QUAD_REL_TOL,
+                                        limit=dist.QUAD_CELLS)
+                assert dist._quad(kappa, -x, x) == pytest.approx(ref, rel=1e-12)
+
+    def test_cell_limit_gives_a_finite_estimate_without_warning(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / x
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = dist._quad(f, 0.0, 1.0)
+        assert not caught
+        assert math.isfinite(got) and got > 0
+        # one cell, then two new ones per halving until QUAD_CELLS are in use
+        assert len(calls) == 21 * (2 * dist.QUAD_CELLS - 1)
+
+
 class TestEssinf:
     def test_constant_is_well_posed_candidate(self):
         lam, mu = bare("counterexample_const", c=0.5)

@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,3 +25,18 @@ def test_package_reexports_resolve():
         home = getattr(obj, "__module__", None)
         if callable(obj) and home and home.startswith("illposed."):
             assert getattr(importlib.import_module(home), obj.__name__) is obj, name
+
+
+def test_check_runs_without_scipy_integrate_or_optimize():
+    # scipy.integrate takes longer to import than the rest of the package
+    # and only lp_check needs it.  A fresh interpreter, because pytest's
+    # warning filters import scipy.integrate into this one.
+    script = ("import sys, illposed, illposed.cli, illposed.acceptance\n"
+              "illposed.acceptance.run_all(only={'6', '7'})\n"
+              "print([m for m in ('scipy.integrate', 'scipy.optimize')"
+              " if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(illposed.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=300, check=True)
+    assert out.stdout.strip() == "[]"

@@ -207,6 +207,10 @@ odd_floats = st.one_of(
 # non-finite spellings are rejected by the parser
 odd_sizes = st.one_of(st.sampled_from(["inf", "nan", "1e9", "-3"]),
                       st.integers(min_value=-2, max_value=64).map(str))
+# valid kernel sizes and lengths come up often enough to reach the bounds
+kernel_floats = st.one_of(st.sampled_from(["1e-300", "1e300", "0.5", "12", "64"]),
+                          odd_floats)
+REWEIGHTS = (("hausdorff", "exp-pi"), ("backward_heat", "exp-t-k2"))
 odd_requests = st.one_of(
     odd_floats.map(lambda v: ["analyze", "--model", "fractional_line",
                               f"--trim={v}"]),
@@ -220,11 +224,29 @@ odd_requests = st.one_of(
                                           "--param", f"d={mv[1]}"]),
     st.tuples(odd_floats, odd_sizes).map(
         lambda an: ["discretize", "--operator", "j_alpha",
-                    f"--alpha={an[0]}", f"--n={an[1]}"]))
+                    f"--alpha={an[0]}", f"--n={an[1]}"]),
+    # the kernel's tail and alias bounds go through the Gauss-Kronrod rule
+    st.tuples(st.sampled_from(["gaussian", "laplace"]), kernel_floats,
+              kernel_floats, kernel_floats,
+              st.one_of(st.sampled_from(["2", "8", "64"]), odd_sizes)).map(
+        lambda k: ["fft-multiplier", "--kernel", k[0], f"--L={k[1]}",
+                   f"--a={k[2]}", f"--b={k[3]}", f"--N={k[4]}"]),
+    # every model with every density: the matching pairs integrate (hausdorff)
+    # or sum (backward_heat), the others are usage errors
+    st.tuples(st.sampled_from(gallery.MODEL_IDS),
+              st.sampled_from(cli.DENSITIES)).map(
+        lambda md: ["reweight", "--model", md[0], "--density", md[1]]),
+    st.tuples(st.sampled_from(REWEIGHTS), st.sampled_from(["min", "max"]),
+              odd_floats).map(
+        lambda r: ["reweight", "--model", r[0][0], "--density", r[0][1],
+                   f"--eps-{r[1]}={r[2]}"]),
+    st.tuples(st.sampled_from(REWEIGHTS), odd_sizes).map(
+        lambda r: ["reweight", "--model", r[0][0], "--density", r[0][1],
+                   f"--points={r[1]}"]))
 
 
 @given(argv=odd_requests)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
