@@ -15,9 +15,8 @@ import sys
 import numpy as np
 
 from . import acceptance, counting, discretize, distribution, gallery
-from .core import (IllPosednessInterval, InsufficientDataError, Thresholds,
-                   UnsupportedMeasureError, geometric_grid,
-                   LEBESGUE_UNIT_INTERVAL)
+from .core import (InsufficientDataError, Thresholds, UnsupportedMeasureError,
+                   geometric_grid, LEBESGUE_UNIT_INTERVAL)
 from . import estimate
 
 DENSITIES = ("exp-pi", "exp-t-k2")
@@ -242,10 +241,7 @@ def _cmd_reweight(args):
     grid = _grid_for(model, args, depth=1e-8)
     curve = distribution.reweight(model.multiplier, model.measure, kappa, grid)
     ratios = estimate.ratio_samples(curve)
-    try:
-        iv = counting.interval_from_counting(curve, thresholds)
-    except InsufficientDataError:
-        iv = IllPosednessInterval(0.0, math.inf, "indeterminate")
+    iv = counting.interval_from_counting(curve, thresholds)
     payload = {"model": model.id, "density": args.density,
                "eps_grid": [float(v) for v in curve.eps_grid],
                "log_phi": [float(v) for v in curve.log_phi],

@@ -171,15 +171,14 @@ class TailLaw:
 class SigmaSequence:
     """Finite nonincreasing sequence of positive singular values.
 
-    ``exhausted_flag`` marks data known to be complete (e.g. all singular
-    values of a finite matrix): counting beyond the stored range then
-    saturates instead of extrapolating.  A ``tail_law`` authorizes analytic
-    extrapolation; the stored tail must actually match it.
+    A ``tail_law`` authorizes analytic extrapolation; the stored tail must
+    actually match it.  Without one the data is taken as complete (e.g. all
+    singular values of a finite matrix): counting beyond the stored range
+    then saturates and is flagged exhausted.
     """
 
     values: np.ndarray
     tail_law: TailLaw | None = None
-    exhausted_flag: bool = False
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)

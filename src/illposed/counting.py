@@ -190,11 +190,6 @@ def step_multiplier_from_sigma(sigma: SigmaSequence):
     def superlevel(eps):
         return counting_phi(sigma, eps).count
 
-    def log_superlevel(eps):
-        c = counting_phi(sigma, eps).count
-        return math.log(c) if c > 0 else -INF
-
-    mult = Multiplier(fn=fn, shape=MONOTONE_TAIL,
-                      sup_bound=float(sq[0]),
-                      superlevel=superlevel, log_superlevel=log_superlevel)
+    mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=float(sq[0]),
+                      superlevel=superlevel)
     return mult, MeasureSpace(LEBESGUE_HALFLINE)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import fft as _fft
 from scipy import linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, svds
 
@@ -127,14 +126,14 @@ class Section:
     def operator(self):
         """LinearOperator whose products use FFTs, one per n x k block."""
         n = self.n
-        size = _fft.next_fast_len(2 * n - 1, real=True)
-        spectrum = _fft.rfft(self.coeffs, size)
+        size = 1 << (2 * n - 2).bit_length()  # the power of two >= 2n - 1
+        spectrum = np.fft.rfft(self.coeffs, size)
 
         def convolve(x):
             # linear convolution with the coefficients; size >= 2n - 1
             # keeps every entry used below free of wrap-around
             s = spectrum if x.ndim == 1 else spectrum[:, None]
-            return _fft.irfft(s * _fft.rfft(x, size, axis=0), size, axis=0)
+            return np.fft.irfft(s * np.fft.rfft(x, size, axis=0), size, axis=0)
 
         if self.kind == TOEPLITZ:
             def matvec(x):
@@ -209,8 +208,8 @@ def singular_values(m):
 
     Values below the drop tolerance are dominated by rounding in the
     factorization and are discarded rather than reported as data.  The
-    result is flagged exhausted: a finite matrix has no tail to
-    extrapolate.
+    result has no tail law: a finite matrix has no tail to extrapolate, so
+    counts beyond its values saturate and are flagged exhausted.
 
     A ``Section`` gives a ``Spectrum``: its leading values by FFT-matvec
     Lanczos and the count a dense SVD would keep, or the dense result when
@@ -231,7 +230,7 @@ def _dense_singular_values(m):
     if s.size == 0 or s[0] <= 0:
         raise ValueError("matrix has no positive singular values")
     keep = s[s > SVD_DROP_TOL * s[0]]
-    return Spectrum(keep, exhausted_flag=True, kept=keep.size, method="dense")
+    return Spectrum(keep, kept=keep.size, method="dense")
 
 
 def _clears_drop_tol(c):
@@ -305,8 +304,7 @@ def _leading_values(section):
     residual = np.linalg.norm(op.matmat(v) - u * s, axis=0)
     if s[-1] <= 0 or np.any(residual > RESIDUAL_TOL * s[0]):
         return None
-    return Spectrum(s, exhausted_flag=kept == s.size, kept=kept,
-                    method=method)
+    return Spectrum(s, kept=kept, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +376,11 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
         lam = np.abs(hhat) ** 2
     omega = np.pi * k / L
 
-    truncation = 2.0 * _distribution._quad(lambda t: abs(kernel.decay(t)),
-                                           L, math.inf)
+    envelope = _distribution._pointwise(lambda t: abs(kernel.decay(t)))
+    truncation = 2.0 * _distribution._quad(envelope, L, math.inf)[0]
     # first alias image sits 2 pi / dx away from the kept band
     alias_dist = 2.0 * math.pi / dx - np.abs(omega).max()
-    aliasing = _gauss_tail_bound(kernel.decay, alias_dist)
+    aliasing = _gauss_tail_bound(envelope, alias_dist)
 
     sup = float(lam.max())
     mult = Multiplier(fn=_interp_fn(omega, lam), shape=GENERIC_SAMPLED,
@@ -394,12 +392,11 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
                              aliasing_bound=float(aliasing))
 
 
-def _gauss_tail_bound(decay, dist):
+def _gauss_tail_bound(envelope, dist):
     """Crude |F env|(dist) bound: L1 mass of the envelope beyond dist/2."""
     if dist <= 0:
         return math.inf
-    return 2.0 * _distribution._quad(lambda t: abs(decay(t)), dist / 2.0,
-                                     math.inf)
+    return 2.0 * _distribution._quad(envelope, dist / 2.0, math.inf)[0]
 
 
 def _interp_fn(omega, lam):

@@ -544,7 +544,7 @@ def _gk21(g, a, b):
     """QUADPACK's qk21 on the cells [a_i, b_i]: integrals and error estimates.
 
     The sums run in qk21's order, so a one-cell integral is the one
-    scipy.integrate.quad returns; g maps an array of points to its values.
+    QUADPACK's qagse returns; g maps an array of points to its values.
     """
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     dx = h[:, None] * _GK_X[:10]
@@ -570,27 +570,23 @@ def _gk21(g, a, b):
 
 
 def _quad(f, a, b):
-    """int_a^b f for finite a and a finite or infinite b.
+    """(int_a^b f, converged) for finite a and a finite or infinite b.
 
     Globally adaptive 21-point Gauss-Kronrod: the cell with the largest
     error estimate is halved until the estimates sum to at most
-    max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral|) or QUAD_CELLS cells are
-    in use, when the estimate so far is returned; scipy.integrate.quad
-    stops by the same rule.  An infinite b maps to t in (0, 1] by
-    x = a + (1 - t) / t.  f takes one float.  A sum that leaves the float
-    range, or an integrand value that is not a number, raises
+    max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral|), as in QUADPACK's qagse.
+    ``converged`` is False when QUAD_CELLS cells are in use first; the
+    estimate so far is then returned.  An infinite b maps to t in (0, 1]
+    by x = a + (1 - t) / t.  Like a multiplier callback, f takes an array
+    of points and returns an array of its shape.  A sum that leaves the
+    float range, or an integrand value that is not a number, raises
     FloatingPointError: an overflow is never an infinite integral.
     """
     if a == b:
-        return 0.0
-
-    def vals(x):
-        return np.array([f(v) for v in x.ravel().tolist()],
-                        dtype=float).reshape(x.shape)
-
-    g, lo, hi = vals, a, b
+        return 0.0, True
+    g, lo, hi = f, a, b
     if b == INF:
-        g = lambda t: vals(a + (1.0 - t) / t) / t / t
+        g = lambda t: f(a + (1.0 - t) / t) / t / t
         lo, hi = 0.0, 1.0
     cells = [(lo, hi)]
     with np.errstate(all="ignore"):
@@ -600,9 +596,10 @@ def _quad(f, a, b):
             if not math.isfinite(total):
                 raise FloatingPointError(
                     f"the integral over [{a!r}, {b!r}] leaves the float range")
-            if (math.fsum(err) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total))
-                    or len(cells) >= QUAD_CELLS):
-                return total
+            if math.fsum(err) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)):
+                return total, True
+            if len(cells) >= QUAD_CELLS:
+                return total, False
             i = int(np.argmax(err))
             lo, hi = cells[i]
             m = 0.5 * (lo + hi)
@@ -611,6 +608,14 @@ def _quad(f, a, b):
             cells.append((m, hi))
             res.append(float(r[1]))
             err.append(float(e[1]))
+
+
+def _pointwise(f):
+    """The array integrand of a scalar callback, called point by point."""
+    def g(x):
+        return np.array([f(v) for v in x.ravel().tolist()],
+                        dtype=float).reshape(x.shape)
+    return g
 
 
 def _merge(intervals):
@@ -661,13 +666,14 @@ def _mass(weight, mu, pieces):
     spans = _merge([(float(a), float(b)) for a, b in pieces if a < b])
     if spans and spans[-1][1] == INF:
         return INF
+    g = _pointwise(weight)
     mass = 0.0
     for a, b in spans:
         if mu.kind == LEBESGUE_LINE:
-            mass += _quad(weight, -b, -a) if a > 0 else 0.0
-            mass += _quad(weight, a if a > 0 else -b, b)
+            mass += _quad(g, -b, -a)[0] if a > 0 else 0.0
+            mass += _quad(g, a if a > 0 else -b, b)[0]
         else:
-            mass += _quad(weight, a, b)
+            mass += _quad(g, a, b)[0]
     return mass
 
 
@@ -781,11 +787,13 @@ def lp_check(lam, mu, p=None, f=None):
     among the first min_tail_samples points of the eps -> 0 grid; deeper,
     the numeric searches cannot tell a set beyond their reach from an
     unbounded one, and it is indeterminate.  A finite value is the
-    tanh-sinh quadrature over u = ln(1/t) of the numeric measure between the
-    ends plus the fitted power-law tails beyond them; where the quadrature
-    cannot follow a staircase (counting, step and sampled multipliers) the
-    body is summed by bisection, exactly on its flat steps.  Like a multiplier callback, ``f``
-    takes an array of values and returns an array of the same shape.
+    Gauss-Kronrod quadrature (``_quad``) over u = ln(1/t) of the numeric
+    measure between the ends plus the fitted power-law tails beyond them;
+    where the quadrature cannot follow a staircase within QUAD_CELLS cells
+    (counting, step and sampled multipliers) the body is summed by
+    bisection, exactly on its flat steps.  A body that leaves the float
+    range is indeterminate.  Like a multiplier callback, ``f`` takes an
+    array of values and returns an array of the same shape.
     """
     if (p is None) == (f is None):
         raise ValueError("exactly one of p or f is required")
@@ -849,15 +857,13 @@ def lp_check(lam, mu, p=None, f=None):
         with np.errstate(divide="ignore"):
             return np.log(m).reshape(u.shape)
 
-    # tanh-sinh evaluates each level of nodes in one call; it is the only
-    # user of scipy.integrate, which takes longer to import than the rest
-    # of the package
-    from scipy.integrate import tanhsinh
-    res = tanhsinh(lambda u: np.exp(log_phi(u) - u), a, b, rtol=QUAD_REL_TOL)
-    body = float(res.integral)
-    if res.status != 0 and math.isfinite(body):
-        cuts = [a] + sorted(u for u in knots if a < u < b) + [b]
-        body = _layers(log_phi, np.array(cuts), QUAD_REL_TOL * abs(body))
+    try:
+        body, converged = _quad(lambda u: np.exp(log_phi(u) - u), a, b)
+        if not converged:
+            cuts = [a] + sorted(u for u in knots if a < u < b) + [b]
+            body = _layers(log_phi, np.array(cuts), QUAD_REL_TOL * abs(body))
+    except FloatingPointError:
+        return LpResult("indeterminate", None)
     if not math.isfinite(body):
         return LpResult("indeterminate", None)
     return LpResult("finite", body + tails)

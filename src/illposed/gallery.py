@@ -1,19 +1,19 @@
 """Named operator models with closed-form spectral data.
 
-Each model carries whichever spectral description it is naturally given in:
-a singular value law (compact examples), a multiplier with its benchmark
-measure (non-compact and unbounded examples), or a directly known
-distribution function (eigenvalue counting asymptotics).  Models also
-record the classification and degree their parameters imply, which the
-test suite checks against the computed pipeline.
+Each model carries a singular value law (compact examples) or a multiplier
+with its benchmark measure.  A directly known distribution function
+(eigenvalue counting asymptotics) is the multiplier of its decreasing
+rearrangement on ([0, inf), Lebesgue), with the closed form as its
+``log_superlevel`` hook.  Models also record the classification and degree
+their parameters imply, which the test suite checks against the computed
+pipeline.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,12 +46,11 @@ class OperatorModel:
 
     id: str
     parameters: dict
-    kind: str  # "sigma" | "multiplier" | "phi"
+    kind: str  # "sigma" (sigma_law) | "multiplier" (multiplier on measure)
     expected: Expected
     sigma_law: TailLaw | None = None
     multiplier: Multiplier | None = None
     measure: MeasureSpace | None = None
-    log_phi_form: Callable | None = None
     eps_max: float = 0.99
     notes: str = ""
 
@@ -137,26 +136,36 @@ def weyl_from_theta(theta_inverse, d, c=1.0):
 def weyl(p=2.0, d=2, c=1.0):
     """Eigenvalue-counting model Phi(eps) = c * (Theta^-1(eps))^(d/2).
 
-    Theta(t) = t^-p, so Phi = c * eps^(-d/(2p)) and the degree is p/d.
+    Theta(t) = t^-p, so Phi = c * eps^(-d/(2p)) and the degree is p/d.  The
+    multiplier is the decreasing rearrangement (t/c)^(-2p/d) on [0, inf),
+    with a pole at t = 0.
     """
     d = _dimension(d)
     _positive(p=p, c=c)
+    p, c = float(p), float(c)
+    power = -2.0 * p / d
+
+    def fn(t):
+        a = np.abs(t)
+        pole = a == 0  # kept out of the power, which warns at 0
+        return np.where(pole, INF, np.where(pole, 1.0, a / c) ** power)
+
+    mult = Multiplier(
+        fn=fn, shape=MONOTONE_TAIL, sup_bound=INF,
+        log_superlevel=weyl_from_theta(lambda eps: eps ** (-1.0 / p), d, c))
     return OperatorModel(
-        id="weyl", parameters={"p": float(p), "d": d, "c": float(c)},
-        kind="phi",
-        log_phi_form=weyl_from_theta(lambda eps: eps ** (-1.0 / p), d, c),
-        expected=Expected(MODERATE, p / d),
+        id="weyl", parameters={"p": p, "d": d, "c": c}, kind="multiplier",
+        multiplier=mult, measure=MeasureSpace(LEBESGUE_HALFLINE),
+        expected=Expected(MODERATE, p / d, essinf_verdict="ill_posed"),
         notes="Phi = c * eps^(-d/(2p)) from the eigenvalue counting law")
 
 
 def inverse_laplacian(d=2):
     """Squared inverse of the Laplacian on a d-dimensional manifold."""
     d = _dimension(d)
-    base = weyl(p=2.0, d=d, c=1.0)
-    return OperatorModel(
-        id="inverse_laplacian", parameters={"d": d}, kind="phi",
-        log_phi_form=base.log_phi_form,
-        expected=Expected(MODERATE, 2.0 / d),
+    return replace(
+        weyl(p=2.0, d=d, c=1.0), id="inverse_laplacian", parameters={"d": d},
+        expected=Expected(MODERATE, 2.0 / d, essinf_verdict="ill_posed"),
         notes="Phi ~ eps^(-d/4); degree 2/d, dimension dependent")
 
 
@@ -187,9 +196,7 @@ def backward_heat(t_bar=1.0):
         return float(2 * k + 1) if k >= 0 else 0.0
 
     mult = Multiplier(
-        fn=fn, shape=DISCRETE, sup_bound=1.0,
-        superlevel=count,
-        log_superlevel=lambda e: math.log(count(e)) if count(e) > 0 else -INF,
+        fn=fn, shape=DISCRETE, sup_bound=1.0, superlevel=count,
         cutoff_hint=lambda e: math.ceil(
             math.sqrt(max(0.0, math.log(1.0 / e)) / t)) + 2)
     return OperatorModel(
@@ -296,8 +303,9 @@ def hausdorff():
     """Moment-sequence operator: lambda = pi / cosh(pi w) on [0, inf).
 
     The closed-form boundary is the standard small-eps form log(2 pi /
-    eps)/pi; the numeric bisection path recovers the exact arccosh
-    threshold, which agrees with it to O(eps^2).
+    eps)/pi, taken as a difference of logs so that it stays finite down to
+    the smallest subnormal eps; the numeric bisection path recovers the
+    exact arccosh threshold, which agrees with it to O(eps^2).
     """
     def fn(w):
         x = math.pi * np.abs(w)
@@ -305,7 +313,7 @@ def hausdorff():
         return np.where(x > 700.0, 0.0, math.pi / np.cosh(np.minimum(x, 700.0)))
 
     def boundary(eps):
-        return max(0.0, math.log(2.0 * math.pi / eps) / math.pi)
+        return max(0.0, (math.log(2.0 * math.pi) - math.log(eps)) / math.pi)
 
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=math.pi,
                       boundary=boundary)
@@ -519,9 +527,9 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
     """Run the full pipeline for a gallery model and compare with its tag.
 
     Dispatches on the model's spectral data: singular value laws go through
-    the counting path, multipliers through the superlevel path, direct
-    counting asymptotics are sampled as curves.  The reported degree is the
-    regression-refined one whenever the tail is power-law.
+    the counting path, multipliers through the superlevel path.  The
+    reported degree is the regression-refined one whenever the tail is
+    power-law.
     """
     _distribution._check_trim(trim)
     diagnostics = {}
@@ -543,19 +551,14 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
         diagnostics["counting_interval"] = (counting_iv.lower,
                                             counting_iv.upper,
                                             counting_iv.classification)
-    elif model.kind in ("multiplier", "phi"):
+    elif model.kind == "multiplier":
         if grid is None:
             grid = geometric_grid(model.eps_max, model.eps_max * 2.0 ** -59)
-        if model.kind == "multiplier":
-            phi = _distribution.phi_curve(model.multiplier, model.measure,
-                                          grid, method=method, trim=trim)
-        else:
-            logs = [model.log_phi_form(float(e)) for e in grid]
-            phi = DistributionFunction.build(np.asarray(grid, dtype=float),
-                                             logs, source="weyl")
+        phi = _distribution.phi_curve(model.multiplier, model.measure, grid,
+                                      method=method, trim=trim)
         interval, degree, info = _counting.estimate_curve(phi, thresholds)
         diagnostics.update(info)
-        if model.kind == "multiplier" and run_essinf:
+        if run_essinf:
             ess = _distribution.essinf_estimate(model.multiplier,
                                                 model.measure)
             diagnostics["essinf_value"] = ess.value
@@ -568,8 +571,7 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
     if matches and model.expected.degree is not None:
         matches = (degree is not None and
                    abs(degree - model.expected.degree) <= MATCH_TOL)
-    if model.expected.essinf_verdict is not None and run_essinf and \
-            model.kind == "multiplier":
+    if model.expected.essinf_verdict is not None and run_essinf:
         matches = matches and (diagnostics.get("essinf_verdict") ==
                                model.expected.essinf_verdict)
     diagnostics.setdefault("trend", interval.diagnostics.get("trend"))

@@ -117,7 +117,7 @@ def test_bad_integer_dimension_is_usage_error(capsys, model, value):
 @pytest.mark.parametrize("model,trim", [
     *(pytest.param("fractional_line", t, id=t)
       for t in ("-1", "nan", "inf", "-inf")),
-    # a sigma and a phi model, which never use the trim
+    # a sigma model, which never uses the trim, and a counting-law model
     ("riemann_liouville", "nan"), ("weyl", "-3")])
 def test_invalid_trim_is_usage_error(capsys, model, trim):
     code, out, err = run(capsys, "analyze", "--model", model,
@@ -187,6 +187,53 @@ def test_reweight_hausdorff(capsys):
     # i.e. moderate of degree 1/2, which is why the measure must stay fixed
     assert payload["classification"] == "moderate"
     assert abs(payload["ratios"][-1][1] - 0.5) < 0.01
+
+
+def test_reweight_with_too_few_samples_is_a_numerical_failure(capsys):
+    code, out, err = run(capsys, "reweight", "--model", "hausdorff",
+                         "--density", "exp-pi", "--points", "5")
+    assert code == 1
+    assert out == ""
+    assert "need at least 10 samples" in err
+
+
+def test_reweight_down_to_the_smallest_subnormal_eps_never_prints_inf(capsys):
+    # the superlevel sets stay finite (radius 237.5 at 5e-324); the mass
+    # exp(pi x) / 2 beyond the float range is a numerical failure
+    code, out, err = run(capsys, "reweight", "--model", "hausdorff",
+                         "--density", "exp-pi", "--eps-min", "5e-324",
+                         "--emit", "csv")
+    assert code == 1
+    assert '"inf"' not in out
+    assert err.startswith("numerical failure")
+
+
+WEYL = ("analyze", "--model", "weyl", "--param", "p=3", "--param", "d=2",
+        "--param", "c=2", "--eps-min", "1e-12", "--eps-max", "0.9",
+        "--points", "40", "--emit", "json")
+
+
+def test_weyl_numeric_search_agrees_with_its_closed_form(capsys):
+    _, out, _ = run(capsys, *WEYL)
+    closed = json.loads(out)
+    code, out, _ = run(capsys, *WEYL, "--method", "numeric")
+    assert code == 0
+    numeric = json.loads(out)
+    # the search ran: bisection moves last digits, never more than 1e-6
+    assert numeric["log_phi"] != closed["log_phi"]
+    assert numeric["log_phi"] == pytest.approx(closed["log_phi"], abs=1e-6)
+    assert numeric["classification"] == closed["classification"] == "moderate"
+
+
+def test_weyl_trim_removes_the_pole_interval(capsys):
+    code, out, _ = run(capsys, *WEYL, "--trim", "1")
+    assert code == 0
+    payload = json.loads(out)
+    # Phi = 2 eps^(-1/3) on [0, inf); the trim takes away [0, 1)
+    for eps, log_phi in zip(payload["eps_grid"], payload["log_phi"]):
+        assert math.exp(log_phi) == pytest.approx(2.0 * eps ** (-1.0 / 3.0)
+                                                  - 1.0, rel=1e-9)
+    assert payload["diagnostics"]["trim"] == 1.0
 
 
 def test_reweight_density_model_mismatch(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from illposed.core import TruncationWarning
-from illposed import cli
+from illposed import cli, counting
 from illposed import discretize as dz
 
 
@@ -67,7 +67,8 @@ class TestSingularValues:
     def test_identity(self):
         seq = dz.singular_values(np.eye(5))
         assert np.allclose(seq.values, np.ones(5), rtol=0, atol=0)
-        assert seq.exhausted_flag
+        # a finite matrix has no tail law: counts beyond it saturate
+        assert counting.counting_phi(seq, 0.5) == (5.0, True)
 
     def test_diagonal(self):
         seq = dz.singular_values(np.diag([3.0, 2.0, 1.0]))
@@ -207,7 +208,9 @@ class TestSections:
                               compute_uv=False)
         assert seq.method == "propack"
         assert len(seq) == n // 8 and seq.kept == n
-        assert not seq.exhausted_flag
+        # counts beyond the leading values saturate: the data stops there
+        assert counting.counting_phi(seq, seq.values[-1] ** 2 / 2.0) \
+            == (n // 8, True)
         assert seq.values == pytest.approx(dense[:n // 8], rel=1e-12)
 
     @pytest.mark.parametrize("n,kept", [(256, 21), (512, 23), (1024, 26)])

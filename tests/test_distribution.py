@@ -303,44 +303,51 @@ class TestReweight:
 
 
 class TestQuad:
-    """The adaptive Gauss-Kronrod rule behind reweighting and the FFT bounds."""
+    """The adaptive Gauss-Kronrod rule behind reweighting, the FFT bounds
+    and the layer-cake body of lp_check."""
 
     @staticmethod
     def promised(exact):
         return max(dist.QUAD_ABS_TOL, dist.QUAD_REL_TOL * abs(exact))
 
+    @staticmethod
+    def converged(f, a, b):
+        got, converged = dist._quad(f, a, b)
+        assert converged
+        return got
+
     @pytest.mark.parametrize("x", [0.5, 3.0, 6.4])
     def test_criterion_7a_integrand(self, x):
-        got = dist._quad(lambda w: 0.5 * math.exp(math.pi * w), 0.0, x)
+        got = self.converged(lambda w: 0.5 * np.exp(math.pi * w), 0.0, x)
         exact = math.expm1(math.pi * x) / (2.0 * math.pi)
         assert abs(got - exact) <= self.promised(exact)
         assert got == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("lower", [0.0, 1.0, 5.0, 64.0, 200.0])
     def test_exponential_tail(self, lower):
-        got = dist._quad(lambda t: math.exp(-t), lower, math.inf)
+        got = self.converged(lambda t: np.exp(-t), lower, math.inf)
         exact = math.exp(-lower)
         assert abs(got - exact) <= self.promised(exact)
         assert got == pytest.approx(exact, rel=1e-6)
 
     @pytest.mark.parametrize("lower", [0.0, 2.0, 6.0, 12.0])
     def test_gaussian_tail(self, lower):
-        got = dist._quad(lambda t: math.exp(-t * t), lower, math.inf)
+        got = self.converged(lambda t: np.exp(-t * t), lower, math.inf)
         exact = 0.5 * math.sqrt(math.pi) * math.erfc(lower)
         assert abs(got - exact) <= self.promised(exact)
         assert got == pytest.approx(exact, rel=1e-10)
 
     def test_square_root_with_its_endpoint_singularity(self):
-        got = dist._quad(math.sqrt, 0.0, 1.0)
+        got = self.converged(np.sqrt, 0.0, 1.0)
         assert abs(got - 2.0 / 3.0) <= self.promised(2.0 / 3.0)
 
     def test_polynomials_to_degree_31_in_one_cell(self):
         for deg in range(32):
-            got = dist._quad(lambda x: x ** deg, 0.0, 1.0)
+            got = self.converged(lambda x: x ** deg, 0.0, 1.0)
             assert got == pytest.approx(1.0 / (deg + 1), rel=1e-14, abs=0.0)
 
     def test_empty_range(self):
-        assert dist._quad(math.exp, 2.0, 2.0) == 0.0
+        assert dist._quad(np.exp, 2.0, 2.0) == (0.0, True)
 
     def test_agrees_with_scipy_on_the_reweighting_integrands(self):
         # the hausdorff sets [-x, x] of `reweight`, on the grid the README's
@@ -356,22 +363,24 @@ class TestQuad:
                                             float(eps)) / 2.0
                 ref, _ = integrate.quad(kappa, -x, x, epsrel=dist.QUAD_REL_TOL,
                                         limit=dist.QUAD_CELLS)
-                assert dist._quad(kappa, -x, x) == pytest.approx(ref, rel=1e-12)
+                got = self.converged(dist._pointwise(kappa), -x, x)
+                assert got == pytest.approx(ref, rel=1e-12)
 
     def test_cell_limit_gives_a_finite_estimate_without_warning(self):
-        calls = []
+        points = []
 
         def f(x):
-            calls.append(x)
+            points.append(x.size)
             return 1.0 / x
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = dist._quad(f, 0.0, 1.0)
+            got, converged = dist._quad(f, 0.0, 1.0)
         assert not caught
+        assert not converged
         assert math.isfinite(got) and got > 0
         # one cell, then two new ones per halving until QUAD_CELLS are in use
-        assert len(calls) == 21 * (2 * dist.QUAD_CELLS - 1)
+        assert sum(points) == 21 * (2 * dist.QUAD_CELLS - 1)
 
 
 class TestEssinf:
@@ -521,6 +530,19 @@ class TestLpCheck:
                          sup_bound=1.0)
         res = dist.lp_check(lam, MeasureSpace(COUNTING_INTEGERS), p=1)
         assert res.verdict != "infinite"
+
+    @pytest.mark.parametrize("peak,verdict", [(1e300, "finite"),
+                                              (1e308, "indeterminate")])
+    def test_body_beyond_the_float_range_is_indeterminate(self, peak,
+                                                          verdict):
+        # int peak exp(-w/100) over [0, inf) is 100 peak: a float at 1e300,
+        # an overflow, not a divergence, at 1e308
+        lam = Multiplier(fn=lambda w: peak * np.exp(-w / 100.0),
+                         shape=MONOTONE_TAIL, sup_bound=peak)
+        res = dist.lp_check(lam, MeasureSpace(LEBESGUE_HALFLINE), p=1)
+        assert res.verdict == verdict
+        if verdict == "finite":
+            assert res.value == pytest.approx(100.0 * peak, rel=1e-8)
 
 
 def _counted(lam):

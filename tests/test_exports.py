@@ -28,13 +28,18 @@ def test_package_reexports_resolve():
 
 
 def test_check_runs_without_scipy_integrate_or_optimize():
-    # scipy.integrate takes longer to import than the rest of the package
-    # and only lp_check needs it.  A fresh interpreter, because pytest's
-    # warning filters import scipy.integrate into this one.
+    # these scipy modules take longer to import than the rest of the package
+    # and none is needed: quadrature is distribution._quad and the section
+    # products use numpy.fft.  A fresh interpreter, because pytest's warning
+    # filters import scipy.integrate into this one.
     script = ("import sys, illposed, illposed.cli, illposed.acceptance\n"
-              "illposed.acceptance.run_all(only={'6', '7'})\n"
-              "print([m for m in ('scipy.integrate', 'scipy.optimize')"
-              " if m in sys.modules])")
+              "from illposed import distribution, gallery\n"
+              "illposed.acceptance.run_all(only={'4', '5', '6', '7'})\n"
+              "model = gallery.make('hausdorff')\n"
+              "assert distribution.lp_check(model.multiplier, model.measure,"
+              " p=1).verdict == 'finite'\n"
+              "print([m for m in ('scipy.integrate', 'scipy.optimize',"
+              " 'scipy.fft', 'scipy.special') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(illposed.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -28,6 +28,13 @@ class TestConstructors:
         assert model.multiplier(0.0) == pytest.approx(math.pi)
         assert model.multiplier.sup_bound == math.pi
 
+    def test_hausdorff_boundary_is_finite_at_the_smallest_subnormal(self):
+        model = gallery.make("hausdorff")
+        got = dist.superlevel_measure(model.multiplier, model.measure, 5e-324)
+        want = (math.log(2.0 * math.pi) - math.log(5e-324)) / math.pi
+        assert math.isfinite(got) and got == pytest.approx(want, rel=1e-15)
+        assert got == pytest.approx(237.5476, abs=1e-4)
+
     def test_backward_heat_evaluation(self):
         model = gallery.make("backward_heat", t_bar=2.0)
         assert model.multiplier(2) == pytest.approx(math.exp(-8.0))
@@ -81,8 +88,9 @@ class TestAnalyzeDispatch:
 
     def test_phi_path(self):
         rep = gallery.analyze(gallery.make("inverse_laplacian", d=4), grid=DEEP)
-        assert rep.phi.source == "weyl"
+        assert rep.phi.source == "superlevel"
         assert rep.degree == pytest.approx(0.5, abs=1e-6)
+        assert rep.diagnostics["essinf_verdict"] == "ill_posed"
 
     def test_fractional_closed_form_value(self):
         model = gallery.make("fractional_line", s=0.75)
@@ -113,9 +121,9 @@ class TestGalleryInvariants:
         inv = gallery.make("inverse_laplacian", d=3)
         wey = gallery.make("weyl", p=2.0, d=3, c=1.0)
         grid = geometric_grid(0.9, 1e-9, 40)
-        a = [inv.log_phi_form(float(e)) for e in grid]
-        b = [wey.log_phi_form(float(e)) for e in grid]
-        assert a == pytest.approx(b, abs=1e-15)
+        a = dist.phi_curve(inv.multiplier, inv.measure, grid).log_phi
+        b = dist.phi_curve(wey.multiplier, wey.measure, grid).log_phi
+        assert a.tolist() == pytest.approx(b.tolist(), abs=1e-15)
 
     def test_weyl_generic_theta_callable(self):
         log_phi = gallery.weyl_from_theta(lambda eps: eps ** -0.5, d=4, c=2.0)
