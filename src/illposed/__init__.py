@@ -11,7 +11,7 @@ from .core import (CurveMonotonicityError, DistributionFunction,
                    IllPosednessInterval, InsufficientDataError, MeasureSpace,
                    Multiplier, SigmaSequence, TailLaw, Thresholds,
                    TruncationWarning, UnsupportedMeasureError, ball_volume,
-                   classify, geometric_grid, ratio)
+                   geometric_grid, ratio)
 from .counting import (counting_curve, counting_phi, interval_from_counting,
                        interval_from_sigma, step_multiplier_from_sigma)
 from .distribution import (d_lambda, decreasing_rearrangement,

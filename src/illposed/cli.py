@@ -57,19 +57,6 @@ def to_json(obj):
     return _fmt(obj)
 
 
-def _sanitize(obj):
-    """Make diagnostics JSON-safe (tuples -> lists, numpy -> python)."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _write(text, path):
     if path is None:
         sys.stdout.write(text)
@@ -100,7 +87,7 @@ def _report_payload(report):
     iv = report.interval
     return {
         "model": report.model,
-        "params": _sanitize(report.params),
+        "params": report.params,
         "eps_grid": [float(v) for v in report.phi.eps_grid],
         "log_phi": [float(v) for v in report.phi.log_phi],
         "ratios": [[e, r] for e, r in report.ratios],
@@ -111,7 +98,7 @@ def _report_payload(report):
                      "degree": report.expected.degree},
         "matches_expected": report.matches_expected,
         "finiteness": report.phi.finiteness,
-        "diagnostics": _sanitize(report.diagnostics),
+        "diagnostics": report.diagnostics,
     }
 
 
@@ -268,7 +255,7 @@ def _cmd_discretize(args):
                             "B": float(report.interval.upper)},
                "classification": report.classification,
                "degree": report.degree,
-               "diagnostics": _sanitize(report.diagnostics)}
+               "diagnostics": report.diagnostics}
     return _emit(args, payload, "n,sigma", enumerate(sigma, 1))
 
 

@@ -398,25 +398,3 @@ def ratio(eps, log_phi):
     if not log_phi > 0.0 or math.isinf(log_phi):
         return None
     return math.log(eps) / (-2.0 * log_phi)
-
-
-def classify(lower, upper, thresholds=DEFAULT_THRESHOLDS):
-    """Pure threshold classification of an interval estimate.
-
-    Returns ``(classification, degree)``; the degree is the midpoint and is
-    only reported when the interval has collapsed below ``tau_collapse``.
-    ``well_posed`` is never produced here: only the essential-infimum
-    diagnostics may claim it.  Intervals straddling a threshold are
-    indeterminate.
-    """
-    t = thresholds
-    if math.isnan(lower) or math.isnan(upper) or not 0 <= lower <= upper:
-        raise ValueError("need 0 <= lower <= upper")
-    if upper < t.tau_mild:
-        return MILD, None
-    if lower > t.tau_severe:
-        return SEVERE, None
-    if t.tau_mild <= lower and upper <= t.tau_severe:
-        degree = 0.5 * (lower + upper) if upper - lower < t.tau_collapse else None
-        return MODERATE, degree
-    return INDETERMINATE, None

@@ -9,6 +9,7 @@ integer identity tested in the suite.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -26,9 +27,13 @@ __all__ = [
     "interval_from_sigma",
     "interval_from_counting",
     "estimate_curve",
-    "window_logs",
+    "corner_curve",
     "step_multiplier_from_sigma",
 ]
+
+
+# source tag of corner curves, whose window is chosen by index
+_CORNERS = "corners"
 
 
 class PhiCount(NamedTuple):
@@ -91,50 +96,52 @@ def counting_curve(sigma: SigmaSequence, grid) -> DistributionFunction:
                                       exhausted=exhausted)
 
 
-def _window_indices(n_values, window):
-    if window is None:
-        lo, hi = n_values // 2, n_values
-    else:
-        lo, hi = window
-    lo = max(2, int(lo))  # n = 1 has log n = 0
-    hi = min(int(hi), n_values)
-    if hi - lo + 1 < 2:
+def corner_curve(sigma: SigmaSequence, window=None) -> DistributionFunction:
+    """The counting curve at its corners: ln Phi(sigma_n^2-) = ln n.
+
+    ``window`` is the 1-based index range (default the upper half), n >= 2
+    since ln 1 = 0.  At eps_n = sigma_n^2 the ratio sample is the decay
+    exponent -ln sigma_n / ln n.  Phi is right-continuous, so its left
+    limit at a tied value counts the whole group: each group of equal
+    squares keeps its last index.  Squares that underflow to 0 lie below
+    every float eps and are left out.
+    """
+    n_values = len(sigma)
+    lo, hi = (n_values // 2, n_values) if window is None else window
+    lo, hi = max(2, int(lo)), min(int(hi), n_values)
+    sq = sigma.squares[lo - 1:hi]
+    last = np.diff(sq, append=0.0) < 0  # False on ties and on zeros
+    n = np.arange(lo, lo + sq.size, dtype=float)[last]
+    if n.size < 2:
         raise InsufficientDataError("window too small")
-    return lo, hi
-
-
-def window_logs(seq: SigmaSequence, lo, hi):
-    """(n, -ln sigma_n) over the 1-based index window [lo, hi]."""
-    n = np.arange(lo, hi + 1, dtype=float)
-    return n, -np.log(seq.values[lo - 1:hi])
+    return DistributionFunction.build(sq[last], np.log(n), source=_CORNERS,
+                                      sup_bound=float(sigma.values[0] ** 2))
 
 
 def interval_from_sigma(sigma: SigmaSequence, window=None,
                         thresholds=DEFAULT_THRESHOLDS) -> IllPosednessInterval:
-    """Interval of ill-posedness from the decay exponents -ln sigma_n / ln n.
+    """Interval of ill-posedness from the singular values.
 
-    The window (1-based index range, default the upper half) stands in for
-    the asymptotic liminf/limsup; it is recorded in the diagnostics along
-    with a regression cross-check: the fit -ln sigma_n ~ s ln n, whose
-    slope is the degree when the residual is small and which, like the
-    curve-side regression, is insensitive to constant prefactors.
+    For compact operators the degree of the counting function equals the
+    degree of the singular values, so this is :func:`estimate_curve` on the
+    :func:`corner_curve` of the window.  The diagnostics record the index
+    range of the corners, the regression of ln n against -2 ln sigma_n
+    and, when that fit is accepted, its ``regression_degree``, which unlike
+    the raw exponents is insensitive to constant prefactors.
     """
     if len(sigma) < 32:
         raise InsufficientDataError(
             f"need at least 32 singular values, got {len(sigma)}")
-    lo, hi = _window_indices(len(sigma), window)
-    n, y = window_logs(sigma, lo, hi)
-    exponents = y / np.log(n)
-    cls, degree, diags = estimate.classify_window(exponents, thresholds)
-    diags["window_indices"] = (lo, hi)
-    slope, _, rms = estimate.power_law_fit(np.log(n), y)
-    diags["regression_slope"] = slope
-    diags["regression_rms"] = rms
-    if rms < thresholds.residual_tol and slope > 0:
-        diags["regression_degree"] = slope
-    lower = max(0.0, float(exponents.min()))
-    upper = max(lower, float(exponents.max()))
-    return IllPosednessInterval(lower, upper, cls, degree, diags)
+    phi = corner_curve(sigma, window)
+    interval, _, info = estimate_curve(phi, thresholds)
+    diags = interval.diagnostics
+    diags.update(info)
+    n = np.rint(np.exp(phi.log_phi[[0, -1]]))
+    diags["window_indices"] = (int(n[0]), int(n[1]))
+    if info["regression_rms"] < thresholds.residual_tol \
+            and info["regression_slope"] > 0:
+        diags["regression_degree"] = 1.0 / (2.0 * info["regression_slope"])
+    return interval
 
 
 def interval_from_counting(phi: DistributionFunction,
@@ -159,8 +166,12 @@ def estimate_curve(phi: DistributionFunction, thresholds=DEFAULT_THRESHOLDS):
 
     The degree is the regression-refined one when the interval is moderate
     and the power-law fit is accepted, since constant prefactors bias the
-    raw ratio window; otherwise it is the interval's own degree.
+    raw ratio window; otherwise it is the interval's own degree.  A
+    :func:`corner_curve` is estimated over its whole window, which was
+    already chosen by index.
     """
+    if phi.source == _CORNERS:
+        thresholds = replace(thresholds, window_fraction=1.0)
     interval = interval_from_counting(phi, thresholds)
     slope, rms, degree = estimate.regression_report(phi, thresholds)
     if interval.classification != MODERATE or degree is None:

@@ -441,13 +441,15 @@ def _spectrum_fits(n, y):
 
 
 def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
-    """matrix or Section -> singular values -> curve -> classification.
+    """matrix or Section -> singular values -> corner curve -> classification.
 
     Finite sections carry the true spectrum only in their lower index
-    range, where raw decay exponents are still biased by constant
-    prefactors, so the classification selects between an algebraic-decay
-    model (moderate; degree = fitted exponent) and an exponential-decay
-    model (severe) by the quality of the corresponding fits.
+    range, where the ratio samples of the corner curve (the raw decay
+    exponents) are still biased by constant prefactors.  So [A, B] are
+    their extremes, but the classification selects between an
+    algebraic-decay model (moderate; degree = fitted exponent) and an
+    exponential-decay model (severe) by the quality of the corresponding
+    fits, and falls back to the estimator only when neither fits.
     """
     seq = singular_values(m)
     kept = seq.kept
@@ -456,21 +458,15 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
     if hi <= lo:
         raise ValueError(f"{kept} singular value(s) kept: too few for a "
                          "two-point estimation window")
-    sq = seq.squares
-    grid_hi = float(sq[lo - 1]) * 0.999
-    grid_lo = float(sq[hi - 1]) * 1.001
-    if grid_lo >= grid_hi:
-        grid_lo = grid_hi * 1e-9
-    grid = geometric_grid(grid_hi, grid_lo)
-    phi = _counting.counting_curve(seq, grid)
+    phi = _counting.corner_curve(seq, (lo, hi))
     diagnostics = {"window_indices": (lo, hi), "kept_values": kept,
                    "spectrum": {"method": seq.method, "computed": len(seq)}}
-    n, y = _counting.window_logs(seq, lo, hi)
-    fits = _spectrum_fits(n, y)
+    fits = _spectrum_fits(np.arange(lo, hi + 1, dtype=float),
+                          -np.log(seq.values[lo - 1:hi]))
     diagnostics.update(fits)
-    exponents = y / np.log(n)
-    lower = max(0.0, float(exponents.min()))
-    upper = max(lower, float(exponents.max()))
+    ratios = [r for _, r in _estimate.ratio_samples(phi)]
+    lower = max(0.0, min(ratios, default=0.0))
+    upper = max(lower, max(ratios, default=math.inf))
     power_ok = fits["power_rms_rel"] <= FIT_TOL and fits["power_slope"] > 0
     exp_ok = fits["exp_rms_rel"] <= FIT_TOL and fits["exp_rate"] > 0
     degree = None
@@ -482,9 +478,9 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
         classification = SEVERE
     else:
         try:
-            classification, degree, trend = _estimate.classify_window(
-                exponents, thresholds)
-            diagnostics.update(trend)
+            fallback, degree, _ = _counting.estimate_curve(phi, thresholds)
+            classification = fallback.classification
+            diagnostics.update(fallback.diagnostics)
         except InsufficientDataError:
             classification = INDETERMINATE
     collapsed = degree if (classification == MODERATE

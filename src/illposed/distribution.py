@@ -679,7 +679,13 @@ def _mass(weight, mu, pieces):
 
 def _positive(kappa):
     def wrapped(x):
-        v = kappa(x)
+        try:
+            v = kappa(x)
+        except OverflowError:
+            v = INF
+        if v == INF:
+            raise FloatingPointError(
+                f"the density leaves the float range at {x!r}")
         if not v > 0:
             raise ValueError(f"density must be strictly positive, got {v!r}")
         return v

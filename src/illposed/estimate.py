@@ -52,7 +52,8 @@ def power_law_fit(x, y):
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    with np.errstate(over="ignore"):  # residuals beyond 1e154: rms is inf
+        rms = float(np.sqrt(np.mean(resid ** 2)))
     return float(coef[0]), float(coef[1]), rms
 
 
@@ -159,9 +160,10 @@ def regression_report(phi, thresholds=DEFAULT_THRESHOLDS):
     t = thresholds
     if phi.finiteness == NON_INFORMATIVE:
         return None, math.inf, None
-    pairs = [(math.log(1.0 / e), lp)
-             for e, lp in zip(phi.eps_grid, phi.log_phi)
-             if np.isfinite(lp) and lp > 0 and 0 < e < 1]
+    # -ln eps, since 1/eps overflows below eps = 5.6e-309
+    pairs = [(-math.log(e), lp)
+             for e, lp in zip(phi.eps_grid.tolist(), phi.log_phi.tolist())
+             if math.isfinite(lp) and lp > 0 and 0 < e < 1]
     if len(pairs) < t.min_tail_samples:
         return None, math.inf, None
     tail = _tail(pairs, t.window_fraction, t.min_tail_samples)

@@ -192,13 +192,13 @@ def backward_heat(t_bar=1.0):
         return k
 
     def count(eps):
-        k = strict_root(math.log(1.0 / eps) / t) if eps < 1.0 else -1
+        k = strict_root(-math.log(eps) / t) if eps < 1.0 else -1
         return float(2 * k + 1) if k >= 0 else 0.0
 
     mult = Multiplier(
         fn=fn, shape=DISCRETE, sup_bound=1.0, superlevel=count,
         cutoff_hint=lambda e: math.ceil(
-            math.sqrt(max(0.0, math.log(1.0 / e)) / t)) + 2)
+            math.sqrt(max(0.0, -math.log(e)) / t)) + 2)
     return OperatorModel(
         id="backward_heat", parameters={"t_bar": t}, kind="multiplier",
         multiplier=mult, measure=MeasureSpace(COUNTING_INTEGERS),
@@ -259,7 +259,7 @@ def multiplier_b(s=1.0):
         return np.exp(-np.abs(w) ** s)
 
     def boundary(eps):
-        return math.log(1.0 / eps) ** (1.0 / s) if eps < 1.0 else 0.0
+        return (-math.log(eps)) ** (1.0 / s) if eps < 1.0 else 0.0
 
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
                       boundary=boundary)
@@ -333,7 +333,9 @@ def gaussian_kernel(d=1):
         return peak * np.exp(-0.5 * r * r)
 
     def boundary(eps):
-        return math.sqrt(2.0 * math.log(peak / eps)) if eps < peak else 0.0
+        if eps >= peak:
+            return 0.0
+        return math.sqrt(2.0 * (math.log(peak) - math.log(eps)))
 
     mult = Multiplier(fn=fn, shape=RADIAL_MONOTONE_TAIL, sup_bound=peak,
                       boundary=boundary)
@@ -526,10 +528,11 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
             method="auto", trim=None, run_essinf=True):
     """Run the full pipeline for a gallery model and compare with its tag.
 
-    Dispatches on the model's spectral data: singular value laws go through
-    the counting path, multipliers through the superlevel path.  The
-    reported degree is the regression-refined one whenever the tail is
-    power-law.
+    Dispatches on the model's spectral data: singular value laws give the
+    corners of their counting curve (the report shows the curve on the
+    grid), multipliers their superlevel curve; both go through the one
+    estimator.  The reported degree is the regression-refined one whenever
+    the tail is power-law.
     """
     _distribution._check_trim(trim)
     diagnostics = {}
@@ -541,30 +544,22 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
             if lo >= hi:
                 lo = hi / 1e6
             grid = geometric_grid(hi, lo)
+        # the estimate reads the corners; the grid curve is for display
         phi = _counting.counting_curve(seq, grid)
-        interval = _counting.interval_from_sigma(seq, thresholds=thresholds)
-        degree = interval.degree
-        if interval.classification == MODERATE and \
-                "regression_degree" in interval.diagnostics:
-            degree = interval.diagnostics["regression_degree"]
-        counting_iv = _counting.interval_from_counting(phi, thresholds)
-        diagnostics["counting_interval"] = (counting_iv.lower,
-                                            counting_iv.upper,
-                                            counting_iv.classification)
+        estimated = _counting.corner_curve(seq)
     elif model.kind == "multiplier":
         if grid is None:
             grid = geometric_grid(model.eps_max, model.eps_max * 2.0 ** -59)
-        phi = _distribution.phi_curve(model.multiplier, model.measure, grid,
-                                      method=method, trim=trim)
-        interval, degree, info = _counting.estimate_curve(phi, thresholds)
-        diagnostics.update(info)
-        if run_essinf:
-            ess = _distribution.essinf_estimate(model.multiplier,
-                                                model.measure)
-            diagnostics["essinf_value"] = ess.value
-            diagnostics["essinf_verdict"] = ess.verdict
+        phi = estimated = _distribution.phi_curve(
+            model.multiplier, model.measure, grid, method=method, trim=trim)
     else:
         raise ValueError(f"unknown spectral data kind {model.kind!r}")
+    interval, degree, info = _counting.estimate_curve(estimated, thresholds)
+    diagnostics.update(info)
+    if model.kind == "multiplier" and run_essinf:
+        ess = _distribution.essinf_estimate(model.multiplier, model.measure)
+        diagnostics["essinf_value"] = ess.value
+        diagnostics["essinf_verdict"] = ess.verdict
 
     ratios = _estimate.ratio_samples(phi)
     matches = interval.classification == model.expected.classification

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -206,6 +207,49 @@ def test_reweight_down_to_the_smallest_subnormal_eps_never_prints_inf(capsys):
     assert code == 1
     assert '"inf"' not in out
     assert err.startswith("numerical failure")
+
+
+@pytest.mark.parametrize("model, density", [("hausdorff", "exp-pi"),
+                                            ("backward_heat", "exp-t-k2")])
+def test_density_beyond_the_float_range_is_named(capsys, model, density):
+    # at 5e-324 the density reaches exp(746) (hausdorff) and exp(729)
+    # (backward_heat); the mass is beyond the float range, not infinite
+    code, out, err = run(capsys, "reweight", "--model", model,
+                         "--density", density, "--eps-min", "5e-324")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("numerical failure: FloatingPointError: "
+                          "the density leaves the float range at ")
+
+
+@pytest.mark.parametrize("method", ["auto", "numeric"])
+@pytest.mark.parametrize("model", ["hausdorff", "multiplier_b",
+                                   "gaussian_kernel", "backward_heat"])
+def test_severe_models_down_to_the_smallest_subnormal_eps(capsys, model,
+                                                          method):
+    # ln(1/eps) overflows below eps = 5.6e-309; -ln eps does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", "--model", model,
+                             "--method", method, "--eps-min", "5e-324")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["classification"] == "severe"
+    assert payload["finiteness"] == "finite"
+    assert all(math.isfinite(v) for v in payload["log_phi"])
+    assert payload["matches_expected"] is True
+
+
+def test_sigma_report_diagnostics_come_from_the_one_estimator(capsys):
+    code, out, _ = run(capsys, "analyze", "--model", "riemann_liouville",
+                       "--param", "alpha=0.5")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload["diagnostics"]) == ["regression_slope",
+                                            "regression_rms", "trend", "drift"]
+    # ln n against -2 ln sigma_n = ln n: slope 1/(2 alpha)
+    assert payload["diagnostics"]["regression_slope"] == pytest.approx(1.0)
+    assert payload["degree"] == pytest.approx(0.5, abs=1e-12)
 
 
 WEYL = ("analyze", "--model", "weyl", "--param", "p=3", "--param", "d=2",

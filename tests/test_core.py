@@ -5,8 +5,8 @@ import pytest
 
 from illposed.core import (CurveMonotonicityError, DistributionFunction,
                            IllPosednessInterval, MeasureSpace, Multiplier,
-                           SigmaSequence, TailLaw, Thresholds, ball_volume,
-                           classify, geometric_grid, ratio)
+                           SigmaSequence, TailLaw, ball_volume,
+                           geometric_grid, ratio)
 
 
 def test_ratio_power_law_cancellation():
@@ -29,28 +29,6 @@ def test_ratio_undefined_samples_are_skipped():
     assert ratio(1e-4, -2.0) is None
     assert ratio(1.5, 3.0) is None        # eps >= 1
     assert ratio(1e-4, math.inf) is None  # divergent sample
-
-
-def test_classify_examples():
-    t = Thresholds()
-    assert classify(0.98, 1.02, t) == ("moderate", pytest.approx(1.0))
-    assert classify(0.01, 0.02, t) == ("mild", None)
-    assert classify(120.0, math.inf, t) == ("severe", None)
-
-
-def test_classify_straddling_is_indeterminate():
-    t = Thresholds()
-    assert classify(0.01, 10.0, t)[0] == "indeterminate"
-    # wide but in-range interval: moderate without a degree
-    cls, degree = classify(0.5, 2.0, t)
-    assert cls == "moderate" and degree is None
-
-
-def test_classify_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        classify(2.0, 1.0)
-    with pytest.raises(ValueError):
-        classify(-1.0, 1.0)
 
 
 def test_geometric_grid_endpoints_inclusive():

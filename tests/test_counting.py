@@ -5,9 +5,10 @@ import pytest
 
 from illposed.core import (InsufficientDataError, SigmaSequence, TailLaw,
                            Thresholds, geometric_grid)
-from illposed.counting import (counting_curve, counting_phi, estimate_curve,
-                               interval_from_counting, interval_from_sigma,
-                               step_multiplier_from_sigma)
+from illposed.counting import (corner_curve, counting_curve, counting_phi,
+                               estimate_curve, interval_from_counting,
+                               interval_from_sigma, step_multiplier_from_sigma)
+from illposed.estimate import ratio_samples
 from illposed.distribution import phi_curve, superlevel_measure
 from illposed.core import DistributionFunction
 
@@ -49,6 +50,57 @@ class TestCountingPhi:
         grid = geometric_grid(2.0, 1e-3, 40)
         counts = [counting_phi(seq, float(e)).count for e in grid]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+class TestCornerCurve:
+    def test_corner_ratios_are_the_decay_exponents(self):
+        n = np.arange(1, 257, dtype=float)
+        seq = SigmaSequence(np.pi / n ** 1.5)
+        phi = corner_curve(seq)
+        # default window: the upper half, n = 128 .. 256
+        assert np.array_equal(phi.eps_grid, seq.squares[127:])
+        assert np.array_equal(phi.log_phi, np.log(n[127:]))
+        ratios = np.array([r for _, r in ratio_samples(phi)])
+        exponents = -np.log(seq.values[127:]) / np.log(n[127:])
+        assert ratios == pytest.approx(exponents, rel=1e-14)
+
+    def test_ties_keep_the_last_index(self):
+        seq = SigmaSequence([1.0, 0.5, 0.5, 0.5, 0.25, 0.25, 0.1, 0.05])
+        phi = corner_curve(seq, window=(1, 8))
+        assert np.exp(phi.log_phi) == pytest.approx([4.0, 6.0, 7.0, 8.0])
+        # Phi is right-continuous: just below each corner it counts n
+        for eps, lp in zip(phi.eps_grid, phi.log_phi):
+            below = counting_phi(seq, eps * (1.0 - 1e-12)).count
+            assert below == pytest.approx(math.exp(lp))
+
+    def test_window_is_clipped_to_n_at_least_two(self):
+        seq = SigmaSequence(1.0 / np.arange(1, 11, dtype=float))
+        phi = corner_curve(seq, window=(0, 40))
+        assert np.exp(phi.log_phi[[0, -1]]) == pytest.approx([2.0, 10.0])
+        with pytest.raises(InsufficientDataError):
+            corner_curve(seq, window=(9, 9))
+
+    def test_squares_that_underflow_are_left_out(self):
+        # sigma_n = exp(-n): sigma_n^2 is 0 in floats beyond n = 372
+        seq = SigmaSequence(np.exp(-np.arange(1, 701, dtype=float)))
+        phi = corner_curve(seq)
+        assert np.all(phi.eps_grid > 0)
+        assert math.exp(phi.log_phi[-1]) == pytest.approx(372.0)
+        assert interval_from_sigma(seq).classification == "severe"
+
+    def test_interval_from_sigma_is_the_estimate_of_its_corners(self):
+        n = np.arange(1, 1025, dtype=float)
+        vals = np.sort(np.log(n + 1.0) / n)[::-1]
+        seq = SigmaSequence(vals, tail_law=TailLaw.power_log(2))
+        iv = interval_from_sigma(seq)
+        ref, degree, info = estimate_curve(corner_curve(seq))
+        assert (iv.lower, iv.upper) == (ref.lower, ref.upper)
+        assert iv.classification == ref.classification == "moderate"
+        assert iv.diagnostics["regression_slope"] == info["regression_slope"]
+        assert iv.diagnostics["regression_degree"] == degree
+        assert iv.diagnostics["window_indices"] == (512, 1024)
+        # the whole window is the tail window
+        assert len(iv.diagnostics["window_eps"]) == 513
 
 
 class TestIntervalFromSigma:

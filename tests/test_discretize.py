@@ -343,6 +343,28 @@ class TestPipelines:
         assert rep.classification == "severe"
         assert "discretization_artifact" in rep.diagnostics
 
+    def test_window_above_one_gives_no_ratio_samples(self):
+        # eps = sigma_n^2 >= 1 across the window (4 .. 32): the ratio
+        # ln eps / (-2 ln n) is undefined there, so [A, B] says nothing
+        scaled = 1e3 * dz.riemann_liouville_matrix(1.0, 256)
+        rep = dz.pipeline_from_matrix(scaled)
+        assert (rep.interval.lower, rep.interval.upper) == (0.0, math.inf)
+        assert rep.classification == "moderate"
+
+    def test_no_decay_fit_falls_back_to_the_corner_estimate(self):
+        # -ln sigma_n = sqrt(n) is neither linear in ln n nor in n over
+        # the window 4 .. 16: the estimator reads the corner curve
+        n = np.arange(1, 65, dtype=float)
+        rep = dz.pipeline_from_matrix(np.diag(np.exp(-np.sqrt(n))))
+        assert rep.diagnostics["window_indices"] == (4, 16)
+        assert min(rep.diagnostics["power_rms_rel"],
+                   rep.diagnostics["exp_rms_rel"]) > dz.FIT_TOL
+        iv, degree, _ = counting.estimate_curve(
+            counting.corner_curve(rep.sigma, (4, 16)))
+        assert (rep.classification, rep.degree) == (iv.classification, degree)
+        assert (rep.interval.lower, rep.interval.upper) == (iv.lower, iv.upper)
+        assert rep.diagnostics["trend"] == iv.diagnostics["trend"]
+
     def test_gaussian_kernel_pipeline_severe(self):
         rep = dz.pipeline_from_kernel(
             dz.KernelSampler(L=12.0, N=2048, **GAUSS))

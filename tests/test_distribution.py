@@ -301,6 +301,22 @@ class TestReweight:
             dist.reweight(model.multiplier, model.measure,
                           lambda w: -1.0, np.array([0.1, 0.01]))
 
+    @pytest.mark.parametrize("kappa", [lambda w: math.exp(800.0 * w),
+                                       lambda w: math.inf])
+    def test_density_beyond_the_float_range_names_the_point(self, kappa):
+        model = gallery.make("hausdorff")
+        with pytest.raises(FloatingPointError,
+                           match="the density leaves the float range at"):
+            dist.reweight(model.multiplier, model.measure, kappa,
+                          np.array([0.1, 0.01]))
+
+    def test_counting_density_beyond_the_float_range(self):
+        model = gallery.make("backward_heat", t_bar=1.0)
+        with pytest.raises(FloatingPointError, match="at -27"):
+            dist.reweight(model.multiplier, model.measure,
+                          lambda k: math.exp(float(k) ** 2),
+                          np.array([1e-300, 5e-324]))
+
 
 class TestQuad:
     """The adaptive Gauss-Kronrod rule behind reweighting, the FFT bounds

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ class TestRegression:
         slope, _, degree = regression_report(curve)
         assert slope == pytest.approx(1.0, abs=1e-12)
         assert degree == pytest.approx(0.5, abs=1e-12)
+
+    def test_subnormal_eps_fit_without_a_warning(self):
+        # 1/eps overflows below 5.6e-309; the fit reads -ln eps instead
+        curve = power_curve(1.0, eps_min=5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope, rms, degree = regression_report(curve)
+        assert slope == pytest.approx(0.5, abs=1e-12)
+        assert degree == pytest.approx(1.0, abs=1e-12)
 
 
 def test_window_robustness_on_power_laws():
