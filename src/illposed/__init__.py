@@ -9,7 +9,7 @@ and mild/moderate/severe classification.
 
 from .core import (CurveMonotonicityError, DistributionFunction,
                    IllPosednessInterval, InsufficientDataError, MeasureSpace,
-                   Multiplier, SigmaSequence, TailLaw, Thresholds,
+                   Multiplier, Report, SigmaSequence, TailLaw, Thresholds,
                    TruncationWarning, UnsupportedMeasureError, ball_volume,
                    geometric_grid, ratio)
 from .counting import (counting_curve, counting_phi, interval_from_counting,
@@ -20,7 +20,7 @@ from .distribution import (d_lambda, decreasing_rearrangement,
                            reweight, superlevel_measure,
                            log_superlevel_measure)
 from .estimate import (interval_estimate, ratio_samples, regression_estimate)
-from .gallery import AnalysisReport, OperatorModel, analyze, make
+from .gallery import OperatorModel, analyze, make
 from .discretize import (KernelSampler, Section, fft_multiplier,
                          hilbert_matrix, hilbert_section,
                          pipeline_from_kernel, pipeline_from_matrix,

@@ -15,8 +15,9 @@ import sys
 import numpy as np
 
 from . import acceptance, counting, discretize, distribution, gallery
-from .core import (InsufficientDataError, Thresholds, UnsupportedMeasureError,
-                   geometric_grid, LEBESGUE_UNIT_INTERVAL)
+from .core import (InsufficientDataError, Report, Thresholds,
+                   UnsupportedMeasureError, geometric_grid,
+                   LEBESGUE_UNIT_INTERVAL)
 from . import estimate
 
 DENSITIES = ("exp-pi", "exp-t-k2")
@@ -77,25 +78,26 @@ def _emit(args, payload, header, rows):
     return 0
 
 
-def _curve_rows(phi, ratios):
-    by_eps = dict(ratios)
+def _curve_rows(report):
+    by_eps = dict(report.ratios)
     return [(float(eps), float(lp), float(by_eps.get(float(eps), math.nan)))
-            for eps, lp in zip(phi.eps_grid, phi.log_phi)]
+            for eps, lp in zip(report.phi.eps_grid, report.phi.log_phi)]
 
 
-def _report_payload(report):
-    iv = report.interval
+def _payload(report):
+    """The JSON payload of a ``Report``: its header, then the same keys in
+    the same order for every command."""
+    iv, tag = report.interval, report.expected
     return {
-        "model": report.model,
-        "params": report.params,
+        **report.header,
         "eps_grid": [float(v) for v in report.phi.eps_grid],
         "log_phi": [float(v) for v in report.phi.log_phi],
         "ratios": [[e, r] for e, r in report.ratios],
         "interval": {"A": float(iv.lower), "B": float(iv.upper)},
         "classification": report.classification,
         "degree": report.degree,
-        "expected": {"classification": report.expected.classification,
-                     "degree": report.expected.degree},
+        "expected": None if tag is None else {
+            "classification": tag.classification, "degree": tag.degree},
         "matches_expected": report.matches_expected,
         "finiteness": report.phi.finiteness,
         "diagnostics": report.diagnostics,
@@ -144,13 +146,6 @@ def _grid_for(model, args, points=None, depth=2.0 ** -59):
     return geometric_grid(eps_max, eps_min, points or args.points)
 
 
-def _default_curve(model, grid, thresholds, n_terms):
-    """A distribution curve for any model kind (for rearrange/reweight)."""
-    report = gallery.analyze(model, grid=grid, thresholds=thresholds,
-                             n_terms=n_terms, run_essinf=False)
-    return report.phi
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -177,8 +172,8 @@ def _cmd_analyze(args):
     report = gallery.analyze(model, grid=grid, thresholds=thresholds,
                              n_terms=args.sigma_terms, method=args.method,
                              trim=args.trim)
-    return _emit(args, _report_payload(report), "eps,log_phi,ratio",
-                 _curve_rows(report.phi, report.ratios))
+    return _emit(args, _payload(report), "eps,log_phi,ratio",
+                 _curve_rows(report))
 
 
 def _cmd_rearrange(args):
@@ -197,7 +192,8 @@ def _cmd_rearrange(args):
         # the curve is inverted by interpolation, so sample it densely
         # regardless of how many output points were requested
         grid = _grid_for(model, args, points=max(args.points, 400))
-        phi = _default_curve(model, grid, thresholds, args.sigma_terms)
+        phi = gallery.analyze(model, grid=grid, thresholds=thresholds,
+                              n_terms=args.sigma_terms, run_essinf=False).phi
         ts = np.geomspace(args.t_min, args.t_max, args.points)
         vals = distribution.decreasing_rearrangement(phi, ts)
     ts, vals = [float(t) for t in ts], [float(v) for v in vals]
@@ -227,16 +223,11 @@ def _cmd_reweight(args):
     kappa = _named_density(args.density, model)
     grid = _grid_for(model, args, depth=1e-8)
     curve = distribution.reweight(model.multiplier, model.measure, kappa, grid)
-    ratios = estimate.ratio_samples(curve)
-    iv = counting.interval_from_counting(curve, thresholds)
-    payload = {"model": model.id, "density": args.density,
-               "eps_grid": [float(v) for v in curve.eps_grid],
-               "log_phi": [float(v) for v in curve.log_phi],
-               "ratios": [[e, r] for e, r in ratios],
-               "interval": {"A": float(iv.lower), "B": float(iv.upper)},
-               "classification": iv.classification,
-               "finiteness": curve.finiteness}
-    return _emit(args, payload, "eps,log_phi,ratio", _curve_rows(curve, ratios))
+    interval, degree, info = counting.estimate_curve(curve, thresholds)
+    report = Report({"model": model.id, "density": args.density}, curve,
+                    estimate.ratio_samples(curve), interval, degree, info)
+    return _emit(args, _payload(report), "eps,log_phi,ratio",
+                 _curve_rows(report))
 
 
 def _cmd_discretize(args):
@@ -247,16 +238,11 @@ def _cmd_discretize(args):
         section = discretize.riemann_liouville_section(args.alpha, args.n)
     report = discretize.pipeline_from_matrix(section, operator=args.operator,
                                              thresholds=thresholds)
-    sigma = [float(v) for v in report.sigma.values]
-    payload = {"operator": args.operator, "n": args.n,
-               "alpha": args.alpha if args.operator == "j_alpha" else None,
-               "sigma": sigma,
-               "interval": {"A": float(report.interval.lower),
-                            "B": float(report.interval.upper)},
-               "classification": report.classification,
-               "degree": report.degree,
-               "diagnostics": report.diagnostics}
-    return _emit(args, payload, "n,sigma", enumerate(sigma, 1))
+    sigma = report.sigma.values
+    report.header.update(
+        n=args.n, alpha=args.alpha if args.operator == "j_alpha" else None,
+        sigma=sigma)
+    return _emit(args, _payload(report), "n,sigma", enumerate(sigma, 1))
 
 
 def _cmd_fft_multiplier(args):

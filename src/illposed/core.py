@@ -386,6 +386,34 @@ class IllPosednessInterval:
             raise ValueError(f"unknown classification {self.classification!r}")
 
 
+@dataclass
+class Report:
+    """What every pipeline reports, whatever its spectral data.
+
+    ``header`` names what was analysed (a model and its parameters, an
+    operator and its section, a model and its density) and leads the
+    serialized report.  ``phi`` is the curve shown and ``ratios`` its ratio
+    samples; ``interval`` and ``degree`` come from the estimator, which may
+    have read another curve (the corners of a counting curve).  A gallery
+    model's tag and whether the estimate matches it are ``expected`` and
+    ``matches_expected``; the singular values of a matrix are ``sigma``.
+    """
+
+    header: dict
+    phi: DistributionFunction
+    ratios: list
+    interval: IllPosednessInterval
+    degree: float | None
+    diagnostics: dict = field(default_factory=dict)
+    expected: object = None
+    matches_expected: bool | None = None
+    sigma: SigmaSequence | None = None
+
+    @property
+    def classification(self):
+        return self.interval.classification
+
+
 def ratio(eps, log_phi):
     """Decay-rate quotient ln(eps) / (-2 * ln Phi(eps)).
 

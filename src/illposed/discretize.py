@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, svds
 
 from .core import (DEFAULT_THRESHOLDS, GENERIC_SAMPLED, INDETERMINATE,
                    LEBESGUE_LINE, MODERATE, SEVERE, IllPosednessInterval,
-                   InsufficientDataError, MeasureSpace, Multiplier,
+                   InsufficientDataError, MeasureSpace, Multiplier, Report,
                    SigmaSequence, TruncationWarning, geometric_grid)
 from . import counting as _counting
 from . import distribution as _distribution
@@ -38,7 +38,7 @@ __all__ = [
     "KernelSampler",
     "SampledMultiplier",
     "fft_multiplier",
-    "PipelineReport",
+    "Report",
     "pipeline_from_matrix",
     "pipeline_from_kernel",
 ]
@@ -408,17 +408,6 @@ def _interp_fn(omega, lam):
 # ---------------------------------------------------------------------------
 # end-to-end pipelines
 
-@dataclass
-class PipelineReport:
-    operator: str
-    sigma: SigmaSequence | None
-    phi: object
-    interval: object
-    classification: str
-    degree: float | None
-    diagnostics: dict = field(default_factory=dict)
-
-
 def _trusted_window(n_kept):
     """Index window for degree estimation on discretized spectra.
 
@@ -449,7 +438,8 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
     their extremes, but the classification selects between an
     algebraic-decay model (moderate; degree = fitted exponent) and an
     exponential-decay model (severe) by the quality of the corresponding
-    fits, and falls back to the estimator only when neither fits.
+    fits, and falls back to the estimator when neither fits or the window
+    is too short to tell them apart.
     """
     seq = singular_values(m)
     kept = seq.kept
@@ -464,11 +454,16 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
     fits = _spectrum_fits(np.arange(lo, hi + 1, dtype=float),
                           -np.log(seq.values[lo - 1:hi]))
     diagnostics.update(fits)
-    ratios = [r for _, r in _estimate.ratio_samples(phi)]
-    lower = max(0.0, min(ratios, default=0.0))
-    upper = max(lower, max(ratios, default=math.inf))
-    power_ok = fits["power_rms_rel"] <= FIT_TOL and fits["power_slope"] > 0
-    exp_ok = fits["exp_rms_rel"] <= FIT_TOL and fits["exp_rate"] > 0
+    ratios = _estimate.ratio_samples(phi)
+    values = [r for _, r in ratios]
+    lower = max(0.0, min(values, default=0.0))
+    upper = max(lower, max(values, default=math.inf))
+    # a line through two points fits exactly, and roundoff would pick the
+    # decay model, so a fit decides only on three points or more
+    fitted = hi - lo >= 2
+    power_ok = fitted and fits["power_rms_rel"] <= FIT_TOL \
+        and fits["power_slope"] > 0
+    exp_ok = fitted and fits["exp_rms_rel"] <= FIT_TOL and fits["exp_rate"] > 0
     degree = None
     if power_ok and (not exp_ok
                      or fits["power_rms_rel"] <= fits["exp_rms_rel"]):
@@ -493,10 +488,8 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
             "decaying singular values although the full operator is "
             "non-compact with continuous spectrum [0, pi]; the severe "
             "classification describes the truncation, not the operator")
-    return PipelineReport(operator=operator, sigma=seq, phi=phi,
-                          interval=interval,
-                          classification=interval.classification,
-                          degree=degree, diagnostics=diagnostics)
+    return Report({"operator": operator}, phi, ratios, interval, degree,
+                  diagnostics, sigma=seq)
 
 
 def pipeline_from_kernel(kernel: KernelSampler, thresholds=DEFAULT_THRESHOLDS):
@@ -516,8 +509,6 @@ def pipeline_from_kernel(kernel: KernelSampler, thresholds=DEFAULT_THRESHOLDS):
     interval, degree, _ = _counting.estimate_curve(phi, thresholds)
     diagnostics = {"truncation_bound": sampled.truncation_bound,
                    "aliasing_bound": sampled.aliasing_bound}
-    return PipelineReport(operator="kernel", sigma=None, phi=phi,
-                          interval=interval,
-                          classification=interval.classification,
-                          degree=degree, diagnostics=diagnostics)
+    return Report({"operator": "kernel"}, phi, _estimate.ratio_samples(phi),
+                  interval, degree, diagnostics)
 

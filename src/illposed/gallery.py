@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,13 +21,13 @@ from .core import (COUNTING_INTEGERS, DISCRETE, GENERIC_SAMPLED, INF,
                    INDETERMINATE, LEBESGUE_HALFLINE, LEBESGUE_LINE,
                    LEBESGUE_RADIAL, MODERATE, MONOTONE_TAIL, MILD,
                    Multiplier, MeasureSpace, PIECEWISE_MONOTONE,
-                   RADIAL_MONOTONE_TAIL, SEVERE, SigmaSequence, TailLaw,
-                   DEFAULT_THRESHOLDS, DistributionFunction, geometric_grid)
+                   RADIAL_MONOTONE_TAIL, Report, SEVERE, SigmaSequence,
+                   TailLaw, DEFAULT_THRESHOLDS, geometric_grid)
 from . import counting as _counting
 from . import distribution as _distribution
 from . import estimate as _estimate
 
-__all__ = ["Expected", "OperatorModel", "AnalysisReport", "make", "analyze",
+__all__ = ["Expected", "OperatorModel", "Report", "make", "analyze",
            "available_models", "weyl_from_theta", "MODEL_IDS"]
 
 MATCH_TOL = 0.05  # largest |degree - tagged degree| that matches
@@ -510,20 +510,6 @@ def available_models():
 # ---------------------------------------------------------------------------
 # the end-to-end pipeline
 
-@dataclass
-class AnalysisReport:
-    model: str
-    params: dict
-    phi: DistributionFunction
-    ratios: list
-    interval: object
-    classification: str
-    degree: float | None
-    expected: Expected
-    matches_expected: bool
-    diagnostics: dict = field(default_factory=dict)
-
-
 def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
             method="auto", trim=None, run_essinf=True):
     """Run the full pipeline for a gallery model and compare with its tag.
@@ -535,7 +521,6 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
     the tail is power-law.
     """
     _distribution._check_trim(trim)
-    diagnostics = {}
     if model.kind == "sigma":
         seq = model.sigma_sequence(n_terms)
         sq = seq.squares
@@ -554,8 +539,8 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
             model.multiplier, model.measure, grid, method=method, trim=trim)
     else:
         raise ValueError(f"unknown spectral data kind {model.kind!r}")
-    interval, degree, info = _counting.estimate_curve(estimated, thresholds)
-    diagnostics.update(info)
+    interval, degree, diagnostics = _counting.estimate_curve(estimated,
+                                                            thresholds)
     if model.kind == "multiplier" and run_essinf:
         ess = _distribution.essinf_estimate(model.multiplier, model.measure)
         diagnostics["essinf_value"] = ess.value
@@ -573,8 +558,6 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
     diagnostics.setdefault("drift", interval.diagnostics.get("drift"))
     if trim is not None:
         diagnostics["trim"] = trim
-    return AnalysisReport(model=model.id, params=dict(model.parameters),
-                          phi=phi, ratios=ratios, interval=interval,
-                          classification=interval.classification,
-                          degree=degree, expected=model.expected,
-                          matches_expected=matches, diagnostics=diagnostics)
+    return Report({"model": model.id, "params": dict(model.parameters)},
+                  phi, ratios, interval, degree, diagnostics,
+                  expected=model.expected, matches_expected=matches)

@@ -4,7 +4,8 @@ import warnings
 
 import pytest
 
-from illposed import cli
+from illposed import cli, counting, discretize, distribution, gallery
+from illposed.core import geometric_grid
 
 
 def run(capsys, *argv):
@@ -285,6 +286,44 @@ def test_reweight_density_model_mismatch(capsys):
                        "--density", "exp-pi")
     assert code == 2
     assert "hausdorff" in err
+
+
+REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
+               "degree", "expected", "matches_expected", "finiteness",
+               "diagnostics"]
+
+
+def _reweight_estimate():
+    model = gallery.make("hausdorff")
+    grid = geometric_grid(model.eps_max, model.eps_max * 1e-8)
+    curve = distribution.reweight(model.multiplier, model.measure,
+                                  lambda w: 0.5 * math.exp(math.pi * w), grid)
+    interval, degree, _ = counting.estimate_curve(curve)
+    return interval, degree
+
+
+@pytest.mark.parametrize("argv, header, library", [
+    (("analyze", "--model", "multiplier_a1", "--param", "s=2"),
+     ["model", "params"],
+     lambda: gallery.analyze(gallery.make("multiplier_a1", s=2))),
+    (("reweight", "--model", "hausdorff", "--density", "exp-pi"),
+     ["model", "density"], _reweight_estimate),
+    (("discretize", "--operator", "j_alpha", "--n", "256"),
+     ["operator", "n", "alpha", "sigma"],
+     lambda: discretize.pipeline_from_matrix(
+         discretize.riemann_liouville_section(1.0, 256), operator="j_alpha")),
+], ids=["analyze", "reweight", "discretize"])
+def test_every_command_emits_the_one_report(capsys, argv, header, library):
+    code, out, _ = run(capsys, *argv, "--emit", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == header + REPORT_KEYS
+    got = library()
+    interval, degree = got if isinstance(got, tuple) else (got.interval,
+                                                           got.degree)
+    assert payload["interval"] == {"A": interval.lower, "B": interval.upper}
+    assert payload["classification"] == interval.classification
+    assert payload["degree"] == degree
 
 
 def test_discretize_json(capsys):

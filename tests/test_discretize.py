@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -307,6 +308,19 @@ class TestDiscretizeCommand:
         assert code == 2
         assert err.startswith("error:") and "window" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("operator", ["j_alpha", "hilbert"])
+    def test_two_point_window_leaves_the_class_open(self, capsys, operator):
+        # n = 3 gives the window 2 .. 3, through which both decay models fit
+        # exactly: roundoff in their residuals must not pick the class
+        code = cli.main(["discretize", "--operator", operator, "--n", "3"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["diagnostics"]["window_indices"] == [2, 3]
+        assert payload["diagnostics"]["power_rms_rel"] < dz.FIT_TOL
+        assert payload["diagnostics"]["exp_rms_rel"] < dz.FIT_TOL
+        assert (payload["classification"], payload["degree"]) == \
+            ("indeterminate", None)
 
     def test_infinite_alpha_is_rejected_without_warnings(self, capsys):
         with warnings.catch_warnings():

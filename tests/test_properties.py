@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import warnings
 
@@ -14,9 +15,9 @@ from illposed.counting import counting_phi, step_multiplier_from_sigma
 from illposed.distribution import (decreasing_rearrangement,
                                    log_superlevel_measure, phi_curve,
                                    reweight, superlevel_measure)
-from illposed.core import (DistributionFunction, LEBESGUE_HALFLINE,
-                           LEBESGUE_LINE, LEBESGUE_UNIT_INTERVAL,
-                           PIECEWISE_MONOTONE)
+from illposed.core import (CLASSIFICATIONS, DistributionFunction,
+                           LEBESGUE_HALFLINE, LEBESGUE_LINE,
+                           LEBESGUE_UNIT_INTERVAL, PIECEWISE_MONOTONE)
 from illposed import cli, gallery
 
 
@@ -242,12 +243,17 @@ odd_requests = st.one_of(
                    f"--points={r[1]}"]))
 
 
+REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
+               "degree", "expected", "matches_expected", "finiteness",
+               "diagnostics"]
+
+
 @given(argv=odd_requests)
 @settings(max_examples=80, deadline=None)
 def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:
@@ -257,3 +263,9 @@ def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
     assert code in (0, 1, 2)
     assert not caught, [str(w.message) for w in caught]
     assert "Traceback" not in err.getvalue()
+    if code == 0 and argv[0] in ("analyze", "discretize", "reweight"):
+        # every report goes through the one serializer
+        payload = json.loads(out.getvalue())
+        assert list(payload)[-len(REPORT_KEYS):] == REPORT_KEYS
+        assert list(payload["interval"]) == ["A", "B"]
+        assert payload["classification"] in CLASSIFICATIONS
