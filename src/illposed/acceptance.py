@@ -22,9 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import counting, discretize, distribution, estimate, gallery
+from . import counting, discretize, distribution, gallery
 from .core import (LEBESGUE_HALFLINE, MODERATE, MILD, NON_INFORMATIVE,
-                   SEVERE, MeasureSpace, geometric_grid)
+                   SEVERE, MeasureSpace, geometric_grid, ratio)
 
 __all__ = ["CheckResult", "run_all", "CRITERIA"]
 
@@ -148,8 +148,7 @@ def criterion_2():
     # 0.109 however deep the grid, so the bound selects the parameter
     c_half = gallery.make("multiplier_c", s=0.5)
     rep_half = gallery.analyze(c_half, grid=geometric_grid(0.99, 1e-12, 60))
-    r_small = estimate.ratio(
-        1e-3, c_half.multiplier.log_superlevel(1e-3))
+    r_small = ratio(1e-3, c_half.multiplier.log_superlevel(1e-3))
     rep_one = gallery.analyze(gallery.make("multiplier_c", s=1.0),
                               grid=geometric_grid(0.99, 1e-12, 60))
     dt = time.perf_counter() - t0

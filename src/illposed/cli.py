@@ -18,7 +18,6 @@ from . import acceptance, counting, discretize, distribution, gallery
 from .core import (InsufficientDataError, Report, Thresholds,
                    UnsupportedMeasureError, geometric_grid,
                    LEBESGUE_UNIT_INTERVAL)
-from . import estimate
 
 DENSITIES = ("exp-pi", "exp-t-k2")
 
@@ -135,7 +134,10 @@ def _thresholds(args):
                 key = key.strip()
                 if key not in allowed:
                     raise ValueError(f"unknown config key {key!r}")
-                overrides[key] = float(raw.strip())
+                try:
+                    overrides[key] = float(raw)
+                except ValueError:
+                    raise ValueError(f"{key} needs a number") from None
     return Thresholds(**overrides)
 
 
@@ -223,9 +225,8 @@ def _cmd_reweight(args):
     kappa = _named_density(args.density, model)
     grid = _grid_for(model, args, depth=1e-8)
     curve = distribution.reweight(model.multiplier, model.measure, kappa, grid)
-    interval, degree, info = counting.estimate_curve(curve, thresholds)
     report = Report({"model": model.id, "density": args.density}, curve,
-                    estimate.ratio_samples(curve), interval, degree, info)
+                    *counting.estimate_curve(curve, thresholds))
     return _emit(args, _payload(report), "eps,log_phi,ratio",
                  _curve_rows(report))
 
@@ -251,13 +252,11 @@ def _cmd_fft_multiplier(args):
                          f"got a = {args.a!r}, b = {args.b!r}")
     if args.kernel == "gaussian":
         fn = lambda x: math.exp(-x * x)
-        decay = fn
     else:
         a, b = args.a, args.b
         fn = lambda x: a * math.exp(-abs(x) / b)
-        decay = fn
     sampled = discretize.fft_multiplier(
-        discretize.KernelSampler(fn=fn, decay=decay, L=args.L, N=args.N))
+        discretize.KernelSampler(fn=fn, decay=fn, L=args.L, N=args.N))
     omega = [float(v) for v in sampled.omega]
     lam = [float(v) for v in sampled.values]
     payload = {"kernel": args.kernel, "L": args.L, "N": args.N,

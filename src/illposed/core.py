@@ -12,6 +12,7 @@ before the interesting part of the grid is reached.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -94,6 +95,21 @@ class Thresholds:
     drift_tol: float = 0.1
     residual_tol: float = 1e-3
     min_tail_samples: int = 10
+
+    def __post_init__(self):
+        t, n = self, self.min_tail_samples
+        rules = [(math.isfinite(v), f"{k} finite") for k, v in vars(t).items()]
+        rules += [
+            (0 < t.tau_mild < t.tau_severe, "0 < tau_mild < tau_severe"),
+            (t.tau_collapse > 0, "tau_collapse > 0"),
+            (0 < t.window_fraction <= 1, "0 < window_fraction <= 1"),
+            (t.drift_tol > 0, "drift_tol > 0"),
+            (t.residual_tol >= 0, "residual_tol >= 0"),
+            (isinstance(n, numbers.Integral) and n >= 2,
+             "min_tail_samples an integer >= 2")]
+        for ok, need in rules:
+            if not ok:
+                raise ValueError(f"thresholds need {need}, got {t}")
 
 
 DEFAULT_THRESHOLDS = Thresholds()
@@ -319,11 +335,9 @@ class DistributionFunction:
         if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
             raise ValueError("eps grid must be positive and strictly decreasing")
         self._check_monotone(lp)
-        expected = NON_INFORMATIVE if np.any(np.isposinf(lp)) else None
-        if expected == NON_INFORMATIVE and self.finiteness != NON_INFORMATIVE:
-            raise ValueError("curve with +inf samples must be non_informative")
-        if expected is None and self.finiteness == NON_INFORMATIVE:
-            raise ValueError("non_informative requires a +inf sample")
+        if np.any(np.isposinf(lp)) != (self.finiteness == NON_INFORMATIVE):
+            raise ValueError("a curve is non_informative exactly when it "
+                             "has a +inf sample")
         if self.finiteness not in (FINITE, NON_INFORMATIVE, EXHAUSTED):
             raise ValueError(f"unknown finiteness flag {self.finiteness!r}")
         for name, arr in (("eps_grid", eps), ("log_phi", lp)):
@@ -378,10 +392,9 @@ class IllPosednessInterval:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise ValueError("interval endpoints must not be NaN")
-        if not 0 <= self.lower <= self.upper:
-            raise ValueError("need 0 <= lower <= upper")
+        if not 0 <= self.lower <= self.upper:  # False on NaN too
+            raise ValueError(f"need 0 <= lower <= upper, got "
+                             f"[{self.lower!r}, {self.upper!r}]")
         if self.classification not in CLASSIFICATIONS:
             raise ValueError(f"unknown classification {self.classification!r}")
 
@@ -392,8 +405,8 @@ class Report:
 
     ``header`` names what was analysed (a model and its parameters, an
     operator and its section, a model and its density) and leads the
-    serialized report.  ``phi`` is the curve shown and ``ratios`` its ratio
-    samples; ``interval`` and ``degree`` come from the estimator, which may
+    serialized report.  ``phi`` is the curve shown, whose ratio samples are
+    ``ratios``; ``interval`` and ``degree`` come from the estimator, which may
     have read another curve (the corners of a counting curve).  A gallery
     model's tag and whether the estimate matches it are ``expected`` and
     ``matches_expected``; the singular values of a matrix are ``sigma``.
@@ -401,7 +414,6 @@ class Report:
 
     header: dict
     phi: DistributionFunction
-    ratios: list
     interval: IllPosednessInterval
     degree: float | None
     diagnostics: dict = field(default_factory=dict)
@@ -413,16 +425,39 @@ class Report:
     def classification(self):
         return self.interval.classification
 
+    @property
+    def ratios(self):
+        return ratio_samples(self.phi)
+
 
 def ratio(eps, log_phi):
-    """Decay-rate quotient ln(eps) / (-2 * ln Phi(eps)).
+    """Decay-rate quotient ln(eps) / (-2 * ln Phi(eps)) of one sample.
 
-    Defined for 0 < eps < 1 and ln Phi > 0 finite; returns None otherwise
-    (the sample is skipped, it is not an error).  For exact power laws
-    Phi = eps**(-1/(2 s)) the quotient equals s at every point.
+    Defined on the samples :func:`usable_samples` keeps; returns None
+    otherwise (the sample is skipped, it is not an error).  For exact power
+    laws Phi = eps**(-1/(2 s)) the quotient equals s at every point.
     """
-    if not 0.0 < eps < 1.0:
-        return None
-    if not log_phi > 0.0 or math.isinf(log_phi):
-        return None
-    return math.log(eps) / (-2.0 * log_phi)
+    _, neg_log, lp = usable_samples([eps], [log_phi])
+    return float(neg_log[0] / (2.0 * lp[0])) if lp.size else None
+
+
+def usable_samples(eps_grid, log_phi):
+    """The samples with 0 < eps < 1 and 0 < ln Phi < inf, as arrays
+    (eps, -ln eps, ln Phi); the estimator reads no other.
+
+    The logs are ``math.log``'s, whose last digits numpy's vector log does
+    not always reproduce.
+    """
+    eps = np.asarray(eps_grid, dtype=float)
+    lp = np.asarray(log_phi, dtype=float)
+    keep = (eps > 0.0) & (eps < 1.0) & (lp > 0.0) & (lp < INF)
+    eps, lp = eps[keep], lp[keep]
+    neg_log = -np.fromiter(map(math.log, eps.tolist()), float, eps.size)
+    return eps, neg_log, lp
+
+
+def ratio_samples(phi):
+    """Ratio samples (eps, r) of a distribution curve, coarse to fine;
+    samples where the ratio is undefined are skipped."""
+    eps, neg_log, lp = usable_samples(phi.eps_grid, phi.log_phi)
+    return list(zip(eps.tolist(), (neg_log / (2.0 * lp)).tolist()))

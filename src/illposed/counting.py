@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (DEFAULT_THRESHOLDS, INF, InsufficientDataError,
                    IllPosednessInterval, LEBESGUE_HALFLINE, MODERATE,
-                   MONOTONE_TAIL, MeasureSpace, Multiplier, NON_INFORMATIVE,
+                   MONOTONE_TAIL, MeasureSpace, Multiplier,
                    DistributionFunction, SigmaSequence)
 from . import estimate
 
@@ -84,16 +84,12 @@ def counting_phi(sigma: SigmaSequence, eps: float) -> PhiCount:
 
 def counting_curve(sigma: SigmaSequence, grid) -> DistributionFunction:
     """Counting function sampled on a descending eps grid (log domain)."""
-    logs = []
-    exhausted = False
-    for eps in grid:
-        c = counting_phi(sigma, float(eps))
-        exhausted = exhausted or c.exhausted
-        logs.append(math.log(c.count) if c.count > 0 else -INF)
-    sup = float(sigma.values[0] ** 2)
-    return DistributionFunction.build(np.asarray(grid, dtype=float), logs,
-                                      source="counting", sup_bound=sup,
-                                      exhausted=exhausted)
+    counts = [counting_phi(sigma, float(eps)) for eps in grid]
+    logs = [math.log(c.count) if c.count > 0 else -INF for c in counts]
+    return DistributionFunction.build(
+        np.asarray(grid, dtype=float), logs, source="counting",
+        sup_bound=float(sigma.values[0] ** 2),
+        exhausted=any(c.exhausted for c in counts))
 
 
 def corner_curve(sigma: SigmaSequence, window=None) -> DistributionFunction:
@@ -122,58 +118,45 @@ def interval_from_sigma(sigma: SigmaSequence, window=None,
                         thresholds=DEFAULT_THRESHOLDS) -> IllPosednessInterval:
     """Interval of ill-posedness from the singular values.
 
-    For compact operators the degree of the counting function equals the
-    degree of the singular values, so this is :func:`estimate_curve` on the
-    :func:`corner_curve` of the window.  The diagnostics record the index
-    range of the corners, the regression of ln n against -2 ln sigma_n
-    and, when that fit is accepted, its ``regression_degree``, which unlike
-    the raw exponents is insensitive to constant prefactors.
+    The degree of the counting function equals that of the singular values,
+    so this estimates the whole :func:`corner_curve` of the window, as
+    :func:`estimate_curve` does.  The diagnostics record the index range of
+    the corners, the regression of ln n against -2 ln sigma_n and, when that
+    fit is accepted, its ``regression_degree``, which unlike the raw
+    exponents is insensitive to constant prefactors.
     """
     if len(sigma) < 32:
         raise InsufficientDataError(
             f"need at least 32 singular values, got {len(sigma)}")
     phi = corner_curve(sigma, window)
-    interval, _, info = estimate_curve(phi, thresholds)
-    diags = interval.diagnostics
-    diags.update(info)
+    interval, (slope, rms, degree) = estimate.read_curve(
+        phi, replace(thresholds, window_fraction=1.0))
     n = np.rint(np.exp(phi.log_phi[[0, -1]]))
-    diags["window_indices"] = (int(n[0]), int(n[1]))
-    if info["regression_rms"] < thresholds.residual_tol \
-            and info["regression_slope"] > 0:
-        diags["regression_degree"] = 1.0 / (2.0 * info["regression_slope"])
+    interval.diagnostics.update(regression_slope=slope, regression_rms=rms,
+                                window_indices=(int(n[0]), int(n[1])))
+    if degree is not None:
+        interval.diagnostics["regression_degree"] = degree
     return interval
 
 
 def interval_from_counting(phi: DistributionFunction,
                            thresholds=DEFAULT_THRESHOLDS) -> IllPosednessInterval:
     """Interval of ill-posedness from a sampled counting/distribution curve."""
-    if phi.finiteness == NON_INFORMATIVE:
-        return estimate.indeterminate_interval(
-            "distribution function attains +inf; not informative")
-    samples = estimate.ratio_samples(phi)
-    if not samples:
-        return estimate.indeterminate_interval("no usable ratio samples")
-    iv = estimate.interval_estimate(samples, thresholds)
-    if phi.finiteness == "exhausted":
-        # counts saturated at the stored length somewhere on the grid; the
-        # tail of the curve is then an artifact of missing data
-        iv.diagnostics["exhausted_data"] = True
-    return iv
+    return estimate.read_curve(phi, thresholds)[0]
 
 
 def estimate_curve(phi: DistributionFunction, thresholds=DEFAULT_THRESHOLDS):
     """Interval, degree and regression diagnostics of a distribution curve.
 
-    The degree is the regression-refined one when the interval is moderate
-    and the power-law fit is accepted, since constant prefactors bias the
-    raw ratio window; otherwise it is the interval's own degree.  A
-    :func:`corner_curve` is estimated over its whole window, which was
-    already chosen by index.
+    Both come from one tail window.  The degree is the regression-refined
+    one when the interval is moderate and the power-law fit is accepted,
+    since constant prefactors bias the raw ratio window; otherwise it is
+    the interval's own degree.  A :func:`corner_curve` is estimated over
+    its whole window, which was already chosen by index.
     """
     if phi.source == _CORNERS:
         thresholds = replace(thresholds, window_fraction=1.0)
-    interval = interval_from_counting(phi, thresholds)
-    slope, rms, degree = estimate.regression_report(phi, thresholds)
+    interval, (slope, rms, degree) = estimate.read_curve(phi, thresholds)
     if interval.classification != MODERATE or degree is None:
         degree = interval.degree
     return interval, degree, {"regression_slope": slope, "regression_rms": rms}

@@ -454,8 +454,7 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
     fits = _spectrum_fits(np.arange(lo, hi + 1, dtype=float),
                           -np.log(seq.values[lo - 1:hi]))
     diagnostics.update(fits)
-    ratios = _estimate.ratio_samples(phi)
-    values = [r for _, r in ratios]
+    values = [r for _, r in _estimate.ratio_samples(phi)]
     lower = max(0.0, min(values, default=0.0))
     upper = max(lower, max(values, default=math.inf))
     # a line through two points fits exactly, and roundoff would pick the
@@ -488,7 +487,7 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
             "decaying singular values although the full operator is "
             "non-compact with continuous spectrum [0, pi]; the severe "
             "classification describes the truncation, not the operator")
-    return Report({"operator": operator}, phi, ratios, interval, degree,
+    return Report({"operator": operator}, phi, interval, degree,
                   diagnostics, sigma=seq)
 
 
@@ -509,6 +508,5 @@ def pipeline_from_kernel(kernel: KernelSampler, thresholds=DEFAULT_THRESHOLDS):
     interval, degree, _ = _counting.estimate_curve(phi, thresholds)
     diagnostics = {"truncation_bound": sampled.truncation_bound,
                    "aliasing_bound": sampled.aliasing_bound}
-    return Report({"operator": "kernel"}, phi, _estimate.ratio_samples(phi),
-                  interval, degree, diagnostics)
+    return Report({"operator": "kernel"}, phi, interval, degree, diagnostics)
 

@@ -834,27 +834,27 @@ def lp_check(lam, mu, p=None, f=None):
     # the u limits of the quadrature, keyed by end: -1 large eps, +1 eps -> 0
     span, tails, knots = {-1.0: float(u_of(np.array([hi]))[0])}, 0.0, set()
     for sign, grid in ends:
-        phi = phi_curve(lam, mu, grid)
-        pts = [(float(u), lp) for u, lp in zip(u_of(grid), phi.log_phi)
-               if math.isfinite(u) and lp > -INF]
+        u, lp = u_of(grid), phi_curve(lam, mu, grid).log_phi
+        keep = np.isfinite(u) & (lp > -INF)
+        u, lp = u[keep], lp[keep]
         if sign < 0:
-            pts.reverse()  # the window sits at the coarse end
+            u, lp = u[::-1], lp[::-1]  # the window sits at the coarse end
         try:
-            tail = _tail(pts, t.window_fraction, t.min_tail_samples)
+            tail = _tail(t, u, lp)
         except InsufficientDataError:
             return LpResult("indeterminate", None)
-        half = len(tail) // 2
-        k, near, far = (power_law_fit(*zip(*w))[0]
-                        for w in (tail, tail[:half], tail[half:]))
+        half = tail[0].size // 2
+        k, near, far = (power_law_fit(*w)[0] for w in (
+            tail, [a[:half] for a in tail], [a[half:] for a in tail]))
         # > 0: the slope still moves toward divergence at the window's end
         drift = sign * (far - near)
         if sign * (k - 1.0) > LP_SLOPE_TOL and drift >= -LP_SLOPE_TOL:
             return LpResult("infinite", None)
         if sign * (k - 1.0) >= -LP_SLOPE_TOL or drift > LP_SLOPE_TOL:
             return LpResult("indeterminate", None)
-        span[sign], lp = pts[-1]
-        tails += math.exp(lp - span[sign]) / (sign * (1.0 - k))
-        knots.update(u for u, _ in pts)
+        span[sign] = float(u[-1])
+        tails += math.exp(lp[-1] - span[sign]) / (sign * (1.0 - k))
+        knots.update(u.tolist())
     a, b = span[-1.0], span[1.0]
 
     def log_phi(u):

@@ -15,9 +15,10 @@ import math
 
 import numpy as np
 
-from .core import (DEFAULT_THRESHOLDS, INDETERMINATE,
+from .core import (DEFAULT_THRESHOLDS, EXHAUSTED, INDETERMINATE,
                    InsufficientDataError, IllPosednessInterval, MILD,
-                   MODERATE, NON_INFORMATIVE, SEVERE, ratio)
+                   MODERATE, NON_INFORMATIVE, SEVERE, ratio_samples,
+                   usable_samples)
 
 __all__ = [
     "ratio_samples",
@@ -28,19 +29,8 @@ __all__ = [
     "power_law_fit",
 ]
 
-
-def ratio_samples(phi):
-    """Ratio samples (eps, r) of a distribution curve, coarse to fine.
-
-    Samples where the ratio is undefined (eps >= 1, Phi <= 1, divergent
-    Phi) are skipped.
-    """
-    out = []
-    for eps, lp in zip(phi.eps_grid, phi.log_phi):
-        r = ratio(float(eps), float(lp))
-        if r is not None:
-            out.append((float(eps), r))
-    return out
+# the regression report of a curve without a fit: (slope, rms, degree)
+_NO_FIT = (None, math.inf, None)
 
 
 def power_law_fit(x, y):
@@ -63,7 +53,6 @@ def _block_trend(w, blocks=4):
     Block averages tolerate the sawtooth produced by integer-valued counting
     curves, which a pointwise monotonicity check would reject.
     """
-    w = np.asarray(w, dtype=float)
     k = min(blocks, w.size)
     means = np.array([chunk.mean() for chunk in np.array_split(w, k)])
     d = np.diff(means)
@@ -92,36 +81,39 @@ def classify_window(window, thresholds=DEFAULT_THRESHOLDS):
     lo, hi = float(w.min()), float(w.max())
     drift = float((w[-1] - w[0]) / max(abs(w[-1]), 1e-300))
     trend = _block_trend(w)
-    if lo > t.tau_severe:
+    if lo > t.tau_severe or (drift >= t.drift_tol and trend == "increasing"):
         cls = SEVERE
-    elif drift >= t.drift_tol and trend == "increasing":
-        cls = SEVERE
-    elif hi < t.tau_mild:
-        cls = MILD
-    elif drift <= -t.drift_tol and trend == "decreasing" and w[-1] < t.tau_mild:
+    elif hi < t.tau_mild or (drift <= -t.drift_tol and trend == "decreasing"
+                             and w[-1] < t.tau_mild):
         cls = MILD
     elif abs(drift) < t.drift_tol and t.tau_mild <= lo and hi <= t.tau_severe:
         cls = MODERATE
     else:
         cls = INDETERMINATE
-    degree = None
-    if cls == MODERATE and hi - lo < t.tau_collapse:
-        degree = 0.5 * (lo + hi)
-    diagnostics = {
-        "window_size": int(w.size),
-        "trend": trend,
-        "drift": drift,
-        "window_values": w.tolist(),
-    }
-    return cls, degree, diagnostics
+    degree = 0.5 * (lo + hi) \
+        if cls == MODERATE and hi - lo < t.tau_collapse else None
+    return cls, degree, {"window_size": int(w.size), "trend": trend,
+                         "drift": drift, "window_values": w.tolist()}
 
 
-def _tail(seq, fraction, minimum):
-    k = max(minimum, int(math.ceil(len(seq) * fraction)))
-    if len(seq) < minimum:
+def _tail(thresholds, *arrays):
+    """The tail window of coarse-to-fine sample arrays of one length."""
+    t, size = thresholds, len(arrays[0])
+    if size < t.min_tail_samples:
         raise InsufficientDataError(
-            f"need at least {minimum} samples, got {len(seq)}")
-    return seq[-k:]
+            f"need at least {t.min_tail_samples} samples, got {size}")
+    k = max(t.min_tail_samples, int(math.ceil(size * t.window_fraction)))
+    return tuple(a[-k:] for a in arrays)
+
+
+def _interval(eps, r, thresholds):
+    """Interval estimate from the ratios ``r`` of a tail window at ``eps``."""
+    cls, degree, diags = classify_window(r, thresholds)
+    diags["window_eps"] = eps.tolist()
+    diags["window_fraction"] = thresholds.window_fraction
+    lower = max(0.0, float(r.min()))
+    upper = max(lower, float(r.max()))
+    return IllPosednessInterval(lower, upper, cls, degree, diags)
 
 
 def interval_estimate(samples, thresholds=DEFAULT_THRESHOLDS):
@@ -131,22 +123,43 @@ def interval_estimate(samples, thresholds=DEFAULT_THRESHOLDS):
     the output of :func:`ratio_samples`.  The window is the trailing
     ``thresholds.window_fraction`` of the samples.
     """
-    t = thresholds
-    tail = _tail(list(samples), t.window_fraction, t.min_tail_samples)
-    w = [r for _, r in tail]
-    cls, degree, diags = classify_window(w, t)
-    diags["window_eps"] = [e for e, _ in tail]
-    diags["window_fraction"] = t.window_fraction
-    lower = max(0.0, min(w))
-    upper = max(lower, max(w))
-    return IllPosednessInterval(lower, upper, cls, degree, diags)
+    eps, r = np.array(list(samples), dtype=float).reshape(-1, 2).T
+    return _interval(*_tail(thresholds, eps, r), thresholds)
 
 
-def indeterminate_interval(reason, diagnostics=None):
+def indeterminate_interval(reason):
     """Interval placeholder for inputs no estimate can be drawn from."""
-    d = dict(diagnostics or {})
-    d["reason"] = reason
-    return IllPosednessInterval(0.0, math.inf, INDETERMINATE, None, d)
+    return IllPosednessInterval(0.0, math.inf, INDETERMINATE, None,
+                                {"reason": reason})
+
+
+def read_curve(phi, thresholds=DEFAULT_THRESHOLDS):
+    """Interval estimate and power-law fit of ``phi`` from one tail window.
+
+    The window is the tail of the samples :func:`core.usable_samples`
+    selects.  The fit is ``(slope, rms, degree)`` of ln Phi against
+    -ln eps (1/eps overflows below eps = 5.6e-309), with the degree
+    1/(2*slope) only when the residual is below ``residual_tol`` and the
+    slope positive.  A non-informative curve, or one without a usable
+    sample, is indeterminate with no fit; 1 to
+    ``min_tail_samples - 1`` usable samples raise InsufficientDataError.
+    """
+    if phi.finiteness == NON_INFORMATIVE:
+        return indeterminate_interval(
+            "distribution function attains +inf; not informative"), _NO_FIT
+    eps, neg_log, lp = usable_samples(phi.eps_grid, phi.log_phi)
+    if not eps.size:
+        return indeterminate_interval("no usable ratio samples"), _NO_FIT
+    eps, neg_log, lp = _tail(thresholds, eps, neg_log, lp)
+    interval = _interval(eps, neg_log / (2.0 * lp), thresholds)
+    if phi.finiteness == EXHAUSTED:
+        # counts saturated at the stored length somewhere on the grid; the
+        # tail of the curve is then an artifact of missing data
+        interval.diagnostics["exhausted_data"] = True
+    slope, _, rms = power_law_fit(neg_log, lp)
+    degree = 1.0 / (2.0 * slope) \
+        if rms < thresholds.residual_tol and slope > 0 else None
+    return interval, (slope, rms, degree)
 
 
 def regression_report(phi, thresholds=DEFAULT_THRESHOLDS):
@@ -155,28 +168,15 @@ def regression_report(phi, thresholds=DEFAULT_THRESHOLDS):
     Returns ``(slope, rms, degree)`` where the degree 1/(2*slope) is None
     whenever the fit residual exceeds the threshold (the curve is not a
     power law) or the slope is not positive.  Unlike the raw ratio, the
-    fitted slope is insensitive to constant prefactors in Phi.
+    fitted slope is insensitive to constant prefactors in Phi.  A curve
+    with fewer usable samples than a window needs has no fit.
     """
-    t = thresholds
-    if phi.finiteness == NON_INFORMATIVE:
-        return None, math.inf, None
-    # -ln eps, since 1/eps overflows below eps = 5.6e-309
-    pairs = [(-math.log(e), lp)
-             for e, lp in zip(phi.eps_grid.tolist(), phi.log_phi.tolist())
-             if math.isfinite(lp) and lp > 0 and 0 < e < 1]
-    if len(pairs) < t.min_tail_samples:
-        return None, math.inf, None
-    tail = _tail(pairs, t.window_fraction, t.min_tail_samples)
-    x = [p[0] for p in tail]
-    y = [p[1] for p in tail]
-    slope, _, rms = power_law_fit(x, y)
-    degree = None
-    if rms < t.residual_tol and slope > 0:
-        degree = 1.0 / (2.0 * slope)
-    return slope, rms, degree
+    try:
+        return read_curve(phi, thresholds)[1]
+    except InsufficientDataError:
+        return _NO_FIT
 
 
 def regression_estimate(phi, thresholds=DEFAULT_THRESHOLDS):
     """Degree from the power-law fit, or None when the fit is poor."""
-    _, _, degree = regression_report(phi, thresholds)
-    return degree
+    return regression_report(phi, thresholds)[2]

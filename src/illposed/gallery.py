@@ -25,7 +25,6 @@ from .core import (COUNTING_INTEGERS, DISCRETE, GENERIC_SAMPLED, INF,
                    TailLaw, DEFAULT_THRESHOLDS, geometric_grid)
 from . import counting as _counting
 from . import distribution as _distribution
-from . import estimate as _estimate
 
 __all__ = ["Expected", "OperatorModel", "Report", "make", "analyze",
            "available_models", "weyl_from_theta", "MODEL_IDS"]
@@ -453,25 +452,12 @@ def counterexample_const(c=0.5):
         notes="Phi = +inf below c, yet essinf = c > 0: not ill-posed")
 
 
-_FACTORIES = {
-    "riemann_liouville": riemann_liouville,
-    "multivariate_integration": multivariate_integration,
-    "sobolev_embedding": sobolev_embedding,
-    "weyl": weyl,
-    "inverse_laplacian": inverse_laplacian,
-    "backward_heat": backward_heat,
-    "multiplier_a1": multiplier_a1,
-    "multiplier_a2": multiplier_a2,
-    "multiplier_b": multiplier_b,
-    "multiplier_c": multiplier_c,
-    "hausdorff": hausdorff,
-    "gaussian_kernel": gaussian_kernel,
-    "laplace_kernel": laplace_kernel,
-    "fractional_line": fractional_line,
-    "parabolic_source": parabolic_source,
-    "counterexample_sin2": counterexample_sin2,
-    "counterexample_const": counterexample_const,
-}
+_FACTORIES = {f.__name__: f for f in (
+    riemann_liouville, multivariate_integration, sobolev_embedding, weyl,
+    inverse_laplacian, backward_heat, multiplier_a1, multiplier_a2,
+    multiplier_b, multiplier_c, hausdorff, gaussian_kernel, laplace_kernel,
+    fractional_line, parabolic_source, counterexample_sin2,
+    counterexample_const)}
 
 MODEL_IDS = tuple(_FACTORIES)
 
@@ -546,7 +532,6 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
         diagnostics["essinf_value"] = ess.value
         diagnostics["essinf_verdict"] = ess.verdict
 
-    ratios = _estimate.ratio_samples(phi)
     matches = interval.classification == model.expected.classification
     if matches and model.expected.degree is not None:
         matches = (degree is not None and
@@ -559,5 +544,5 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
     if trim is not None:
         diagnostics["trim"] = trim
     return Report({"model": model.id, "params": dict(model.parameters)},
-                  phi, ratios, interval, degree, diagnostics,
+                  phi, interval, degree, diagnostics,
                   expected=model.expected, matches_expected=matches)

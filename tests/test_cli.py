@@ -389,6 +389,23 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "tau_wild" in err
 
 
+@pytest.mark.parametrize("line", [
+    "window_fraction = inf", "window_fraction = 1e308",
+    "window_fraction = nan", "window_fraction = 0", "window_fraction = -1",
+    "window_fraction = 2", "window_fraction = one third", "tau_mild = 60",
+    "tau_mild = 0", "tau_severe = -inf", "tau_collapse = 0",
+    "drift_tol = -0.1", "residual_tol = -1e-3"])
+def test_config_rejects_bad_values(tmp_path, capsys, line):
+    cfg = tmp_path / "thresholds.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "analyze", "--model", "hausdorff",
+                         "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    # the requirement that failed names the key
+    assert line.split()[0] in err.split(", got")[0]
+
+
 def test_internal_failure_maps_to_exit_one(capsys, monkeypatch):
     from illposed import gallery
 

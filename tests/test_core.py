@@ -6,7 +6,7 @@ import pytest
 from illposed.core import (CurveMonotonicityError, DistributionFunction,
                            IllPosednessInterval, MeasureSpace, Multiplier,
                            SigmaSequence, TailLaw, ball_volume,
-                           geometric_grid, ratio)
+                           geometric_grid, ratio, usable_samples)
 
 
 def test_ratio_power_law_cancellation():
@@ -29,6 +29,17 @@ def test_ratio_undefined_samples_are_skipped():
     assert ratio(1e-4, -2.0) is None
     assert ratio(1.5, 3.0) is None        # eps >= 1
     assert ratio(1e-4, math.inf) is None  # divergent sample
+
+
+def test_usable_samples_keep_the_ratio_rule_and_math_log_digits():
+    eps = np.array([2.0, 1.0, 0.5, 0.25, 0.125, 0.0625])
+    lp = np.array([1.0, 1.0, -np.inf, 0.0, 2.0, np.inf])
+    kept, neg_log, kept_lp = usable_samples(eps, lp)
+    assert kept.tolist() == [0.125] and kept_lp.tolist() == [2.0]
+    # a vector log is a digit off on a few percent of values in (0.9, 1)
+    fine = np.linspace(0.999, 0.9, 2000)
+    _, neg_log, _ = usable_samples(fine, np.ones_like(fine))
+    assert neg_log.tolist() == [-math.log(e) for e in fine.tolist()]
 
 
 def test_geometric_grid_endpoints_inclusive():

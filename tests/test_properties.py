@@ -3,15 +3,23 @@ import io
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from illposed.core import (MONOTONE_TAIL, MeasureSpace, Multiplier,
-                           SigmaSequence, geometric_grid, ratio)
-from illposed.counting import counting_phi, step_multiplier_from_sigma
+from illposed.core import (MODERATE, MONOTONE_TAIL, NON_INFORMATIVE,
+                           IllPosednessInterval, InsufficientDataError,
+                           MeasureSpace, Multiplier, SigmaSequence,
+                           Thresholds, geometric_grid, ratio)
+from illposed.counting import (counting_phi, estimate_curve,
+                               interval_from_counting,
+                               step_multiplier_from_sigma)
+from illposed.estimate import (classify_window, indeterminate_interval,
+                               power_law_fit, ratio_samples,
+                               regression_report)
 from illposed.distribution import (decreasing_rearrangement,
                                    log_superlevel_measure, phi_curve,
                                    reweight, superlevel_measure)
@@ -204,6 +212,8 @@ kernel_floats = st.one_of(st.sampled_from(["1e-300", "1e300", "0.5", "12", "64"]
 REWEIGHTS = (("hausdorff", "exp-pi"), ("backward_heat", "exp-t-k2"))
 MULTIPLIER_MODELS = tuple(m for m in gallery.MODEL_IDS
                           if gallery.make(m).kind == "multiplier")
+SIGMA_MODELS = tuple(m for m in gallery.MODEL_IDS
+                     if gallery.make(m).kind == "sigma")
 # grids that reach below 5.6e-309, where 1/eps overflows
 tiny_floats = st.one_of(st.sampled_from(["5e-324", "1e-310", "2e-308"]),
                         odd_floats)
@@ -240,7 +250,12 @@ odd_requests = st.one_of(
                    f"--eps-{r[1]}={r[2]}"]),
     st.tuples(st.sampled_from(REWEIGHTS), odd_sizes).map(
         lambda r: ["reweight", "--model", r[0][0], "--density", r[0][1],
-                   f"--points={r[1]}"]))
+                   f"--points={r[1]}"]),
+    # estimation windows of 0 to 9 samples: few singular values, short grids
+    st.tuples(st.sampled_from(SIGMA_MODELS), odd_sizes).map(
+        lambda ms: ["analyze", "--model", ms[0], f"--sigma-terms={ms[1]}"]),
+    st.tuples(st.sampled_from(gallery.MODEL_IDS), odd_sizes).map(
+        lambda mp: ["analyze", "--model", mp[0], f"--points={mp[1]}"]))
 
 
 REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
@@ -269,3 +284,130 @@ def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
         assert list(payload)[-len(REPORT_KEYS):] == REPORT_KEYS
         assert list(payload["interval"]) == ["A", "B"]
         assert payload["classification"] in CLASSIFICATIONS
+
+
+# The estimator as it read curves one sample at a time, kept as the oracle
+# of the array pass: the scalar ratio and its loop, the tail window of a
+# list, and the regression's own filter.
+
+def _ref_ratio(eps, log_phi):
+    if not 0.0 < eps < 1.0:
+        return None
+    if not log_phi > 0.0 or math.isinf(log_phi):
+        return None
+    return math.log(eps) / (-2.0 * log_phi)
+
+
+def _ref_ratio_samples(phi):
+    out = []
+    for eps, lp in zip(phi.eps_grid, phi.log_phi):
+        r = _ref_ratio(float(eps), float(lp))
+        if r is not None:
+            out.append((float(eps), r))
+    return out
+
+
+def _ref_tail(seq, fraction, minimum):
+    k = max(minimum, int(math.ceil(len(seq) * fraction)))
+    if len(seq) < minimum:
+        raise InsufficientDataError(
+            f"need at least {minimum} samples, got {len(seq)}")
+    return seq[-k:]
+
+
+def _ref_interval(phi, t):
+    if phi.finiteness == NON_INFORMATIVE:
+        return indeterminate_interval(
+            "distribution function attains +inf; not informative")
+    samples = _ref_ratio_samples(phi)
+    if not samples:
+        return indeterminate_interval("no usable ratio samples")
+    tail = _ref_tail(samples, t.window_fraction, t.min_tail_samples)
+    w = [r for _, r in tail]
+    cls, degree, diags = classify_window(w, t)
+    diags["window_eps"] = [e for e, _ in tail]
+    diags["window_fraction"] = t.window_fraction
+    lower = max(0.0, min(w))
+    iv = IllPosednessInterval(lower, max(lower, max(w)), cls, degree, diags)
+    if phi.finiteness == "exhausted":
+        iv.diagnostics["exhausted_data"] = True
+    return iv
+
+
+def _ref_regression(phi, t):
+    if phi.finiteness == NON_INFORMATIVE:
+        return None, math.inf, None
+    pairs = [(-math.log(e), lp)
+             for e, lp in zip(phi.eps_grid.tolist(), phi.log_phi.tolist())
+             if math.isfinite(lp) and lp > 0 and 0 < e < 1]
+    if len(pairs) < t.min_tail_samples:
+        return None, math.inf, None
+    tail = _ref_tail(pairs, t.window_fraction, t.min_tail_samples)
+    slope, _, rms = power_law_fit([p[0] for p in tail], [p[1] for p in tail])
+    degree = None
+    if rms < t.residual_tol and slope > 0:
+        degree = 1.0 / (2.0 * slope)
+    return slope, rms, degree
+
+
+def _ref_estimate_curve(phi, t):
+    if phi.source == "corners":
+        t = replace(t, window_fraction=1.0)
+    interval = _ref_interval(phi, t)
+    slope, rms, degree = _ref_regression(phi, t)
+    if interval.classification != MODERATE or degree is None:
+        degree = interval.degree
+    return interval, degree, {"regression_slope": slope, "regression_rms": rms}
+
+
+@st.composite
+def estimator_curves(draw):
+    """Curves with usable windows of every size: eps reaching above 1, ln Phi
+    starting below 0 or at -inf (empty sets), exact power laws that the
+    regression accepts, rough staircases it does not, +inf tails."""
+    n = draw(st.integers(min_value=2, max_value=48))
+    # fine grids just below eps = 1, where a vector log is most often a
+    # digit off (2 to 5% of values in (0.9, 1) with numpy 2.4 on AVX-512)
+    step = draw(st.one_of(st.floats(min_value=1.001, max_value=1.05),
+                          st.floats(min_value=1.05, max_value=64.0)))
+    top = draw(st.one_of(st.floats(min_value=0.9, max_value=0.9999),
+                         st.floats(min_value=1e-3, max_value=4.0)))
+    eps = top * step ** -np.arange(n)
+    if draw(st.booleans()):
+        s = draw(st.floats(min_value=0.01, max_value=100.0))
+        c = draw(st.floats(min_value=-5.0, max_value=5.0))
+        lp = c - np.log(eps) / (2 * s)
+    else:
+        steps = draw(st.lists(st.floats(min_value=0.0, max_value=30.0),
+                              min_size=n, max_size=n))
+        lp = draw(st.floats(min_value=-20.0, max_value=5.0)) + np.cumsum(steps)
+    empty = draw(st.integers(min_value=0, max_value=n))
+    divergent = draw(st.integers(min_value=0, max_value=3))
+    lp[:empty] = -math.inf
+    lp[n - min(divergent, n - empty):] = math.inf
+    return DistributionFunction.build(
+        eps, lp, source=draw(st.sampled_from(["counting", "corners"])),
+        exhausted=draw(st.booleans()))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except InsufficientDataError as exc:
+        return f"InsufficientDataError: {exc}"
+
+
+@given(phi=estimator_curves(),
+       fraction=st.sampled_from([1.0 / 3.0, 0.05, 0.5, 1.0]),
+       minimum=st.sampled_from([10, 2, 5]))
+@settings(max_examples=300, deadline=None)
+def test_one_pass_estimator_equals_the_per_sample_one(phi, fraction, minimum):
+    # bit for bit: repr shows every digit and the type of every number
+    t = Thresholds(window_fraction=fraction, min_tail_samples=minimum)
+    assert repr(ratio_samples(phi)) == repr(_ref_ratio_samples(phi))
+    for eps, lp in zip(phi.eps_grid.tolist(), phi.log_phi.tolist()):
+        assert repr(ratio(eps, lp)) == repr(_ref_ratio(eps, lp))
+    assert repr(regression_report(phi, t)) == repr(_ref_regression(phi, t))
+    for new, ref in ((interval_from_counting, _ref_interval),
+                     (estimate_curve, _ref_estimate_curve)):
+        assert _outcome(new, phi, t) == _outcome(ref, phi, t)
