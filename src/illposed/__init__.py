@@ -19,7 +19,7 @@ from .distribution import (d_lambda, decreasing_rearrangement,
                            lp_check, phi_curve, rearrangement_multiplier,
                            reweight, superlevel_measure,
                            log_superlevel_measure)
-from .estimate import (interval_estimate, ratio_samples, regression_estimate)
+from .estimate import ratio_samples, regression_estimate
 from .gallery import OperatorModel, analyze, make
 from .discretize import (KernelSampler, Section, fft_multiplier,
                          hilbert_matrix, hilbert_section,

@@ -122,7 +122,7 @@ def _parse_params(pairs):
 
 def _thresholds(args):
     overrides = {}
-    if getattr(args, "config", None):
+    if args.config:
         allowed = {"tau_mild", "tau_severe", "tau_collapse",
                    "window_fraction", "drift_tol", "residual_tol"}
         with open(args.config) as fh:
@@ -179,7 +179,6 @@ def _cmd_analyze(args):
 
 
 def _cmd_rearrange(args):
-    thresholds = _thresholds(args)
     model = gallery.make(args.model, **_parse_params(args.param))
     if args.mode == "increasing":
         if model.measure is None or model.measure.kind != LEBESGUE_UNIT_INTERVAL:
@@ -191,11 +190,16 @@ def _cmd_rearrange(args):
                                                       model.measure, float(t))
                 for t in ts]
     else:
+        if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)
+                and 0 < args.t_min <= args.t_max):
+            raise ValueError(f"--t-min and --t-max must be finite with "
+                             f"0 < --t-min <= --t-max, got --t-min "
+                             f"{args.t_min!r}, --t-max {args.t_max!r}")
         # the curve is inverted by interpolation, so sample it densely
         # regardless of how many output points were requested
         grid = _grid_for(model, args, points=max(args.points, 400))
-        phi = gallery.analyze(model, grid=grid, thresholds=thresholds,
-                              n_terms=args.sigma_terms, run_essinf=False).phi
+        phi = gallery.analyze(model, grid=grid, n_terms=args.sigma_terms,
+                              run_essinf=False).phi
         ts = np.geomspace(args.t_min, args.t_max, args.points)
         vals = distribution.decreasing_rearrangement(phi, ts)
     ts, vals = [float(t) for t in ts], [float(v) for v in vals]
@@ -284,8 +288,6 @@ def _cmd_check(args):
 # ---------------------------------------------------------------------------
 
 def _add_common(parser, grid=True):
-    parser.add_argument("--config", default=None,
-                        help="key=value file overriding thresholds")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--emit", choices=("csv", "json"), default="json")
     if grid:
@@ -348,6 +350,11 @@ def build_parser():
     p.add_argument("--N", type=int, required=True)
     _add_common(p, grid=False)
     p.set_defaults(fn=_cmd_fft_multiplier)
+
+    for name in ("analyze", "reweight", "discretize"):  # they read thresholds
+        sub.choices[name].add_argument(
+            "--config", default=None,
+            help="key=value file overriding thresholds")
 
     p = sub.add_parser("check", help="run the acceptance suite")
     p.add_argument("--only", default=None,

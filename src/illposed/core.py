@@ -33,6 +33,10 @@ FINITE = "finite"
 NON_INFORMATIVE = "non_informative"
 EXHAUSTED = "exhausted"
 
+# source tag of corner curves, whose window is chosen by index, so the
+# estimator reads them whole
+CORNERS = "corners"
+
 # measure kinds
 LEBESGUE_HALFLINE = "lebesgue_halfline"
 LEBESGUE_LINE = "lebesgue_line"
@@ -115,26 +119,24 @@ class Thresholds:
 DEFAULT_THRESHOLDS = Thresholds()
 
 
-def geometric_grid(eps_max, eps_min=None, points=60, step=2.0):
-    """Descending geometric epsilon grid.
-
-    With ``eps_min`` given, both endpoints are included exactly; otherwise
-    the grid is ``eps_max * step**-j`` for j = 0 .. points-1.
-    """
+def geometric_grid(eps_max, eps_min, points=60):
+    """Descending geometric epsilon grid; both endpoints are included
+    exactly."""
     if eps_max <= 0:
         raise ValueError("eps_max must be positive")
     if points < 2:
         raise ValueError("need at least two grid points")
+    if not 0 < eps_min < eps_max:
+        raise ValueError("need 0 < eps_min < eps_max")
     j = np.arange(points, dtype=float)
-    if eps_min is None:
-        grid = eps_max * step ** (-j)
-    else:
-        if not 0 < eps_min < eps_max:
-            raise ValueError("need 0 < eps_min < eps_max")
-        grid = eps_max * (eps_min / eps_max) ** (j / (points - 1.0))
-        grid[0], grid[-1] = eps_max, eps_min
+    grid = eps_max * (eps_min / eps_max) ** (j / (points - 1.0))
+    grid[0], grid[-1] = eps_max, eps_min
     grid.flags.writeable = False
     return grid
+
+
+# largest relative deviation of a stored tail from its declared law
+_TAIL_LAW_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -144,19 +146,15 @@ class TailLaw:
     kinds:
       power        sigma_n = scale * n**-alpha
       power_log    sigma_n = scale * log(n+1)**(d-1) / n
-      exponential  sigma_n = scale * exp(-c * n**q)
     """
 
     kind: str
     alpha: float = 1.0
     d: int = 1
-    c: float = 1.0
-    q: float = 1.0
     scale: float = 1.0
-    rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.kind not in ("power", "power_log", "exponential"):
+        if self.kind not in ("power", "power_log"):
             raise ValueError(f"unknown tail law kind {self.kind!r}")
         if self.scale <= 0:
             raise ValueError("tail law scale must be positive")
@@ -166,21 +164,15 @@ class TailLaw:
         n = np.asarray(n, dtype=float)
         if self.kind == "power":
             return self.scale * n ** -self.alpha
-        if self.kind == "power_log":
-            return self.scale * np.log(n + 1.0) ** (self.d - 1) / n
-        return self.scale * np.exp(-self.c * n ** self.q)
+        return self.scale * np.log(n + 1.0) ** (self.d - 1) / n
 
     @staticmethod
-    def power(alpha, scale=1.0, rel_tol=1e-6):
-        return TailLaw("power", alpha=alpha, scale=scale, rel_tol=rel_tol)
+    def power(alpha, scale=1.0):
+        return TailLaw("power", alpha=alpha, scale=scale)
 
     @staticmethod
-    def power_log(d, scale=1.0, rel_tol=1e-6):
-        return TailLaw("power_log", d=d, scale=scale, rel_tol=rel_tol)
-
-    @staticmethod
-    def exponential(c, q=1.0, scale=1.0, rel_tol=1e-6):
-        return TailLaw("exponential", c=c, q=q, scale=scale, rel_tol=rel_tol)
+    def power_log(d, scale=1.0):
+        return TailLaw("power_log", d=d, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -215,10 +207,10 @@ class SigmaSequence:
         n = np.arange(v.size - m + 1, v.size + 1, dtype=float)
         model = self.tail_law.sigma(n)
         rel = np.abs(model - v[-m:]) / v[-m:]
-        if rel.max() > self.tail_law.rel_tol:
+        if rel.max() > _TAIL_LAW_TOL:
             raise ValueError(
                 f"stored tail deviates from declared law by {rel.max():.3g} "
-                f"(> {self.tail_law.rel_tol:.3g} relative)")
+                f"(> {_TAIL_LAW_TOL:.3g} relative)")
 
     def __len__(self):
         return self.values.size
@@ -438,7 +430,7 @@ def ratio(eps, log_phi):
     laws Phi = eps**(-1/(2 s)) the quotient equals s at every point.
     """
     _, neg_log, lp = usable_samples([eps], [log_phi])
-    return float(neg_log[0] / (2.0 * lp[0])) if lp.size else None
+    return float(_ratios(neg_log, lp)[0]) if lp.size else None
 
 
 def usable_samples(eps_grid, log_phi):
@@ -460,4 +452,11 @@ def ratio_samples(phi):
     """Ratio samples (eps, r) of a distribution curve, coarse to fine;
     samples where the ratio is undefined are skipped."""
     eps, neg_log, lp = usable_samples(phi.eps_grid, phi.log_phi)
-    return list(zip(eps.tolist(), (neg_log / (2.0 * lp)).tolist()))
+    return list(zip(eps.tolist(), _ratios(neg_log, lp).tolist()))
+
+
+def _ratios(neg_log, log_phi):
+    """The ratios (-ln eps) / (2 ln Phi) of usable samples; as in float
+    arithmetic, a subnormal ln Phi gives +inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return neg_log / (2.0 * log_phi)

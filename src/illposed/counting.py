@@ -9,12 +9,11 @@ integer identity tested in the suite.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DEFAULT_THRESHOLDS, INF, InsufficientDataError,
+from .core import (CORNERS, DEFAULT_THRESHOLDS, INF, InsufficientDataError,
                    IllPosednessInterval, LEBESGUE_HALFLINE, MODERATE,
                    MONOTONE_TAIL, MeasureSpace, Multiplier,
                    DistributionFunction, SigmaSequence)
@@ -30,10 +29,6 @@ __all__ = [
     "corner_curve",
     "step_multiplier_from_sigma",
 ]
-
-
-# source tag of corner curves, whose window is chosen by index
-_CORNERS = "corners"
 
 
 class PhiCount(NamedTuple):
@@ -110,7 +105,7 @@ def corner_curve(sigma: SigmaSequence, window=None) -> DistributionFunction:
     n = np.arange(lo, lo + sq.size, dtype=float)[last]
     if n.size < 2:
         raise InsufficientDataError("window too small")
-    return DistributionFunction.build(sq[last], np.log(n), source=_CORNERS,
+    return DistributionFunction.build(sq[last], np.log(n), source=CORNERS,
                                       sup_bound=float(sigma.values[0] ** 2))
 
 
@@ -129,8 +124,7 @@ def interval_from_sigma(sigma: SigmaSequence, window=None,
         raise InsufficientDataError(
             f"need at least 32 singular values, got {len(sigma)}")
     phi = corner_curve(sigma, window)
-    interval, (slope, rms, degree) = estimate.read_curve(
-        phi, replace(thresholds, window_fraction=1.0))
+    interval, (slope, rms, degree) = estimate.read_curve(phi, thresholds)
     n = np.rint(np.exp(phi.log_phi[[0, -1]]))
     interval.diagnostics.update(regression_slope=slope, regression_rms=rms,
                                 window_indices=(int(n[0]), int(n[1])))
@@ -151,11 +145,8 @@ def estimate_curve(phi: DistributionFunction, thresholds=DEFAULT_THRESHOLDS):
     Both come from one tail window.  The degree is the regression-refined
     one when the interval is moderate and the power-law fit is accepted,
     since constant prefactors bias the raw ratio window; otherwise it is
-    the interval's own degree.  A :func:`corner_curve` is estimated over
-    its whole window, which was already chosen by index.
+    the interval's own degree.
     """
-    if phi.source == _CORNERS:
-        thresholds = replace(thresholds, window_fraction=1.0)
     interval, (slope, rms, degree) = estimate.read_curve(phi, thresholds)
     if interval.classification != MODERATE or degree is None:
         degree = interval.degree

@@ -12,17 +12,17 @@ the curve really is a power law.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .core import (DEFAULT_THRESHOLDS, EXHAUSTED, INDETERMINATE,
+from .core import (CORNERS, DEFAULT_THRESHOLDS, EXHAUSTED, INDETERMINATE,
                    InsufficientDataError, IllPosednessInterval, MILD,
-                   MODERATE, NON_INFORMATIVE, SEVERE, ratio_samples,
+                   MODERATE, NON_INFORMATIVE, SEVERE, _ratios, ratio_samples,
                    usable_samples)
 
 __all__ = [
     "ratio_samples",
-    "interval_estimate",
     "regression_estimate",
     "regression_report",
     "classify_window",
@@ -106,27 +106,6 @@ def _tail(thresholds, *arrays):
     return tuple(a[-k:] for a in arrays)
 
 
-def _interval(eps, r, thresholds):
-    """Interval estimate from the ratios ``r`` of a tail window at ``eps``."""
-    cls, degree, diags = classify_window(r, thresholds)
-    diags["window_eps"] = eps.tolist()
-    diags["window_fraction"] = thresholds.window_fraction
-    lower = max(0.0, float(r.min()))
-    upper = max(lower, float(r.max()))
-    return IllPosednessInterval(lower, upper, cls, degree, diags)
-
-
-def interval_estimate(samples, thresholds=DEFAULT_THRESHOLDS):
-    """Interval estimate from ratio samples ordered coarse to fine.
-
-    ``samples`` is a sequence of (eps, r) pairs with eps descending, e.g.
-    the output of :func:`ratio_samples`.  The window is the trailing
-    ``thresholds.window_fraction`` of the samples.
-    """
-    eps, r = np.array(list(samples), dtype=float).reshape(-1, 2).T
-    return _interval(*_tail(thresholds, eps, r), thresholds)
-
-
 def indeterminate_interval(reason):
     """Interval placeholder for inputs no estimate can be drawn from."""
     return IllPosednessInterval(0.0, math.inf, INDETERMINATE, None,
@@ -137,11 +116,12 @@ def read_curve(phi, thresholds=DEFAULT_THRESHOLDS):
     """Interval estimate and power-law fit of ``phi`` from one tail window.
 
     The window is the tail of the samples :func:`core.usable_samples`
-    selects.  The fit is ``(slope, rms, degree)`` of ln Phi against
-    -ln eps (1/eps overflows below eps = 5.6e-309), with the degree
-    1/(2*slope) only when the residual is below ``residual_tol`` and the
-    slope positive.  A non-informative curve, or one without a usable
-    sample, is indeterminate with no fit; 1 to
+    selects; a corner curve (source ``core.CORNERS``), whose window was
+    chosen by index, is read whole.  The fit is ``(slope, rms, degree)``
+    of ln Phi against -ln eps (1/eps overflows below eps = 5.6e-309), with
+    the degree 1/(2*slope) only when the residual is below
+    ``residual_tol`` and the slope positive.  A non-informative curve, or
+    one without a usable sample, is indeterminate with no fit; 1 to
     ``min_tail_samples - 1`` usable samples raise InsufficientDataError.
     """
     if phi.finiteness == NON_INFORMATIVE:
@@ -150,8 +130,16 @@ def read_curve(phi, thresholds=DEFAULT_THRESHOLDS):
     eps, neg_log, lp = usable_samples(phi.eps_grid, phi.log_phi)
     if not eps.size:
         return indeterminate_interval("no usable ratio samples"), _NO_FIT
+    if phi.source == CORNERS:
+        thresholds = replace(thresholds, window_fraction=1.0)
     eps, neg_log, lp = _tail(thresholds, eps, neg_log, lp)
-    interval = _interval(eps, neg_log / (2.0 * lp), thresholds)
+    r = _ratios(neg_log, lp)
+    cls, degree, diags = classify_window(r, thresholds)
+    diags["window_eps"] = eps.tolist()
+    diags["window_fraction"] = thresholds.window_fraction
+    lower = max(0.0, float(r.min()))
+    interval = IllPosednessInterval(lower, max(lower, float(r.max())), cls,
+                                    degree, diags)
     if phi.finiteness == EXHAUSTED:
         # counts saturated at the stored length somewhere on the grid; the
         # tail of the curve is then an artifact of missing data

@@ -45,13 +45,24 @@ class OperatorModel:
 
     id: str
     parameters: dict
-    kind: str  # "sigma" (sigma_law) | "multiplier" (multiplier on measure)
     expected: Expected
     sigma_law: TailLaw | None = None
     multiplier: Multiplier | None = None
     measure: MeasureSpace | None = None
     eps_max: float = 0.99
     notes: str = ""
+
+    def __post_init__(self):
+        data = (self.sigma_law is not None, self.multiplier is not None,
+                self.measure is not None)
+        if data not in ((True, False, False), (False, True, True)):
+            raise ValueError(f"model {self.id!r} needs a sigma_law or a "
+                             "multiplier with its measure, not both")
+
+    @property
+    def kind(self):
+        """The spectral data: "sigma" (a singular value law) or "multiplier"."""
+        return "sigma" if self.sigma_law is not None else "multiplier"
 
     def sigma_sequence(self, n_terms=4096):
         """Materialize the singular value law to its first n_terms values.
@@ -89,7 +100,7 @@ def riemann_liouville(alpha=1.0):
     _positive(alpha=alpha)
     return OperatorModel(
         id="riemann_liouville", parameters={"alpha": float(alpha)},
-        kind="sigma", sigma_law=TailLaw.power(alpha),
+        sigma_law=TailLaw.power(alpha),
         expected=Expected(MODERATE, float(alpha)),
         notes="sigma_n = n^-alpha; degree alpha")
 
@@ -103,7 +114,7 @@ def multivariate_integration(d=2):
     d = _dimension(d)
     return OperatorModel(
         id="multivariate_integration", parameters={"d": d},
-        kind="sigma", sigma_law=TailLaw.power_log(d),
+        sigma_law=TailLaw.power_log(d),
         expected=Expected(MODERATE, 1.0),
         notes="sigma_n = log(n+1)^(d-1)/n; limit degree 1 for every d")
 
@@ -114,7 +125,7 @@ def sobolev_embedding(p=2.0, d=2):
     _positive(p=p)
     return OperatorModel(
         id="sobolev_embedding", parameters={"p": float(p), "d": d},
-        kind="sigma", sigma_law=TailLaw.power(p / d),
+        sigma_law=TailLaw.power(p / d),
         expected=Expected(MODERATE, p / d),
         notes="sigma_n = n^(-p/d); degree p/d")
 
@@ -153,7 +164,7 @@ def weyl(p=2.0, d=2, c=1.0):
         fn=fn, shape=MONOTONE_TAIL, sup_bound=INF,
         log_superlevel=weyl_from_theta(lambda eps: eps ** (-1.0 / p), d, c))
     return OperatorModel(
-        id="weyl", parameters={"p": p, "d": d, "c": c}, kind="multiplier",
+        id="weyl", parameters={"p": p, "d": d, "c": c},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_HALFLINE),
         expected=Expected(MODERATE, p / d, essinf_verdict="ill_posed"),
         notes="Phi = c * eps^(-d/(2p)) from the eigenvalue counting law")
@@ -199,7 +210,7 @@ def backward_heat(t_bar=1.0):
         cutoff_hint=lambda e: math.ceil(
             math.sqrt(max(0.0, -math.log(e)) / t)) + 2)
     return OperatorModel(
-        id="backward_heat", parameters={"t_bar": t}, kind="multiplier",
+        id="backward_heat", parameters={"t_bar": t},
         multiplier=mult, measure=MeasureSpace(COUNTING_INTEGERS),
         expected=Expected(SEVERE, essinf_verdict="ill_posed"),
         notes="Phi ~ 2 sqrt(log(1/eps)/t); severe")
@@ -219,7 +230,7 @@ def multiplier_a1(s=1.0):
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
                       boundary=boundary)
     return OperatorModel(
-        id="multiplier_a1", parameters={"s": s}, kind="multiplier",
+        id="multiplier_a1", parameters={"s": s},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
         expected=Expected(MODERATE, s, essinf_verdict="ill_posed"),
         notes="Phi = 2 sqrt(eps^(-1/s) - 1); degree s")
@@ -242,7 +253,7 @@ def multiplier_a2():
     mult = Multiplier(fn=fn, shape=PIECEWISE_MONOTONE, sup_bound=0.5,
                       breakpoints=(1.0,), superlevel=superlevel)
     return OperatorModel(
-        id="multiplier_a2", parameters={}, kind="multiplier",
+        id="multiplier_a2", parameters={},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
         expected=Expected(MODERATE, 1.0, essinf_verdict="ill_posed"),
         eps_max=0.495,
@@ -263,7 +274,7 @@ def multiplier_b(s=1.0):
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
                       boundary=boundary)
     return OperatorModel(
-        id="multiplier_b", parameters={"s": s}, kind="multiplier",
+        id="multiplier_b", parameters={"s": s},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
         expected=Expected(SEVERE, essinf_verdict="ill_posed"),
         notes="Phi = 2 log(1/eps)^(1/s); severe")
@@ -292,7 +303,7 @@ def multiplier_c(s=1.0):
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
                       breakpoints=(math.e,), log_superlevel=log_superlevel)
     return OperatorModel(
-        id="multiplier_c", parameters={"s": s}, kind="multiplier",
+        id="multiplier_c", parameters={"s": s},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
         expected=Expected(MILD, essinf_verdict="ill_posed"),
         notes="log Phi = log 2 + eps^(-1/(2s)); mild")
@@ -317,7 +328,7 @@ def hausdorff():
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=math.pi,
                       boundary=boundary)
     return OperatorModel(
-        id="hausdorff", parameters={}, kind="multiplier",
+        id="hausdorff", parameters={},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_HALFLINE),
         expected=Expected(SEVERE, essinf_verdict="ill_posed"),
         notes="Phi ~ log(2 pi/eps)/pi; severe; |T|^2 = pi")
@@ -339,7 +350,7 @@ def gaussian_kernel(d=1):
     mult = Multiplier(fn=fn, shape=RADIAL_MONOTONE_TAIL, sup_bound=peak,
                       boundary=boundary)
     return OperatorModel(
-        id="gaussian_kernel", parameters={"d": d}, kind="multiplier",
+        id="gaussian_kernel", parameters={"d": d},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_RADIAL, dim=d),
         expected=Expected(SEVERE, essinf_verdict="ill_posed"),
         notes="Phi ~ log(1/eps)^(d/2); severe")
@@ -367,8 +378,7 @@ def laplace_kernel(a=1.0, b=1.0, d=1):
                       boundary=boundary)
     return OperatorModel(
         id="laplace_kernel", parameters={"a": a, "b": b, "d": d},
-        kind="multiplier", multiplier=mult,
-        measure=MeasureSpace(LEBESGUE_RADIAL, dim=d),
+        multiplier=mult, measure=MeasureSpace(LEBESGUE_RADIAL, dim=d),
         expected=Expected(MODERATE, 2.0 * a / d, essinf_verdict="ill_posed"),
         notes="Phi ~ eps^(-d/(4a)); degree 2a/d (2a at d = 1)")
 
@@ -389,7 +399,7 @@ def fractional_line(s=0.5):
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=INF,
                       boundary=boundary)
     return OperatorModel(
-        id="fractional_line", parameters={"s": s}, kind="multiplier",
+        id="fractional_line", parameters={"s": s},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
         expected=Expected(MODERATE, s, essinf_verdict="ill_posed"),
         notes="Phi = 2 eps^(-1/(2s)); degree s; pole at 0 is harmless")
@@ -414,8 +424,7 @@ def parabolic_source(diffusivity=1.0, t0=1.0, d=1):
     return OperatorModel(
         id="parabolic_source",
         parameters={"diffusivity": kap, "t0": t0, "d": d},
-        kind="multiplier", multiplier=mult,
-        measure=MeasureSpace(LEBESGUE_RADIAL, dim=d),
+        multiplier=mult, measure=MeasureSpace(LEBESGUE_RADIAL, dim=d),
         expected=Expected(MODERATE, 2.0 / d, essinf_verdict="ill_posed"),
         eps_max=min(0.99, 0.99 * t0 * t0),
         notes="lambda ~ |w|^-4 at infinity; degree 2/d")
@@ -430,7 +439,7 @@ def counterexample_sin2():
                       resolution=1.0 / 64.0,
                       log_superlevel=lambda e: INF if e < 1.0 else -INF)
     return OperatorModel(
-        id="counterexample_sin2", parameters={}, kind="multiplier",
+        id="counterexample_sin2", parameters={},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_HALFLINE),
         expected=Expected(INDETERMINATE, essinf_verdict="ill_posed"),
         notes="Phi = +inf below 1: non-informative although 0 in essran")
@@ -445,7 +454,7 @@ def counterexample_const(c=0.5):
                       resolution=1.0 / 64.0,
                       log_superlevel=lambda e: INF if e < c else -INF)
     return OperatorModel(
-        id="counterexample_const", parameters={"c": c}, kind="multiplier",
+        id="counterexample_const", parameters={"c": c},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_HALFLINE),
         expected=Expected(INDETERMINATE, essinf_verdict="well_posed_candidate"),
         eps_max=0.99 * c,
@@ -518,13 +527,11 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
         # the estimate reads the corners; the grid curve is for display
         phi = _counting.counting_curve(seq, grid)
         estimated = _counting.corner_curve(seq)
-    elif model.kind == "multiplier":
+    else:
         if grid is None:
             grid = geometric_grid(model.eps_max, model.eps_max * 2.0 ** -59)
         phi = estimated = _distribution.phi_curve(
             model.multiplier, model.measure, grid, method=method, trim=trim)
-    else:
-        raise ValueError(f"unknown spectral data kind {model.kind!r}")
     interval, degree, diagnostics = _counting.estimate_curve(estimated,
                                                             thresholds)
     if model.kind == "multiplier" and run_essinf:

@@ -169,6 +169,16 @@ def test_rearrange_decreasing(capsys):
         < 2e-3
 
 
+@pytest.mark.parametrize("bounds", [("-1", "100"), ("1", "inf"),
+                                    ("0", "100"), ("10", "1"), ("nan", "1")])
+def test_rearrange_range_is_checked(capsys, bounds):
+    code, out, err = run(capsys, "rearrange", "--model", "hausdorff",
+                         "--t-min", bounds[0], "--t-max", bounds[1])
+    assert code == 2
+    assert out == ""
+    assert "--t-min" in err and "--t-max" in err
+
+
 def test_rearrange_increasing_requires_unit_interval(capsys):
     code, _, err = run(capsys, "rearrange", "--model", "hausdorff",
                        "--mode", "increasing")
@@ -380,13 +390,30 @@ def test_config_overrides_thresholds(tmp_path, capsys):
     assert json.loads(out)["classification"] == "mild"
 
 
-def test_config_rejects_unknown_key(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", "hausdorff"],
+    ["reweight", "--model", "hausdorff", "--density", "exp-pi"],
+    ["discretize", "--operator", "j_alpha", "--n", "64"]],
+    ids=["analyze", "reweight", "discretize"])
+def test_config_rejects_unknown_key(tmp_path, capsys, argv):
     cfg = tmp_path / "thresholds.cfg"
     cfg.write_text("tau_wild = 1\n")
-    code, _, err = run(capsys, "analyze", "--model", "hausdorff",
-                       "--config", str(cfg))
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
     assert code == 2
     assert "tau_wild" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fft-multiplier", "--kernel", "gaussian", "--L", "12", "--N", "8"],
+    ["rearrange", "--model", "hausdorff"]], ids=["fft-multiplier", "rearrange"])
+def test_config_only_where_thresholds_are_read(tmp_path, capsys, argv):
+    # the file is never opened: a missing one is as much a usage error
+    for cfg in (tmp_path / "missing.cfg", tmp_path / "thresholds.cfg"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        cfg.write_text("tau_mild = 0.9\n")
+        assert "--config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", [

@@ -51,11 +51,6 @@ def test_geometric_grid_endpoints_inclusive():
     assert np.allclose(ratios, ratios[0])
 
 
-def test_geometric_grid_factor_ladder():
-    g = geometric_grid(8.0, points=5, step=2.0)
-    assert np.allclose(g, [8.0, 4.0, 2.0, 1.0, 0.5])
-
-
 class TestSigmaSequence:
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):

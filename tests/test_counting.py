@@ -8,7 +8,8 @@ from illposed.core import (InsufficientDataError, SigmaSequence, TailLaw,
 from illposed.counting import (corner_curve, counting_curve, counting_phi,
                                estimate_curve, interval_from_counting,
                                interval_from_sigma, step_multiplier_from_sigma)
-from illposed.estimate import ratio_samples
+from illposed.estimate import (ratio_samples, regression_estimate,
+                               regression_report)
 from illposed.distribution import phi_curve, superlevel_measure
 from illposed.core import DistributionFunction
 
@@ -101,6 +102,18 @@ class TestCornerCurve:
         assert iv.diagnostics["window_indices"] == (512, 1024)
         # the whole window is the tail window
         assert len(iv.diagnostics["window_eps"]) == 513
+
+    def test_every_entry_reads_the_whole_window(self):
+        n = np.arange(1, 4097, dtype=float)
+        seq = SigmaSequence(n ** -1.0, tail_law=TailLaw.power(1.0))
+        phi = corner_curve(seq)
+        interval, degree, info = estimate_curve(phi)
+        assert len(interval.diagnostics["window_eps"]) == len(phi) == 2049
+        assert repr(interval_from_counting(phi)) == repr(interval)
+        slope, rms, fitted = regression_report(phi)
+        assert (slope, rms) == (info["regression_slope"],
+                                info["regression_rms"])
+        assert regression_estimate(phi) == fitted == degree
 
 
 class TestIntervalFromSigma:

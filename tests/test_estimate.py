@@ -6,8 +6,9 @@ import pytest
 
 from illposed.core import (DistributionFunction, InsufficientDataError,
                            Thresholds, geometric_grid)
-from illposed.estimate import (interval_estimate, ratio_samples,
-                               regression_estimate, regression_report)
+from illposed.counting import interval_from_counting
+from illposed.estimate import (ratio_samples, regression_estimate,
+                               regression_report)
 
 
 def power_curve(s, c=1.0, eps_min=1e-10, points=60, eps_max=0.9):
@@ -49,7 +50,7 @@ class TestRatioSamples:
 
 class TestIntervalEstimate:
     def test_power_law_window_is_flat(self):
-        iv = interval_estimate(ratio_samples(power_curve(1.0)))
+        iv = interval_from_counting(power_curve(1.0))
         assert iv.classification == "moderate"
         assert iv.lower == pytest.approx(1.0, abs=1e-12)
         assert iv.upper == pytest.approx(1.0, abs=1e-12)
@@ -57,14 +58,14 @@ class TestIntervalEstimate:
 
     def test_prefactor_biases_raw_window(self):
         # oracle: r = L / (L + 2 ln c) for s = 1, so the window sits below 1
-        iv = interval_estimate(ratio_samples(power_curve(1.0, c=2.0)))
+        iv = interval_from_counting(power_curve(1.0, c=2.0))
         assert iv.classification == "moderate"
         assert iv.upper < 1.0
         oracle = math.log(1e10) / (math.log(1e10) + 2.0 * math.log(2.0))
         assert iv.upper == pytest.approx(oracle, abs=1e-12)
 
     def test_severe_needs_rising_window(self):
-        iv = interval_estimate(ratio_samples(hausdorff_curve()))
+        iv = interval_from_counting(hausdorff_curve())
         assert iv.classification == "severe"
         assert iv.diagnostics["trend"] == "increasing"
         assert iv.diagnostics["drift"] > 0.1
@@ -73,18 +74,19 @@ class TestIntervalEstimate:
         grid = geometric_grid(0.9, 1e-12, 60)
         curve = DistributionFunction.build(grid, grid ** -0.5,
                                            source="counting")
-        iv = interval_estimate(ratio_samples(curve))
+        iv = interval_from_counting(curve)
         assert iv.classification == "mild"
         assert iv.diagnostics["trend"] == "decreasing"
 
     def test_requires_minimum_samples(self):
-        samples = [(10.0 ** -k, 1.0) for k in range(1, 6)]
+        curve = power_curve(1.0, eps_min=1e-5, points=5, eps_max=0.1)
+        assert len(ratio_samples(curve)) == 5
         with pytest.raises(InsufficientDataError):
-            interval_estimate(samples)
+            interval_from_counting(curve)
 
     def test_window_policy_recorded(self):
-        iv = interval_estimate(ratio_samples(power_curve(0.5)),
-                               Thresholds(window_fraction=0.5))
+        iv = interval_from_counting(power_curve(0.5),
+                                    Thresholds(window_fraction=0.5))
         assert iv.diagnostics["window_fraction"] == 0.5
         assert len(iv.diagnostics["window_eps"]) >= 10
 
@@ -141,12 +143,12 @@ def test_interval_and_regression_agree_on_exact_power_laws():
     t = Thresholds()
     for s in (0.25, 1.0, 4.0):
         curve = power_curve(s)
-        iv = interval_estimate(ratio_samples(curve), t)
+        iv = interval_from_counting(curve, t)
         reg = regression_estimate(curve, t)
         assert iv.degree == pytest.approx(s, abs=1e-12)
         assert reg == pytest.approx(s, abs=1e-12)
     curve = power_curve(1.0, c=10.0, eps_min=1e-20)
-    iv = interval_estimate(ratio_samples(curve), t)
+    iv = interval_from_counting(curve, t)
     reg = regression_estimate(curve, t)
     assert reg == pytest.approx(1.0, abs=1e-12)
     envelope = 2.0 * math.log(10.0) / math.log(1e13)  # window start L = ln(1e13)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,19 @@ class TestConstructors:
             gallery.make("multiplier_a1", s=-1.0)
         with pytest.raises(ValueError):
             gallery.make("riemann_liouville", alpha=0.0)
+
+    def test_a_model_holds_one_kind_of_spectral_data(self):
+        sigma = gallery.make("riemann_liouville")
+        mult = gallery.make("hausdorff")
+        assert (sigma.kind, mult.kind) == ("sigma", "multiplier")
+        for bad in (dict(multiplier=mult.multiplier, measure=mult.measure),
+                    dict(sigma_law=None), dict(measure=mult.measure)):
+            with pytest.raises(ValueError, match="sigma_law or a multiplier"):
+                replace(sigma, **bad)
+        for bad in (dict(sigma_law=sigma.sigma_law), dict(measure=None),
+                    dict(multiplier=None)):
+            with pytest.raises(ValueError, match="sigma_law or a multiplier"):
+                replace(mult, **bad)
 
     def test_hausdorff_peak_is_pi(self):
         model = gallery.make("hausdorff")

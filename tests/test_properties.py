@@ -255,7 +255,11 @@ odd_requests = st.one_of(
     st.tuples(st.sampled_from(SIGMA_MODELS), odd_sizes).map(
         lambda ms: ["analyze", "--model", ms[0], f"--sigma-terms={ms[1]}"]),
     st.tuples(st.sampled_from(gallery.MODEL_IDS), odd_sizes).map(
-        lambda mp: ["analyze", "--model", mp[0], f"--points={mp[1]}"]))
+        lambda mp: ["analyze", "--model", mp[0], f"--points={mp[1]}"]),
+    st.tuples(st.sampled_from(gallery.MODEL_IDS), odd_floats, odd_floats,
+              odd_sizes).map(
+        lambda r: ["rearrange", "--model", r[0], f"--t-min={r[1]}",
+                   f"--t-max={r[2]}", f"--points={r[3]}"]))
 
 
 REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
@@ -316,6 +320,8 @@ def _ref_tail(seq, fraction, minimum):
 
 
 def _ref_interval(phi, t):
+    if phi.source == "corners":
+        t = replace(t, window_fraction=1.0)
     if phi.finiteness == NON_INFORMATIVE:
         return indeterminate_interval(
             "distribution function attains +inf; not informative")
@@ -335,6 +341,8 @@ def _ref_interval(phi, t):
 
 
 def _ref_regression(phi, t):
+    if phi.source == "corners":
+        t = replace(t, window_fraction=1.0)
     if phi.finiteness == NON_INFORMATIVE:
         return None, math.inf, None
     pairs = [(-math.log(e), lp)
@@ -351,8 +359,6 @@ def _ref_regression(phi, t):
 
 
 def _ref_estimate_curve(phi, t):
-    if phi.source == "corners":
-        t = replace(t, window_fraction=1.0)
     interval = _ref_interval(phi, t)
     slope, rms, degree = _ref_regression(phi, t)
     if interval.classification != MODERATE or degree is None:
