@@ -63,9 +63,8 @@ def _hilbert_sigma_max(n):
 
 @lru_cache(maxsize=None)
 def _gaussian_fft(n):
-    kernel = discretize.KernelSampler(
-        fn=lambda x: math.exp(-x * x), decay=lambda x: math.exp(-x * x),
-        L=12.0, N=n)
+    kernel = discretize.KernelSampler(fn=lambda x: math.exp(-x * x),
+                                      L=12.0, N=n)
     return discretize.fft_multiplier(kernel)
 
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import acceptance, counting, discretize, distribution, gallery
 from .core import (InsufficientDataError, Report, Thresholds,
-                   UnsupportedMeasureError, geometric_grid,
-                   LEBESGUE_UNIT_INTERVAL)
+                   UnsupportedMeasureError, geometric_grid)
 
 DENSITIES = ("exp-pi", "exp-t-k2")
 
@@ -180,28 +179,17 @@ def _cmd_analyze(args):
 
 def _cmd_rearrange(args):
     model = gallery.make(args.model, **_parse_params(args.param))
-    if args.mode == "increasing":
-        if model.measure is None or model.measure.kind != LEBESGUE_UNIT_INTERVAL:
-            raise UnsupportedMeasureError(
-                f"model {model.id!r} does not live on the unit interval; "
-                "the increasing rearrangement is only defined there")
-        ts = np.linspace(0.0, 1.0, args.points)
-        vals = [distribution.increasing_rearrangement(model.multiplier,
-                                                      model.measure, float(t))
-                for t in ts]
-    else:
-        if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)
-                and 0 < args.t_min <= args.t_max):
-            raise ValueError(f"--t-min and --t-max must be finite with "
-                             f"0 < --t-min <= --t-max, got --t-min "
-                             f"{args.t_min!r}, --t-max {args.t_max!r}")
-        # the curve is inverted by interpolation, so sample it densely
-        # regardless of how many output points were requested
-        grid = _grid_for(model, args, points=max(args.points, 400))
-        phi = gallery.analyze(model, grid=grid, n_terms=args.sigma_terms,
-                              run_essinf=False).phi
-        ts = np.geomspace(args.t_min, args.t_max, args.points)
-        vals = distribution.decreasing_rearrangement(phi, ts)
+    if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)
+            and 0 < args.t_min <= args.t_max):
+        raise ValueError(f"--t-min and --t-max must be finite with "
+                         f"0 < --t-min <= --t-max, got --t-min "
+                         f"{args.t_min!r}, --t-max {args.t_max!r}")
+    # the curve is inverted by interpolation, so sample it densely
+    # regardless of how many output points were requested
+    grid = _grid_for(model, args, points=max(args.points, 400))
+    phi = gallery.curve(model, grid, n_terms=args.sigma_terms)
+    ts = np.geomspace(args.t_min, args.t_max, args.points)
+    vals = distribution.decreasing_rearrangement(phi, ts)
     ts, vals = [float(t) for t in ts], [float(v) for v in vals]
     payload = {"model": model.id, "mode": args.mode, "t": ts,
                "lambda_star": vals}
@@ -260,7 +248,7 @@ def _cmd_fft_multiplier(args):
         a, b = args.a, args.b
         fn = lambda x: a * math.exp(-abs(x) / b)
     sampled = discretize.fft_multiplier(
-        discretize.KernelSampler(fn=fn, decay=fn, L=args.L, N=args.N))
+        discretize.KernelSampler(fn=fn, L=args.L, N=args.N))
     omega = [float(v) for v in sampled.omega]
     lam = [float(v) for v in sampled.values]
     payload = {"kernel": args.kernel, "L": args.L, "N": args.N,
@@ -320,8 +308,7 @@ def build_parser():
     p = sub.add_parser("rearrange", help="rearrangement samples (t, lambda*(t))")
     p.add_argument("--model", required=True, choices=gallery.MODEL_IDS)
     p.add_argument("--param", action="append", metavar="K=V")
-    p.add_argument("--mode", choices=("decreasing", "increasing"),
-                   default="decreasing")
+    p.add_argument("--mode", choices=("decreasing",), default="decreasing")
     p.add_argument("--sigma-terms", type=int, default=4096)
     p.add_argument("--t-min", type=float, default=1e-2)
     p.add_argument("--t-max", type=float, default=1e3)

@@ -298,9 +298,6 @@ class Multiplier:
         if (self.sample_omega is None) != (self.sample_value is None):
             raise ValueError("sampled multipliers need both omega and value arrays")
 
-    def __call__(self, omega):
-        return self.fn(omega)
-
 
 @dataclass(frozen=True)
 class DistributionFunction:

@@ -11,7 +11,6 @@ matrix/kernel -> spectrum -> curve -> interval.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +21,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, svds
 from .core import (DEFAULT_THRESHOLDS, GENERIC_SAMPLED, INDETERMINATE,
                    LEBESGUE_LINE, MODERATE, SEVERE, IllPosednessInterval,
                    InsufficientDataError, MeasureSpace, Multiplier, Report,
-                   SigmaSequence, TruncationWarning, geometric_grid)
+                   SigmaSequence, geometric_grid)
 from . import counting as _counting
 from . import distribution as _distribution
 from . import estimate as _estimate
@@ -314,12 +313,11 @@ def _leading_values(section):
 class KernelSampler:
     """Sampling plan for a convolution kernel on [-L, L) with N cells.
 
-    ``decay`` is an integrable envelope of |kernel| used for the
-    a-posteriori truncation and aliasing bounds; N must be a power of two.
+    |kernel| must be integrable: the a-posteriori truncation and aliasing
+    bounds integrate it.  N must be a power of two.
     """
 
     fn: Callable[[float], float]
-    decay: Callable[[float], float]
     L: float
     N: int
 
@@ -352,21 +350,14 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
     Samples of h on x_m = -L + m dx are turned into values of the
     continuous transform integral F h(w) = int exp(-i w x) h(x) dx at the
     dual frequencies w_k = pi k / L, k = -N/2 .. N/2 - 1, via the exact
-    phase factor (-1)^k dx.  The truncation bound integrates the declared
-    envelope beyond [-L, L]; the aliasing bound evaluates the envelope
-    transform at the first alias distance.
+    phase factor (-1)^k dx.  The truncation bound integrates |kernel|
+    beyond [-L, L]; the aliasing bound is the mass of |kernel| beyond half
+    the first alias distance.
     """
     L, N = kernel.L, kernel.N
     dx = 2.0 * L / N
     x = -L + dx * np.arange(N)
     h = np.asarray([kernel.fn(v) for v in x.tolist()], dtype=float)
-    edge = max(abs(h[0]), abs(kernel.fn(L)))
-    env_edge = abs(kernel.decay(L))
-    if edge > max(env_edge * (1.0 + 1e-9), 1e-12):
-        warnings.warn(
-            f"kernel magnitude {edge:.3g} at the window edge exceeds the "
-            f"declared envelope {env_edge:.3g}; transform values carry "
-            "truncation error", TruncationWarning, stacklevel=2)
     k = np.arange(-N // 2, N // 2)
     # a kernel too large for its transform or |transform|^2 to be a float
     # raises FloatingPointError
@@ -376,11 +367,11 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
         lam = np.abs(hhat) ** 2
     omega = np.pi * k / L
 
-    envelope = _distribution._pointwise(lambda t: abs(kernel.decay(t)))
-    truncation = 2.0 * _distribution._quad(envelope, L, math.inf)[0]
+    magnitude = _distribution._pointwise(lambda t: abs(kernel.fn(t)))
+    truncation = 2.0 * _distribution._quad(magnitude, L, math.inf)[0]
     # first alias image sits 2 pi / dx away from the kept band
     alias_dist = 2.0 * math.pi / dx - np.abs(omega).max()
-    aliasing = _gauss_tail_bound(envelope, alias_dist)
+    aliasing = _gauss_tail_bound(magnitude, alias_dist)
 
     sup = float(lam.max())
     mult = Multiplier(fn=_interp_fn(omega, lam), shape=GENERIC_SAMPLED,
@@ -392,11 +383,11 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
                              aliasing_bound=float(aliasing))
 
 
-def _gauss_tail_bound(envelope, dist):
-    """Crude |F env|(dist) bound: L1 mass of the envelope beyond dist/2."""
+def _gauss_tail_bound(magnitude, dist):
+    """Crude |F h|(dist) bound: L1 mass of |h| beyond dist/2."""
     if dist <= 0:
         return math.inf
-    return 2.0 * _distribution._quad(envelope, dist / 2.0, math.inf)[0]
+    return 2.0 * _distribution._quad(magnitude, dist / 2.0, math.inf)[0]
 
 
 def _interp_fn(omega, lam):

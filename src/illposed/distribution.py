@@ -47,7 +47,6 @@ __all__ = [
     "phi_curve",
     "decreasing_rearrangement",
     "rearrangement_multiplier",
-    "d_lambda",
     "increasing_rearrangement",
     "reweight",
     "essinf_estimate",
@@ -466,18 +465,9 @@ def rearrangement_multiplier(phi):
     return mult, MeasureSpace(LEBESGUE_HALFLINE)
 
 
-def d_lambda(lam, mu, eps):
-    """Sublevel distribution mu({omega in [0,1] : lambda(omega) <= eps})."""
-    if mu.kind != LEBESGUE_UNIT_INTERVAL:
-        raise UnsupportedMeasureError(
-            "the sublevel distribution needs the unit-interval measure")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return float(_sublevel(lam, mu, np.array([float(eps)]))[0])
-
-
 def _sublevel(lam, mu, eps):
-    """d_lambda at every eps of the array."""
+    """The sublevel distribution d(eps) = mu({omega in [0, 1] :
+    lambda(omega) <= eps}) at every eps of the array."""
     out = np.zeros(eps.shape)
     # {lambda <= 0} has measure zero for the injective models handled here
     pos = eps > 0
@@ -486,10 +476,11 @@ def _sublevel(lam, mu, eps):
 
 
 def increasing_rearrangement(lam, mu, t):
-    """lambda*(t) = sup{eps : d_lambda(eps) <= t} on the unit interval.
+    """lambda*(t) = sup{eps : d(eps) <= t} on the unit interval.
 
-    Both d_lambda and this inverse are index functions at zero: positive
-    for positive arguments with limit zero.
+    d is the sublevel distribution of ``_sublevel``.  Both d and this
+    inverse are index functions at zero: positive for positive arguments
+    with limit zero.
     """
     if mu.kind != LEBESGUE_UNIT_INTERVAL:
         raise UnsupportedMeasureError(
@@ -497,7 +488,7 @@ def increasing_rearrangement(lam, mu, t):
     if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
     hi = lam.sup_bound
-    if d_lambda(lam, mu, hi) <= t:
+    if _sublevel(lam, mu, np.array([hi]))[0] <= t:
         return hi
     return float(_bisect(lambda e: _sublevel(lam, mu, e), np.array([float(t)]),
                          np.zeros(1), np.array([hi]), rising=True)[0])
@@ -531,6 +522,7 @@ _G_W = np.array([
 _GK_ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
 QUAD_ABS_TOL = 1.49e-8
 QUAD_CELLS = 200
+LAYER_CELLS = 2 ** 15  # most cells one round of _layers may halve
 _EPMACH = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
 
@@ -794,11 +786,12 @@ def lp_check(lam, mu, p=None, f=None):
     the numeric searches cannot tell a set beyond their reach from an
     unbounded one, and it is indeterminate.  A finite value is the
     Gauss-Kronrod quadrature (``_quad``) over u = ln(1/t) of the numeric
-    measure between the ends plus the fitted power-law tails beyond them;
-    where the quadrature cannot follow a staircase within QUAD_CELLS cells
-    (counting, step and sampled multipliers) the body is summed by
-    bisection, exactly on its flat steps.  A body that leaves the float
-    range is indeterminate.  Like a multiplier callback, ``f`` takes an
+    measure between the ends plus the fitted power-law tails beyond them.
+    A staircase (counting, step and sampled multipliers), which shows as a
+    finite ln Phi repeated exactly on a fit grid, or a body the quadrature
+    cannot follow within QUAD_CELLS cells, is summed by bisection instead,
+    exactly on its flat steps.  A body that leaves the float range is
+    indeterminate.  Like a multiplier callback, ``f`` takes an
     array of values and returns an array of the same shape.
     """
     if (p is None) == (f is None):
@@ -833,6 +826,7 @@ def lp_check(lam, mu, p=None, f=None):
         return LpResult("infinite" if diverges else "indeterminate", None)
     # the u limits of the quadrature, keyed by end: -1 large eps, +1 eps -> 0
     span, tails, knots = {-1.0: float(u_of(np.array([hi]))[0])}, 0.0, set()
+    staircase = False
     for sign, grid in ends:
         u, lp = u_of(grid), phi_curve(lam, mu, grid).log_phi
         keep = np.isfinite(u) & (lp > -INF)
@@ -855,6 +849,7 @@ def lp_check(lam, mu, p=None, f=None):
         span[sign] = float(u[-1])
         tails += math.exp(lp[-1] - span[sign]) / (sign * (1.0 - k))
         knots.update(u.tolist())
+        staircase |= bool(np.any(lp[1:] == lp[:-1]))
     a, b = span[-1.0], span[1.0]
 
     def log_phi(u):
@@ -864,10 +859,12 @@ def lp_check(lam, mu, p=None, f=None):
             return np.log(m).reshape(u.shape)
 
     try:
-        body, converged = _quad(lambda u: np.exp(log_phi(u) - u), a, b)
+        converged = False
+        if not staircase:
+            body, converged = _quad(lambda u: np.exp(log_phi(u) - u), a, b)
         if not converged:
             cuts = [a] + sorted(u for u in knots if a < u < b) + [b]
-            body = _layers(log_phi, np.array(cuts), QUAD_REL_TOL * abs(body))
+            body = _layers(log_phi, np.array(cuts), QUAD_REL_TOL)
     except FloatingPointError:
         return LpResult("indeterminate", None)
     if not math.isfinite(body):
@@ -875,30 +872,39 @@ def lp_check(lam, mu, p=None, f=None):
     return LpResult("finite", body + tails)
 
 
-def _layers(log_phi, cuts, tol):
+def _layers(log_phi, cuts, rel_tol):
     """int Phi(u) exp(-u) du over the cuts for a nondecreasing Phi.
 
     On a cell [a, b] the integral lies between Phi(a) and Phi(b) times the
     weight exp(-a) - exp(-b).  A cell is halved until that bracket is at
-    most tol; it then counts the bracket's mean, which is exact where Phi
-    is flat and otherwise off by at most half the bracket.  All cells of
-    one round are halved together, with one call of log_phi.
+    most rel_tol times the mean lower bound over the cells between the
+    cuts; it then counts the bracket's mean, which is exact where Phi is
+    flat and otherwise off by at most half the bracket.  All cells of one
+    round are halved together, with one call of log_phi.  The sum is nan
+    when a bracket leaves the float range, or when a round would halve
+    more than LAYER_CELLS cells: a staircase keeps about one cell per step
+    in play, but the cells of a smooth body double every round.
     """
-    total = 0.0
     vals = log_phi(cuts)
     a, b, la, lb = cuts[:-1], cuts[1:], vals[:-1], vals[1:]
+    total, tol = 0.0, None
     while True:
         with np.errstate(invalid="ignore", over="ignore"):
             low = np.exp(la - a) * -np.expm1(a - b)
             high = np.exp(lb - b) * np.expm1(b - a)
-            m = 0.5 * (a + b)
-            # a non-finite bracket is kept, so the sum reports it
-            split = ((high - low > tol)
-                     & (b - m > BISECT_REL_TOL * np.maximum(1.0, np.abs(m))))
-            total += float(np.sum(0.5 * (low + high)[~split]))
+        if not np.all(np.isfinite(high)):
+            return math.nan
+        if tol is None:
+            tol = rel_tol * float(np.mean(low))
+        m = 0.5 * (a + b)
+        split = ((high - low > tol)
+                 & (b - m > BISECT_REL_TOL * np.maximum(1.0, np.abs(m))))
+        total += float(np.sum(0.5 * (low + high)[~split]))
         a, m, b, la, lb = a[split], m[split], b[split], la[split], lb[split]
         if not m.size:
             return total
+        if m.size > LAYER_CELLS:
+            return math.nan
         lm = log_phi(m)
         a, b = np.concatenate([a, m]), np.concatenate([m, b])
         la, lb = np.concatenate([la, lm]), np.concatenate([lm, lb])

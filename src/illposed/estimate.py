@@ -51,11 +51,13 @@ def _block_trend(w, blocks=4):
     """Coarse trend over block means: 'increasing', 'decreasing' or 'mixed'.
 
     Block averages tolerate the sawtooth produced by integer-valued counting
-    curves, which a pointwise monotonicity check would reject.
+    curves, which a pointwise monotonicity check would reject.  Blocks of
+    +inf ratios have no step between them (inf - inf is nan): 'mixed'.
     """
     k = min(blocks, w.size)
     means = np.array([chunk.mean() for chunk in np.array_split(w, k)])
-    d = np.diff(means)
+    with np.errstate(invalid="ignore"):
+        d = np.diff(means)
     slack = 1e-12 * np.maximum(np.abs(means[1:]), 1e-300)
     if np.all(d >= -slack) and means[-1] > means[0]:
         return "increasing"
@@ -79,7 +81,8 @@ def classify_window(window, thresholds=DEFAULT_THRESHOLDS):
         raise InsufficientDataError(
             f"need at least {t.min_tail_samples} tail samples, got {w.size}")
     lo, hi = float(w.min()), float(w.max())
-    drift = float((w[-1] - w[0]) / max(abs(w[-1]), 1e-300))
+    with np.errstate(invalid="ignore"):  # nan across a window of +inf ratios
+        drift = float((w[-1] - w[0]) / max(abs(w[-1]), 1e-300))
     trend = _block_trend(w)
     if lo > t.tau_severe or (drift >= t.drift_tol and trend == "increasing"):
         cls = SEVERE

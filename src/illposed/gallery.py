@@ -26,7 +26,7 @@ from .core import (COUNTING_INTEGERS, DISCRETE, GENERIC_SAMPLED, INF,
 from . import counting as _counting
 from . import distribution as _distribution
 
-__all__ = ["Expected", "OperatorModel", "Report", "make", "analyze",
+__all__ = ["Expected", "OperatorModel", "Report", "make", "curve", "analyze",
            "available_models", "weyl_from_theta", "MODEL_IDS"]
 
 MATCH_TOL = 0.05  # largest |degree - tagged degree| that matches
@@ -505,33 +505,38 @@ def available_models():
 # ---------------------------------------------------------------------------
 # the end-to-end pipeline
 
+def curve(model, grid=None, n_terms=4096, method="auto", trim=None):
+    """The distribution curve of a gallery model on a descending eps grid.
+
+    The default grid has 60 points from ``model.eps_max`` down to
+    ``eps_max * 2**-59``.  A singular value law gives the counting curve of
+    its first ``n_terms`` values, which can be neither trimmed nor searched
+    numerically; a multiplier gives its superlevel curve.
+    """
+    _distribution._check_trim(trim)
+    if grid is None:
+        grid = geometric_grid(model.eps_max, model.eps_max * 2.0 ** -59)
+    if model.kind == "multiplier":
+        return _distribution.phi_curve(model.multiplier, model.measure, grid,
+                                       method=method, trim=trim)
+    if trim is not None or method != "auto":
+        raise ValueError(f"model {model.id!r} has a singular value law: its "
+                         "counting curve takes no trim and no method")
+    return _counting.counting_curve(model.sigma_sequence(n_terms), grid)
+
+
 def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
             method="auto", trim=None, run_essinf=True):
     """Run the full pipeline for a gallery model and compare with its tag.
 
-    Dispatches on the model's spectral data: singular value laws give the
-    corners of their counting curve (the report shows the curve on the
-    grid), multipliers their superlevel curve; both go through the one
-    estimator.  The reported degree is the regression-refined one whenever
-    the tail is power-law.
+    The report shows :func:`curve`.  The estimate reads the same curve for
+    a multiplier and the corners of the counting curve for a singular value
+    law.  The reported degree is the regression-refined one whenever the
+    tail is power-law.
     """
-    _distribution._check_trim(trim)
-    if model.kind == "sigma":
-        seq = model.sigma_sequence(n_terms)
-        sq = seq.squares
-        if grid is None:
-            lo, hi = float(sq[-1]) * 1.01, float(sq[0]) * 0.99
-            if lo >= hi:
-                lo = hi / 1e6
-            grid = geometric_grid(hi, lo)
-        # the estimate reads the corners; the grid curve is for display
-        phi = _counting.counting_curve(seq, grid)
-        estimated = _counting.corner_curve(seq)
-    else:
-        if grid is None:
-            grid = geometric_grid(model.eps_max, model.eps_max * 2.0 ** -59)
-        phi = estimated = _distribution.phi_curve(
-            model.multiplier, model.measure, grid, method=method, trim=trim)
+    phi = estimated = curve(model, grid, n_terms, method, trim)
+    if model.kind == "sigma":  # the estimate reads the corners
+        estimated = _counting.corner_curve(model.sigma_sequence(n_terms))
     interval, degree, diagnostics = _counting.estimate_curve(estimated,
                                                             thresholds)
     if model.kind == "multiplier" and run_essinf:

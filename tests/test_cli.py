@@ -119,7 +119,7 @@ def test_bad_integer_dimension_is_usage_error(capsys, model, value):
 @pytest.mark.parametrize("model,trim", [
     *(pytest.param("fractional_line", t, id=t)
       for t in ("-1", "nan", "inf", "-inf")),
-    # a sigma model, which never uses the trim, and a counting-law model
+    # a sigma model, which takes no trim, and a counting-law model
     ("riemann_liouville", "nan"), ("weyl", "-3")])
 def test_invalid_trim_is_usage_error(capsys, model, trim):
     code, out, err = run(capsys, "analyze", "--model", model,
@@ -179,11 +179,46 @@ def test_rearrange_range_is_checked(capsys, bounds):
     assert "--t-min" in err and "--t-max" in err
 
 
-def test_rearrange_increasing_requires_unit_interval(capsys):
-    code, _, err = run(capsys, "rearrange", "--model", "hausdorff",
-                       "--mode", "increasing")
+def test_rearrange_has_no_increasing_mode(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rearrange", "--model", "hausdorff", "--mode", "increasing"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'increasing'" in capsys.readouterr().err
+
+
+def test_rearrange_inverts_the_counting_curve_of_few_terms(capsys):
+    # 16 singular values leave the estimator 9 corners, too few for a
+    # window; the counting curve is inverted all the same
+    code, out, err = run(capsys, "rearrange", "--model", "riemann_liouville",
+                         "--sigma-terms", "16", "--emit", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    model = gallery.make("riemann_liouville")
+    phi = counting.counting_curve(
+        model.sigma_sequence(16),
+        geometric_grid(model.eps_max, model.eps_max * 2.0 ** -59, 400))
+    want = distribution.decreasing_rearrangement(phi, payload["t"])
+    assert payload["lambda_star"] == want.tolist()
+
+
+@pytest.mark.parametrize("model", ["hausdorff", "riemann_liouville"])
+def test_rearrange_runs_no_estimator(capsys, monkeypatch, model):
+    def boom(*args, **kwargs):
+        raise AssertionError("rearrange ran the estimator")
+
+    monkeypatch.setattr(counting, "estimate_curve", boom)
+    code, _, err = run(capsys, "rearrange", "--model", model)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("flags", [("--trim", "1"), ("--method", "numeric"),
+                                   ("--method", "closed")])
+def test_sigma_model_takes_no_trim_and_no_method(capsys, flags):
+    code, out, err = run(capsys, "analyze", "--model", "riemann_liouville",
+                         *flags)
     assert code == 2
-    assert "unit interval" in err
+    assert out == ""
+    assert "takes no trim and no method" in err
 
 
 def test_reweight_hausdorff(capsys):

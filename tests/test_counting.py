@@ -238,8 +238,8 @@ class TestStepMultiplier:
     def test_pointwise_lookup(self):
         seq = SigmaSequence(np.array([1.0, 0.5]))
         lam, mu = step_multiplier_from_sigma(seq)
-        assert lam(0.5) == 1.0
-        assert lam(1.7) == 0.25
+        assert lam.fn(0.5) == 1.0
+        assert lam.fn(1.7) == 0.25
         assert mu.kind == "lebesgue_halfline"
 
     def test_superlevel_measure_counts_unit_cells(self):

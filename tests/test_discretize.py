@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from illposed.core import TruncationWarning
 from illposed import cli, counting
 from illposed import discretize as dz
 
@@ -90,7 +89,7 @@ class TestSingularValues:
             dz.singular_values(np.array([[1.0, math.nan], [0.0, 1.0]]))
 
 
-GAUSS = dict(fn=lambda x: math.exp(-x * x), decay=lambda x: math.exp(-x * x))
+GAUSS = dict(fn=lambda x: math.exp(-x * x))
 
 
 class TestFftMultiplier:
@@ -141,8 +140,7 @@ class TestFftMultiplier:
     def test_laplace_bounds_are_the_exact_tails(self, a, b, L, n):
         # 2 int_r^inf a exp(-t / b) dt = 2 a b exp(-r / b)
         env = lambda x: a * math.exp(-abs(x) / b)
-        sampled = dz.fft_multiplier(dz.KernelSampler(fn=env, decay=env,
-                                                     L=L, N=n))
+        sampled = dz.fft_multiplier(dz.KernelSampler(fn=env, L=L, N=n))
         # the first alias image sits 2 pi / dx - pi N / (2 L) = pi N / (2 L)
         # from the band, and the bound counts the mass beyond half of that
         half_dist = math.pi * n / (4.0 * L)
@@ -159,13 +157,6 @@ class TestFftMultiplier:
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError):
             dz.KernelSampler(L=4.0, N=100, **GAUSS)
-
-    def test_truncation_warning_when_envelope_violated(self):
-        bad = dz.KernelSampler(fn=lambda x: 1.0 / (1.0 + abs(x)),
-                               decay=lambda x: math.exp(-x * x),
-                               L=6.0, N=64)
-        with pytest.warns(TruncationWarning):
-            dz.fft_multiplier(bad)
 
 
 def _section_and_matrix(operator, alpha, n):

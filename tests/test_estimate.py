@@ -90,6 +90,20 @@ class TestIntervalEstimate:
         assert iv.diagnostics["window_fraction"] == 0.5
         assert len(iv.diagnostics["window_eps"]) >= 10
 
+    def test_window_of_infinite_ratios_without_a_warning(self):
+        # ln Phi = 5e-324 makes every ratio +inf; inf - inf is the drift's
+        # and the block trend's nan, not a RuntimeWarning
+        grid = geometric_grid(0.5, 1e-6, 12)
+        curve = DistributionFunction.build(grid, np.full(12, 5e-324),
+                                           source="counting")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iv = interval_from_counting(curve)
+        assert (iv.lower, iv.upper) == (math.inf, math.inf)
+        assert iv.classification == "severe"
+        assert math.isnan(iv.diagnostics["drift"])
+        assert iv.diagnostics["trend"] == "mixed"
+
 
 class TestRegression:
     def test_power_slope_recovers_degree(self):

@@ -39,7 +39,7 @@ class TestConstructors:
 
     def test_hausdorff_peak_is_pi(self):
         model = gallery.make("hausdorff")
-        assert model.multiplier(0.0) == pytest.approx(math.pi)
+        assert model.multiplier.fn(0.0) == pytest.approx(math.pi)
         assert model.multiplier.sup_bound == math.pi
 
     def test_hausdorff_boundary_is_finite_at_the_smallest_subnormal(self):
@@ -51,18 +51,18 @@ class TestConstructors:
 
     def test_backward_heat_evaluation(self):
         model = gallery.make("backward_heat", t_bar=2.0)
-        assert model.multiplier(2) == pytest.approx(math.exp(-8.0))
-        assert model.multiplier(-2) == pytest.approx(math.exp(-8.0))
+        assert model.multiplier.fn(2) == pytest.approx(math.exp(-8.0))
+        assert model.multiplier.fn(-2) == pytest.approx(math.exp(-8.0))
 
     def test_parabolic_limit_at_origin(self):
         model = gallery.make("parabolic_source", diffusivity=1.0, t0=3.0, d=2)
-        assert model.multiplier(0.0) == pytest.approx(9.0)
-        assert model.multiplier(1e-9) == pytest.approx(9.0, rel=1e-6)
+        assert model.multiplier.fn(0.0) == pytest.approx(9.0)
+        assert model.multiplier.fn(1e-9) == pytest.approx(9.0, rel=1e-6)
 
     def test_fractional_pole(self):
         model = gallery.make("fractional_line", s=1.0)
-        assert model.multiplier(0.0) == math.inf
-        assert model.multiplier(2.0) == pytest.approx(0.25)
+        assert model.multiplier.fn(0.0) == math.inf
+        assert model.multiplier.fn(2.0) == pytest.approx(0.25)
 
     def test_laplace_expected_degree_records_radial_rate(self):
         model = gallery.make("laplace_kernel", a=1.5, b=1.0, d=2)
@@ -128,6 +128,24 @@ class TestAnalyzeDispatch:
         assert rep.expected.degree == 1.0
         assert not rep.matches_expected
         assert rep.degree < 0.9
+
+
+class TestCurve:
+    @pytest.mark.parametrize("model_id", gallery.MODEL_IDS)
+    def test_analyze_shows_the_curve(self, model_id):
+        model = gallery.make(model_id)
+        grid = geometric_grid(model.eps_max, model.eps_max * 1e-12, 40)
+        shown = gallery.analyze(model, grid=grid, run_essinf=False).phi
+        phi = gallery.curve(model, grid)
+        for name in ("eps_grid", "log_phi"):  # bit for bit
+            assert getattr(shown, name).tobytes() == getattr(phi, name).tobytes()
+
+    @pytest.mark.parametrize("model_id", ["riemann_liouville", "hausdorff"])
+    def test_default_grid(self, model_id):
+        model = gallery.make(model_id)
+        eps = gallery.curve(model).eps_grid
+        assert eps.size == 60
+        assert (eps[0], eps[-1]) == (model.eps_max, model.eps_max * 2.0 ** -59)
 
 
 class TestGalleryInvariants:

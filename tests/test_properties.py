@@ -254,6 +254,9 @@ odd_requests = st.one_of(
     # estimation windows of 0 to 9 samples: few singular values, short grids
     st.tuples(st.sampled_from(SIGMA_MODELS), odd_sizes).map(
         lambda ms: ["analyze", "--model", ms[0], f"--sigma-terms={ms[1]}"]),
+    # rearrange inverts the counting curve however few terms it has
+    st.tuples(st.sampled_from(SIGMA_MODELS), odd_sizes).map(
+        lambda ms: ["rearrange", "--model", ms[0], f"--sigma-terms={ms[1]}"]),
     st.tuples(st.sampled_from(gallery.MODEL_IDS), odd_sizes).map(
         lambda mp: ["analyze", "--model", mp[0], f"--points={mp[1]}"]),
     st.tuples(st.sampled_from(gallery.MODEL_IDS), odd_floats, odd_floats,
