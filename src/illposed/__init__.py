@@ -15,7 +15,7 @@ from .core import (CurveMonotonicityError, DistributionFunction,
 from .counting import (counting_curve, counting_phi, interval_from_counting,
                        interval_from_sigma, step_multiplier_from_sigma)
 from .distribution import (decreasing_rearrangement, essinf_estimate,
-                           increasing_rearrangement, lp_check, phi_curve,
+                           increasing_rearrangement, phi_curve,
                            rearrangement_multiplier, reweight,
                            superlevel_measure, log_superlevel_measure)
 from .estimate import ratio_samples, regression_estimate

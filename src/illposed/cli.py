@@ -184,6 +184,8 @@ def _cmd_rearrange(args):
         raise ValueError(f"--t-min and --t-max must be finite with "
                          f"0 < --t-min <= --t-max, got --t-min "
                          f"{args.t_min!r}, --t-max {args.t_max!r}")
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     # the curve is inverted by interpolation, so sample it densely
     # regardless of how many output points were requested
     grid = _grid_for(model, args, points=max(args.points, 400))
@@ -357,7 +359,8 @@ def main(argv=None):
         return args.fn(args)
     except InsufficientDataError as exc:  # a ValueError, but numerical
         failure = exc
-    except (ValueError, UnsupportedMeasureError, FileNotFoundError) as exc:
+    # an OSError comes from a path the user named (--config or --out)
+    except (ValueError, UnsupportedMeasureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical failures

@@ -273,9 +273,9 @@ class Multiplier:
     ``superlevel`` (plain measure), ``log_superlevel`` (log measure, for
     models whose Phi overflows) or ``boundary`` (threshold point / radius of
     the superlevel set); ``cutoff_hint`` maps eps to a safe enumeration
-    cutoff for discrete multipliers.  Integrals of functions of the
-    multiplier need no further data: they follow from the superlevel
-    measures by the layer-cake formula (see ``distribution.lp_check``).
+    cutoff for discrete multipliers.  Reweighted curves need no further
+    data: ``distribution.reweight`` integrates the density over the
+    superlevel sets.
     """
 
     fn: Callable

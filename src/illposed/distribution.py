@@ -6,8 +6,7 @@ superlevel sets numerically (bisection on monotone profiles, branchwise
 bisection on piecewise monotone ones, enumeration on the integers,
 indicator sums on sampled data), evaluates closed forms when a model
 carries them, and builds the derived objects: rearrangements, reweighted
-curves, the essential-infimum diagnostic and, by the layer-cake formula,
-L^p integrability.
+curves and the essential-infimum diagnostic.
 
 The numeric search works on a whole eps grid at once.  Multiplier
 callbacks take an array of points and return an array of its shape, and
@@ -31,15 +30,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (COUNTING_INTEGERS, DEFAULT_THRESHOLDS, DISCRETE,
-                   GENERIC_SAMPLED, INF, InsufficientDataError,
+from .core import (COUNTING_INTEGERS, DISCRETE, GENERIC_SAMPLED, INF,
                    LEBESGUE_HALFLINE, LEBESGUE_LINE, LEBESGUE_RADIAL,
                    LEBESGUE_UNIT_INTERVAL, MONOTONE_TAIL, Multiplier,
                    NON_INFORMATIVE, PIECEWISE_MONOTONE,
                    RADIAL_MONOTONE_TAIL, TruncationWarning,
                    UnsupportedMeasureError, ball_volume, DistributionFunction,
-                   MeasureSpace, geometric_grid)
-from .estimate import _tail, power_law_fit
+                   MeasureSpace)
 
 __all__ = [
     "superlevel_measure",
@@ -51,8 +48,6 @@ __all__ = [
     "reweight",
     "essinf_estimate",
     "EssinfResult",
-    "lp_check",
-    "LpResult",
 ]
 
 BISECT_REL_TOL = 1e-12
@@ -67,8 +62,6 @@ R0 = 8.0
 ESSINF_DOUBLINGS = 14
 ESSINF_SAMPLES = 2048
 ESSINF_FLOOR_REL = 1e-13
-# a fitted layer-cake tail slope this close to one decides nothing
-LP_SLOPE_TOL = 0.05
 
 
 def _values(fn, x):
@@ -522,7 +515,6 @@ _G_W = np.array([
 _GK_ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
 QUAD_ABS_TOL = 1.49e-8
 QUAD_CELLS = 200
-LAYER_CELLS = 2 ** 15  # most cells one round of _layers may halve
 _EPMACH = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
 
@@ -764,147 +756,3 @@ def _refined_min(fn, r, seen_max):
         prev = m
         n *= 2
     return prev, mx, False
-
-
-class LpResult(NamedTuple):
-    verdict: str  # finite | infinite | indeterminate
-    value: float | None
-
-
-def lp_check(lam, mu, p=None, f=None):
-    """Integrability of lambda**p (or of f(lambda)) over mu, by the layer cake.
-
-    int g(lambda) dmu = int_0^inf Phi(g^-1(t)) dt for g increasing with
-    g(0) = 0, so the distribution function decides it on every measure
-    space.  Each end is decided by a power-law fit of ln Phi(eps) against
-    ln(1/g(eps)) over the tail window of a default-depth curve: as eps -> 0
-    a slope above one diverges, as eps -> inf (only when sup_bound is
-    infinite) a slope below one does.  A slope within LP_SLOPE_TOL of one,
-    or one that moves by more than that across the window toward the other
-    verdict, is indeterminate.  A divergent sample is infinite when it shows
-    among the first min_tail_samples points of the eps -> 0 grid; deeper,
-    the numeric searches cannot tell a set beyond their reach from an
-    unbounded one, and it is indeterminate.  A finite value is the
-    Gauss-Kronrod quadrature (``_quad``) over u = ln(1/t) of the numeric
-    measure between the ends plus the fitted power-law tails beyond them.
-    A staircase (counting, step and sampled multipliers), which shows as a
-    finite ln Phi repeated exactly on a fit grid, or a body the quadrature
-    cannot follow within QUAD_CELLS cells, is summed by bisection instead,
-    exactly on its flat steps.  A body that leaves the float range is
-    indeterminate.  Like a multiplier callback, ``f`` takes an
-    array of values and returns an array of the same shape.
-    """
-    if (p is None) == (f is None):
-        raise ValueError("exactly one of p or f is required")
-    if p is not None and p < 1:
-        raise ValueError("p must be >= 1")
-    t = DEFAULT_THRESHOLDS
-    top = min(lam.sup_bound, 1.0)
-    lo, hi = top * 2.0 ** -59, lam.sup_bound
-    fine = geometric_grid(top, lo)
-    ends = [(1.0, fine)]
-    if hi == INF:
-        hi = 2.0 ** 59
-        ends.append((-1.0, geometric_grid(hi, 1.0)))
-    # u = ln(1/g(eps)) and its inverse, on arrays; u is +inf where g vanishes
-    if p is not None:
-        u_of = lambda e: -p * np.log(e)
-        eps_of = lambda u: np.exp(-u / p)
-    else:
-        def u_of(e):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return -np.log(np.asarray(f(e), dtype=float))
-        # g^-1 by bisection in ln eps, which resolves eps relative to itself
-        eps_of = lambda u: lo * np.exp(_bisect(
-            lambda v: f(lo * np.exp(v)), np.exp(-u), np.zeros(u.shape),
-            np.full(u.shape, math.log(hi / lo)), rising=True))
-    # Phi is nonincreasing: a divergent sample anywhere shows at the finest
-    # eps, and deciding it here spares a curve of divergent samples
-    if log_superlevel_measure(lam, mu, lo) == INF:
-        reach = float(fine[t.min_tail_samples - 1])
-        diverges = log_superlevel_measure(lam, mu, reach) == INF
-        return LpResult("infinite" if diverges else "indeterminate", None)
-    # the u limits of the quadrature, keyed by end: -1 large eps, +1 eps -> 0
-    span, tails, knots = {-1.0: float(u_of(np.array([hi]))[0])}, 0.0, set()
-    staircase = False
-    for sign, grid in ends:
-        u, lp = u_of(grid), phi_curve(lam, mu, grid).log_phi
-        keep = np.isfinite(u) & (lp > -INF)
-        u, lp = u[keep], lp[keep]
-        if sign < 0:
-            u, lp = u[::-1], lp[::-1]  # the window sits at the coarse end
-        try:
-            tail = _tail(t, u, lp)
-        except InsufficientDataError:
-            return LpResult("indeterminate", None)
-        half = tail[0].size // 2
-        k, near, far = (power_law_fit(*w)[0] for w in (
-            tail, [a[:half] for a in tail], [a[half:] for a in tail]))
-        # > 0: the slope still moves toward divergence at the window's end
-        drift = sign * (far - near)
-        if sign * (k - 1.0) > LP_SLOPE_TOL and drift >= -LP_SLOPE_TOL:
-            return LpResult("infinite", None)
-        if sign * (k - 1.0) >= -LP_SLOPE_TOL or drift > LP_SLOPE_TOL:
-            return LpResult("indeterminate", None)
-        span[sign] = float(u[-1])
-        tails += math.exp(lp[-1] - span[sign]) / (sign * (1.0 - k))
-        knots.update(u.tolist())
-        staircase |= bool(np.any(lp[1:] == lp[:-1]))
-    a, b = span[-1.0], span[1.0]
-
-    def log_phi(u):
-        u = np.asarray(u, dtype=float)
-        m = _numeric_measure(lam, mu, eps_of(u.ravel()))
-        with np.errstate(divide="ignore"):
-            return np.log(m).reshape(u.shape)
-
-    try:
-        converged = False
-        if not staircase:
-            body, converged = _quad(lambda u: np.exp(log_phi(u) - u), a, b)
-        if not converged:
-            cuts = [a] + sorted(u for u in knots if a < u < b) + [b]
-            body = _layers(log_phi, np.array(cuts), QUAD_REL_TOL)
-    except FloatingPointError:
-        return LpResult("indeterminate", None)
-    if not math.isfinite(body):
-        return LpResult("indeterminate", None)
-    return LpResult("finite", body + tails)
-
-
-def _layers(log_phi, cuts, rel_tol):
-    """int Phi(u) exp(-u) du over the cuts for a nondecreasing Phi.
-
-    On a cell [a, b] the integral lies between Phi(a) and Phi(b) times the
-    weight exp(-a) - exp(-b).  A cell is halved until that bracket is at
-    most rel_tol times the mean lower bound over the cells between the
-    cuts; it then counts the bracket's mean, which is exact where Phi is
-    flat and otherwise off by at most half the bracket.  All cells of one
-    round are halved together, with one call of log_phi.  The sum is nan
-    when a bracket leaves the float range, or when a round would halve
-    more than LAYER_CELLS cells: a staircase keeps about one cell per step
-    in play, but the cells of a smooth body double every round.
-    """
-    vals = log_phi(cuts)
-    a, b, la, lb = cuts[:-1], cuts[1:], vals[:-1], vals[1:]
-    total, tol = 0.0, None
-    while True:
-        with np.errstate(invalid="ignore", over="ignore"):
-            low = np.exp(la - a) * -np.expm1(a - b)
-            high = np.exp(lb - b) * np.expm1(b - a)
-        if not np.all(np.isfinite(high)):
-            return math.nan
-        if tol is None:
-            tol = rel_tol * float(np.mean(low))
-        m = 0.5 * (a + b)
-        split = ((high - low > tol)
-                 & (b - m > BISECT_REL_TOL * np.maximum(1.0, np.abs(m))))
-        total += float(np.sum(0.5 * (low + high)[~split]))
-        a, m, b, la, lb = a[split], m[split], b[split], la[split], lb[split]
-        if not m.size:
-            return total
-        if m.size > LAYER_CELLS:
-            return math.nan
-        lm = log_phi(m)
-        a, b = np.concatenate([a, m]), np.concatenate([m, b])
-        la, lb = np.concatenate([la, lm]), np.concatenate([lm, lb])

@@ -87,7 +87,7 @@ def _positive(**kwargs):
 
 def _dimension(d):
     """The integer dimension d >= 1, checked before the conversion."""
-    if not (math.isfinite(d) and d >= 1):
+    if not (math.isfinite(d) and d >= 1 and d == int(d)):
         raise ValueError(f"parameter d must be a finite integer >= 1, got {d}")
     return int(d)
 

@@ -108,12 +108,20 @@ DIMENSION_MODELS = ("multivariate_integration", "sobolev_embedding", "weyl",
 
 
 @pytest.mark.parametrize("model", DIMENSION_MODELS)
-@pytest.mark.parametrize("value", ["inf", "nan", "0.5"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0.5", "2.5"])
 def test_bad_integer_dimension_is_usage_error(capsys, model, value):
     code, _, err = run(capsys, "analyze", "--model", model,
                        "--param", f"d={value}")
     assert code == 2
-    assert err.startswith("error: parameter d") and "Traceback" not in err
+    assert err.startswith("error: parameter d must be a finite integer >= 1")
+    assert "Traceback" not in err
+
+
+def test_integral_float_dimension_is_accepted(capsys):
+    outs = [run(capsys, "analyze", "--model", "gaussian_kernel",
+                "--param", f"d={value}") for value in ("2", "2.0")]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("model,trim", [
@@ -177,6 +185,23 @@ def test_rearrange_range_is_checked(capsys, bounds):
     assert code == 2
     assert out == ""
     assert "--t-min" in err and "--t-max" in err
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_rearrange_needs_a_point(capsys, points):
+    code, out, err = run(capsys, "rearrange", "--model", "hausdorff",
+                         "--points", points)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --points must be >= 1")
+
+
+def test_rearrange_one_point(capsys):
+    code, out, err = run(capsys, "rearrange", "--model", "hausdorff",
+                         "--points", "1")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["t"] == [0.01] and len(payload["lambda_star"]) == 1
 
 
 def test_rearrange_has_no_increasing_mode(capsys):
@@ -466,6 +491,16 @@ def test_config_rejects_bad_values(tmp_path, capsys, line):
     assert out == ""
     # the requirement that failed names the key
     assert line.split()[0] in err.split(", got")[0]
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_directory_path_is_usage_error(tmp_path, capsys, flag):
+    code, out, err = run(capsys, "analyze", "--model", "hausdorff",
+                         flag, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(tmp_path) in err
+    assert "numerical failure" not in err
 
 
 def test_internal_failure_maps_to_exit_one(capsys, monkeypatch):

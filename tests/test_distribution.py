@@ -5,15 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from illposed.core import (COUNTING_INTEGERS, DISCRETE,
-                           LEBESGUE_HALFLINE, LEBESGUE_LINE,
+from illposed.core import (LEBESGUE_HALFLINE, LEBESGUE_LINE,
                            LEBESGUE_UNIT_INTERVAL, MONOTONE_TAIL,
                            PIECEWISE_MONOTONE, GENERIC_SAMPLED,
                            MeasureSpace, Multiplier,
                            UnsupportedMeasureError, geometric_grid,
                            DistributionFunction)
-from illposed import counting
-from illposed import discretize as dz
 from illposed import distribution as dist
 from illposed import gallery
 
@@ -319,8 +316,8 @@ class TestReweight:
 
 
 class TestQuad:
-    """The adaptive Gauss-Kronrod rule behind reweighting, the FFT bounds
-    and the layer-cake body of lp_check."""
+    """The adaptive Gauss-Kronrod rule behind reweighting and the FFT
+    bounds."""
 
     @staticmethod
     def promised(exact):
@@ -398,6 +395,18 @@ class TestQuad:
         # one cell, then two new ones per halving until QUAD_CELLS are in use
         assert sum(points) == 21 * (2 * dist.QUAD_CELLS - 1)
 
+    def test_integral_near_the_float_limit(self):
+        # int 1e300 exp(-w/100) over [0, inf) is 1e302, still a float
+        got = self.converged(lambda w: 1e300 * np.exp(-w / 100.0), 0.0,
+                             math.inf)
+        assert got == pytest.approx(1e302, rel=1e-8)
+
+    def test_integral_beyond_the_float_range_raises(self):
+        # with peak 1e308 the integral is 1e310: an overflow, not a divergence
+        with pytest.raises(FloatingPointError,
+                           match="leaves the float range"):
+            dist._quad(lambda w: 1e308 * np.exp(-w / 100.0), 0.0, math.inf)
+
 
 class TestEssinf:
     def test_constant_is_well_posed_candidate(self):
@@ -422,142 +431,6 @@ class TestEssinf:
         res = dist.essinf_estimate(lam, HALF)
         assert res.verdict == "well_posed_candidate"
         assert res.value == pytest.approx(0.5, rel=1e-3)
-
-
-class TestLpCheck:
-    def test_hausdorff_l1_value(self):
-        model = gallery.make("hausdorff")
-        res = dist.lp_check(model.multiplier, model.measure, p=1)
-        assert res.verdict == "finite"
-        assert res.value == pytest.approx(math.pi / 2.0, rel=1e-6)
-
-    def test_a1_l1_is_arctangent_mass(self):
-        model = gallery.make("multiplier_a1", s=1.0)
-        res = dist.lp_check(model.multiplier, model.measure, p=1)
-        assert res.verdict == "finite"
-        assert res.value == pytest.approx(math.pi, rel=1e-6)
-
-    def test_mild_family_l1_diverges(self):
-        model = gallery.make("multiplier_c", s=1.0)
-        res = dist.lp_check(model.multiplier, model.measure, p=1)
-        assert res.verdict == "infinite"
-
-    def test_mild_family_admits_growth_function(self):
-        # f(z) = exp(-2 / sqrt(z)) turns the log tail into an integrable one
-        model = gallery.make("multiplier_c", s=1.0)
-        res = dist.lp_check(model.multiplier, model.measure,
-                            f=lambda z: np.exp(-2.0 / np.sqrt(z)))
-        assert res.verdict == "finite"
-
-    def test_p_below_one_rejected(self):
-        model = gallery.make("hausdorff")
-        with pytest.raises(ValueError):
-            dist.lp_check(model.multiplier, model.measure, p=0.5)
-
-    def test_constant_diverges(self):
-        lam, mu = bare("counterexample_const", c=0.5)
-        assert dist.lp_check(lam, mu, p=1).verdict == "infinite"
-
-    @pytest.mark.parametrize("model_id,params,exact", [
-        ("hausdorff", {}, math.pi / 2.0),
-        ("multiplier_a1", {"s": 1.0}, math.pi),
-        ("multiplier_a2", {}, math.pi / math.sqrt(2.0)),
-        ("multiplier_b", {}, 2.0),
-        ("laplace_kernel", {}, math.pi / 2.0),
-        ("gaussian_kernel", {"d": 2}, 2.0 * math.pi ** 3),
-        # sum of exp(-k^2) over the integers
-        ("backward_heat", {}, 1.7726372048266521),
-    ], ids=["hausdorff", "a1", "a2", "b", "laplace", "gaussian_d2", "heat"])
-    def test_l1_matches_exact_integral(self, model_id, params, exact):
-        model = gallery.make(model_id, **params)
-        res = dist.lp_check(model.multiplier, model.measure, p=1)
-        assert res.verdict == "finite"
-        assert res.value == pytest.approx(exact, rel=1e-8)
-
-    @pytest.mark.parametrize("s", [0.75, 2.0])
-    def test_fractional_line_diverges_at_an_end(self, s):
-        # Phi = 2 eps^(-1/(2s)) is integrable at eps -> 0 only for s > 1/2
-        # and at eps -> inf only for s < 1/2: |w|^-2s is never in L^1
-        model = gallery.make("fractional_line", s=s)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = dist.lp_check(model.multiplier, model.measure, p=1)
-        assert res == ("infinite", None)
-
-    def test_fractional_line_critical_exponent_is_never_finite(self):
-        # s = 1/2: Phi = 2/eps sits exactly on the borderline at both ends
-        model = gallery.make("fractional_line", s=0.5)
-        res = dist.lp_check(model.multiplier, model.measure, p=1)
-        assert res.verdict != "finite"
-
-    @pytest.mark.parametrize("s", [7.0, 8.0])
-    def test_slope_rising_past_the_grid_is_never_finite(self, s):
-        # ln Phi = ln 2 + eps^(-1/(2s)) is convex in ln(1/eps): lambda is never
-        # in L^1, yet the slope over the grid's window stays below one
-        model = gallery.make("multiplier_c", s=s)
-        res = dist.lp_check(model.multiplier, model.measure, p=1)
-        assert res.verdict != "finite"
-
-    def test_slope_falling_past_the_grid_is_never_infinite(self):
-        # lambda = exp(-(ln w)^2 / 196) beyond 1 is in L^1 (ln Phi = 14
-        # sqrt(ln(1/eps)) bends below slope one only past eps ~ e^-49), yet
-        # the window's slope is above one
-        def fn(w):
-            return np.exp(-np.log(np.maximum(w, 1.0)) ** 2 / 196.0)
-
-        lam = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
-                         log_superlevel=lambda e: 14.0 * math.sqrt(
-                             math.log(1.0 / e)) if e < 1.0 else -math.inf)
-        assert dist.lp_check(lam, HALF, p=1).verdict != "infinite"
-
-    def test_growth_function_on_the_numeric_path(self):
-        # f(lambda) = exp(-1.1 / sqrt(lambda)) = |w|^-1.1 beyond e and
-        # exp(-1.1) inside: 2 e exp(-1.1) + 20 exp(-0.1) = 22 exp(-0.1)
-        model = gallery.make("multiplier_c", s=1.0)
-        res = dist.lp_check(model.multiplier, model.measure,
-                            f=lambda z: np.exp(-1.1 / np.sqrt(z)))
-        assert res.verdict == "finite"
-        assert res.value == pytest.approx(22.0 * math.exp(-0.1), rel=1e-8)
-
-    def test_step_multiplier_l1_is_basel_sum(self):
-        # lambda = sigma_n^2 = 1/n^2 on [n-1, n): a staircase distribution
-        # function whose jumps never end
-        seq = gallery.make("riemann_liouville").sigma_sequence(256)
-        lam, mu = counting.step_multiplier_from_sigma(seq)
-        res = dist.lp_check(lam, mu, p=1)
-        assert res.verdict == "finite"
-        assert res.value == pytest.approx(math.pi ** 2 / 6.0, rel=1e-6)
-
-    def test_sampled_multiplier_l1_is_riemann_sum(self):
-        # Phi counts samples, so the layer cake is the sum of the samples
-        # times their spacing
-        sampled = dz.fft_multiplier(dz.KernelSampler(
-            fn=lambda x: math.exp(-x * x), L=8.0, N=256))
-        res = dist.lp_check(sampled.multiplier, LINE, p=1)
-        assert res.verdict == "finite"
-        exact = float(np.sum(sampled.values)) * sampled.multiplier.resolution
-        assert res.value == pytest.approx(exact, rel=1e-7)
-
-    def test_set_beyond_enumeration_reach_is_not_infinite(self):
-        # sum 1/(1+k^2) is finite, but without a cutoff hint the integer scan
-        # flags the sets at small eps as divergent
-        lam = Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), shape=DISCRETE,
-                         sup_bound=1.0)
-        res = dist.lp_check(lam, MeasureSpace(COUNTING_INTEGERS), p=1)
-        assert res.verdict != "infinite"
-
-    @pytest.mark.parametrize("peak,verdict", [(1e300, "finite"),
-                                              (1e308, "indeterminate")])
-    def test_body_beyond_the_float_range_is_indeterminate(self, peak,
-                                                          verdict):
-        # int peak exp(-w/100) over [0, inf) is 100 peak: a float at 1e300,
-        # an overflow, not a divergence, at 1e308
-        lam = Multiplier(fn=lambda w: peak * np.exp(-w / 100.0),
-                         shape=MONOTONE_TAIL, sup_bound=peak)
-        res = dist.lp_check(lam, MeasureSpace(LEBESGUE_HALFLINE), p=1)
-        assert res.verdict == verdict
-        if verdict == "finite":
-            assert res.value == pytest.approx(100.0 * peak, rel=1e-8)
 
 
 def _counted(lam):

@@ -33,11 +33,7 @@ def test_check_runs_without_scipy_integrate_or_optimize():
     # products use numpy.fft.  A fresh interpreter, because pytest's warning
     # filters import scipy.integrate into this one.
     script = ("import sys, illposed, illposed.cli, illposed.acceptance\n"
-              "from illposed import distribution, gallery\n"
               "illposed.acceptance.run_all(only={'4', '5', '6', '7'})\n"
-              "model = gallery.make('hausdorff')\n"
-              "assert distribution.lp_check(model.multiplier, model.measure,"
-              " p=1).verdict == 'finite'\n"
               "print([m for m in ('scipy.integrate', 'scipy.optimize',"
               " 'scipy.fft', 'scipy.special') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(illposed.__file__)))
