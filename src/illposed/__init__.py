@@ -10,8 +10,7 @@ and mild/moderate/severe classification.
 from .core import (CurveMonotonicityError, DistributionFunction,
                    IllPosednessInterval, InsufficientDataError, MeasureSpace,
                    Multiplier, Report, SigmaSequence, TailLaw, Thresholds,
-                   TruncationWarning, UnsupportedMeasureError, ball_volume,
-                   geometric_grid, ratio)
+                   UnsupportedMeasureError, ball_volume, geometric_grid, ratio)
 from .counting import (counting_curve, counting_phi, interval_from_counting,
                        interval_from_sigma, step_multiplier_from_sigma)
 from .distribution import (decreasing_rearrangement, essinf_estimate,
@@ -21,8 +20,7 @@ from .distribution import (decreasing_rearrangement, essinf_estimate,
 from .estimate import ratio_samples, regression_estimate
 from .gallery import OperatorModel, analyze, make
 from .discretize import (KernelSampler, Section, fft_multiplier,
-                         hilbert_matrix, hilbert_section,
-                         pipeline_from_kernel, pipeline_from_matrix,
+                         hilbert_matrix, hilbert_section, pipeline_from_matrix,
                          riemann_liouville_matrix, riemann_liouville_section,
                          singular_values)
 

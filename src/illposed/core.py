@@ -77,10 +77,6 @@ class CurveMonotonicityError(RuntimeError):
     """
 
 
-class TruncationWarning(UserWarning):
-    """A sampled kernel or multiplier is visibly truncated at the boundary."""
-
-
 @dataclass(frozen=True)
 class Thresholds:
     """Cutoffs turning finite window statistics into a classification.
@@ -160,11 +156,15 @@ class TailLaw:
             raise ValueError("tail law scale must be positive")
 
     def sigma(self, n):
-        """Evaluate the law at index n (scalar or array, 1-based)."""
+        """Evaluate the law at index n (scalar or array, 1-based).
+
+        A value beyond the float range is +inf, without a warning.
+        """
         n = np.asarray(n, dtype=float)
-        if self.kind == "power":
-            return self.scale * n ** -self.alpha
-        return self.scale * np.log(n + 1.0) ** (self.d - 1) / n
+        with np.errstate(over="ignore"):
+            if self.kind == "power":
+                return self.scale * n ** -self.alpha
+            return self.scale * np.log(n + 1.0) ** (self.d - 1) / n
 
     @staticmethod
     def power(alpha, scale=1.0):
@@ -206,7 +206,8 @@ class SigmaSequence:
         m = max(1, v.size // 10)
         n = np.arange(v.size - m + 1, v.size + 1, dtype=float)
         model = self.tail_law.sigma(n)
-        rel = np.abs(model - v[-m:]) / v[-m:]
+        with np.errstate(over="ignore"):
+            rel = np.abs(model - v[-m:]) / v[-m:]
         if rel.max() > _TAIL_LAW_TOL:
             raise ValueError(
                 f"stored tail deviates from declared law by {rel.max():.3g} "
@@ -267,7 +268,8 @@ class Multiplier:
       radial_monotone_tail  same, on the radius in R^d
       piecewise_monotone    fn monotone between consecutive breakpoints
       discrete              evaluated on the integers
-      generic_sampled       indicator sums on a declared grid
+      generic_sampled       indicator sums on a midpoint grid of step
+                            ``distribution.SAMPLE_STEP``
 
     Closed forms, when present, take precedence over the numeric search:
     ``superlevel`` (plain measure), ``log_superlevel`` (log measure, for
@@ -286,17 +288,12 @@ class Multiplier:
     log_superlevel: Callable | None = None
     boundary: Callable | None = None
     cutoff_hint: Callable | None = None
-    sample_omega: np.ndarray | None = None
-    sample_value: np.ndarray | None = None
-    resolution: float | None = None
 
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ValueError(f"unknown multiplier shape {self.shape!r}")
         if self.sup_bound <= 0:
             raise ValueError("sup_bound must be positive")
-        if (self.sample_omega is None) != (self.sample_value is None):
-            raise ValueError("sampled multipliers need both omega and value arrays")
 
 
 @dataclass(frozen=True)

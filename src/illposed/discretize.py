@@ -5,7 +5,7 @@ integration), dense or as structured Toeplitz/Hankel sections with FFT
 matrix-vector products; singular value computation with a drop
 tolerance and residual-checked Lanczos; FFT estimation of convolution
 multipliers from kernel samples; and the end-to-end pipeline
-matrix/kernel -> spectrum -> curve -> interval.
+matrix -> spectrum -> corner curve -> interval.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import numpy as np
 from scipy import linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, svds
 
-from .core import (DEFAULT_THRESHOLDS, GENERIC_SAMPLED, INDETERMINATE,
-                   LEBESGUE_LINE, MODERATE, SEVERE, IllPosednessInterval,
-                   InsufficientDataError, MeasureSpace, Multiplier, Report,
-                   SigmaSequence, geometric_grid)
+from .core import (DEFAULT_THRESHOLDS, INDETERMINATE, MODERATE, SEVERE,
+                   IllPosednessInterval, InsufficientDataError, Report,
+                   SigmaSequence)
 from . import counting as _counting
 from . import distribution as _distribution
 from . import estimate as _estimate
@@ -39,7 +38,6 @@ __all__ = [
     "fft_multiplier",
     "Report",
     "pipeline_from_matrix",
-    "pipeline_from_kernel",
 ]
 
 SVD_DROP_TOL = 1e-14
@@ -337,7 +335,6 @@ class KernelSampler:
 class SampledMultiplier:
     """|Fourier transform|^2 samples on the dual grid plus error bounds."""
 
-    multiplier: Multiplier
     omega: np.ndarray
     values: np.ndarray
     truncation_bound: float
@@ -373,13 +370,8 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
     alias_dist = 2.0 * math.pi / dx - np.abs(omega).max()
     aliasing = _gauss_tail_bound(magnitude, alias_dist)
 
-    sup = float(lam.max())
-    mult = Multiplier(fn=_interp_fn(omega, lam), shape=GENERIC_SAMPLED,
-                      sup_bound=max(sup, 1e-300),
-                      sample_omega=omega.astype(float), sample_value=lam,
-                      resolution=float(np.pi / L))
-    return SampledMultiplier(multiplier=mult, omega=omega.astype(float),
-                             values=lam, truncation_bound=float(truncation),
+    return SampledMultiplier(omega=omega, values=lam,
+                             truncation_bound=float(truncation),
                              aliasing_bound=float(aliasing))
 
 
@@ -390,14 +382,8 @@ def _gauss_tail_bound(magnitude, dist):
     return 2.0 * _distribution._quad(magnitude, dist / 2.0, math.inf)[0]
 
 
-def _interp_fn(omega, lam):
-    def fn(w):
-        return np.interp(w, omega, lam, left=0.0, right=0.0)
-    return fn
-
-
 # ---------------------------------------------------------------------------
-# end-to-end pipelines
+# end-to-end pipeline
 
 def _trusted_window(n_kept):
     """Index window for degree estimation on discretized spectra.
@@ -480,24 +466,4 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
             "classification describes the truncation, not the operator")
     return Report({"operator": operator}, phi, interval, degree,
                   diagnostics, sigma=seq)
-
-
-def pipeline_from_kernel(kernel: KernelSampler, thresholds=DEFAULT_THRESHOLDS):
-    """kernel -> FFT multiplier -> distribution curve -> interval estimate."""
-    sampled = fft_multiplier(kernel)
-    lam = sampled.multiplier
-    # the stored samples already cover both half-axes, so the indicator sum
-    # is the line measure itself
-    mu = MeasureSpace(LEBESGUE_LINE)
-    eps_hi = 0.99 * min(lam.sup_bound, 1.0)
-    # stay above the multiplier value at the sampled band edge, where
-    # superlevel sets would be truncated by the finite frequency range
-    edge = 4.0 * float(max(sampled.values[0], sampled.values[-1]))
-    eps_lo = max(eps_hi * 1e-12, edge)
-    grid = geometric_grid(eps_hi, eps_lo)
-    phi = _distribution.phi_curve(lam, mu, grid)
-    interval, degree, _ = _counting.estimate_curve(phi, thresholds)
-    diagnostics = {"truncation_bound": sampled.truncation_bound,
-                   "aliasing_bound": sampled.aliasing_bound}
-    return Report({"operator": "kernel"}, phi, interval, degree, diagnostics)
 

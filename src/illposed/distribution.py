@@ -4,9 +4,9 @@ The distribution function Phi(eps) = mu({lambda > eps}) is the non-compact
 counterpart of the singular value counting function.  This module measures
 superlevel sets numerically (bisection on monotone profiles, branchwise
 bisection on piecewise monotone ones, enumeration on the integers,
-indicator sums on sampled data), evaluates closed forms when a model
-carries them, and builds the derived objects: rearrangements, reweighted
-curves and the essential-infimum diagnostic.
+indicator sums on a fixed-step midpoint grid), evaluates closed forms when
+a model carries them, and builds the derived objects: rearrangements,
+reweighted curves and the essential-infimum diagnostic.
 
 The numeric search works on a whole eps grid at once.  Multiplier
 callbacks take an array of points and return an array of its shape, and
@@ -25,7 +25,6 @@ truncation schedules are deterministic, so results are reproducible.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -34,9 +33,8 @@ from .core import (COUNTING_INTEGERS, DISCRETE, GENERIC_SAMPLED, INF,
                    LEBESGUE_HALFLINE, LEBESGUE_LINE, LEBESGUE_RADIAL,
                    LEBESGUE_UNIT_INTERVAL, MONOTONE_TAIL, Multiplier,
                    NON_INFORMATIVE, PIECEWISE_MONOTONE,
-                   RADIAL_MONOTONE_TAIL, TruncationWarning,
-                   UnsupportedMeasureError, ball_volume, DistributionFunction,
-                   MeasureSpace)
+                   RADIAL_MONOTONE_TAIL, UnsupportedMeasureError,
+                   ball_volume, DistributionFunction, MeasureSpace)
 
 __all__ = [
     "superlevel_measure",
@@ -57,6 +55,8 @@ QUAD_REL_TOL = 1e-8
 # stabilizes the ratio near 1 and is never caught by it
 GROWTH_FACTOR = 1.5
 GROWTH_RUNS = 5
+# midpoint-grid step of the sampled (generic_sampled) measure
+SAMPLE_STEP = 1.0 / 64.0
 # truncation schedule of essinf (see its docstring)
 R0 = 8.0
 ESSINF_DOUBLINGS = 14
@@ -262,20 +262,9 @@ def _discrete_scan(lam, eps, weight=None):
 
 
 def _sampled_measure(lam, eps):
-    """Indicator sums on declared samples, or on a growing truncated grid."""
-    if lam.sample_omega is not None:
-        om = lam.sample_omega
-        vals = lam.sample_value
-        step = lam.resolution or float(np.median(np.diff(np.sort(om))))
-        if vals.size and np.any(max(vals[0], vals[-1]) > eps):
-            warnings.warn("superlevel set reaches the sampled boundary; "
-                          "measure is truncated", TruncationWarning,
-                          stacklevel=3)
-        return step * _count_above(vals, eps)
-    step = lam.resolution or (1.0 / 128.0)
-
+    """Indicator sums on midpoint grids of [0, r], r doubling until settled."""
     def grid_measure(r):
-        n = max(16, int(round(r / step)))
+        n = max(16, int(round(r / SAMPLE_STEP)))
         return (r / n) * _count_above(_midpoint_values(lam.fn, r, n), eps)
 
     return _settle(grid_measure, 8.0, 1e-12)
@@ -293,7 +282,7 @@ def _numeric_measure(lam, mu, eps, trim=None):
             raise UnsupportedMeasureError(
                 "pole trimming needs a multiplier with monotone branches")
         m = _sampled_measure(lam, eps)
-        return 2.0 * m if mu.kind == LEBESGUE_LINE and lam.sample_omega is None else m
+        return 2.0 * m if mu.kind == LEBESGUE_LINE else m
     t = trim or 0.0
     hi = 1.0 if mu.kind == LEBESGUE_UNIT_INTERVAL else INF
     m = np.zeros(eps.shape)
@@ -734,7 +723,7 @@ def _refined_min(fn, r, seen_max):
 
     Returns (min, max_seen, stable); an unstable result means the sampled
     minimum kept collapsing under refinement, i.e. the infimum is zero to
-    numerical resolution.  Two consecutive collapses (a factor >= 3 drop
+    numerical precision.  Two consecutive collapses (a factor >= 3 drop
     each) already decide the outcome, so the refinement stops there.
     """
     n = ESSINF_SAMPLES

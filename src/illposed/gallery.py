@@ -191,15 +191,8 @@ def backward_heat(t_bar=1.0):
         return np.exp(-t * k * k)
 
     def strict_root(x):
-        # largest integer k >= 0 with k^2 < x
-        if x <= 0:
-            return -1
-        k = int(math.sqrt(x))
-        while (k + 1) ** 2 < x:
-            k += 1
-        while k >= 0 and k * k >= x:
-            k -= 1
-        return k
+        # largest integer k >= 0 with k^2 < x, i.e. k^2 <= ceil(x) - 1
+        return math.isqrt(math.ceil(x) - 1) if x > 0 else -1
 
     def count(eps):
         k = strict_root(-math.log(eps) / t) if eps < 1.0 else -1
@@ -436,7 +429,6 @@ def counterexample_sin2():
         return np.sin(w) ** 2
 
     mult = Multiplier(fn=fn, shape=GENERIC_SAMPLED, sup_bound=1.0,
-                      resolution=1.0 / 64.0,
                       log_superlevel=lambda e: INF if e < 1.0 else -INF)
     return OperatorModel(
         id="counterexample_sin2", parameters={},
@@ -451,7 +443,6 @@ def counterexample_const(c=0.5):
     c = float(c)
     mult = Multiplier(fn=lambda w: np.full(np.shape(w), c),
                       shape=GENERIC_SAMPLED, sup_bound=c,
-                      resolution=1.0 / 64.0,
                       log_superlevel=lambda e: INF if e < c else -INF)
     return OperatorModel(
         id="counterexample_const", parameters={"c": c},

@@ -369,9 +369,3 @@ class TestPipelines:
         assert (rep.classification, rep.degree) == (iv.classification, degree)
         assert (rep.interval.lower, rep.interval.upper) == (iv.lower, iv.upper)
         assert rep.diagnostics["trend"] == iv.diagnostics["trend"]
-
-    def test_gaussian_kernel_pipeline_severe(self):
-        rep = dz.pipeline_from_kernel(
-            dz.KernelSampler(L=12.0, N=2048, **GAUSS))
-        assert rep.classification == "severe"
-        assert rep.diagnostics["truncation_bound"] < 1e-8

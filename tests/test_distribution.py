@@ -26,10 +26,7 @@ def bare(model_id, **params):
     lam = model.multiplier
     stripped = Multiplier(fn=lam.fn, shape=lam.shape, sup_bound=lam.sup_bound,
                           breakpoints=lam.breakpoints,
-                          cutoff_hint=lam.cutoff_hint,
-                          sample_omega=lam.sample_omega,
-                          sample_value=lam.sample_value,
-                          resolution=lam.resolution)
+                          cutoff_hint=lam.cutoff_hint)
     return stripped, model.measure
 
 
@@ -91,6 +88,17 @@ class TestSuperlevelMeasure:
         lam, mu = bare("counterexample_const", c=0.5)
         assert dist.log_superlevel_measure(lam, mu, 0.25, method="numeric") \
             == math.inf
+
+    @pytest.mark.parametrize("mu, want", [(HALF, (1.0, 4.0, 99.0)),
+                                          (LINE, (2.0, 8.0, 198.0))])
+    def test_finite_sampled_measure(self, mu, want):
+        # {1/(1+|w|) > eps} is |w| < 1/eps - 1; the midpoint grid of step
+        # SAMPLE_STEP counts it exactly, and the line doubles the half-line
+        lam = Multiplier(fn=lambda w: 1.0 / (1.0 + np.abs(w)),
+                         shape=GENERIC_SAMPLED, sup_bound=1.0)
+        got = tuple(dist.superlevel_measure(lam, mu, eps, method="numeric")
+                    for eps in (0.5, 0.2, 0.01))
+        assert got == want
 
     def test_negative_multiplier_rejected(self):
         lam = Multiplier(fn=lambda w: np.full_like(w, -1.0), shape=MONOTONE_TAIL,
@@ -426,8 +434,7 @@ class TestEssinf:
 
     def test_shifted_constant_stabilizes_above_floor(self):
         lam = Multiplier(fn=lambda w: 0.5 + 1.0 / (1.0 + w),
-                         shape=GENERIC_SAMPLED, sup_bound=1.5,
-                         resolution=1.0 / 64.0)
+                         shape=GENERIC_SAMPLED, sup_bound=1.5)
         res = dist.essinf_estimate(lam, HALF)
         assert res.verdict == "well_posed_candidate"
         assert res.value == pytest.approx(0.5, rel=1e-3)

@@ -54,6 +54,17 @@ class TestConstructors:
         assert model.multiplier.fn(2) == pytest.approx(math.exp(-8.0))
         assert model.multiplier.fn(-2) == pytest.approx(math.exp(-8.0))
 
+    @pytest.mark.parametrize("t_bar", [1e-50, 1e-300])
+    def test_backward_heat_count_past_the_float_mantissa(self, t_bar):
+        # -ln(eps)/t is far beyond 2^53 here, where a float square root
+        # no longer pins the integer root
+        model = gallery.make("backward_heat", t_bar=t_bar)
+        for eps in (0.5, 1e-3, 1e-12):
+            x = -math.log(eps) / t_bar
+            k = math.isqrt(math.ceil(x) - 1)
+            assert k * k < x <= (k + 1) ** 2
+            assert model.multiplier.superlevel(eps) == float(2 * k + 1)
+
     def test_parabolic_limit_at_origin(self):
         model = gallery.make("parabolic_source", diffusivity=1.0, t0=3.0, d=2)
         assert model.multiplier.fn(0.0) == pytest.approx(9.0)

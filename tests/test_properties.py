@@ -227,9 +227,13 @@ odd_requests = st.one_of(
               odd_floats).map(lambda mv: ["analyze", "--model", mv[0],
                                           "--param", f"s={mv[1]}"]),
     st.tuples(st.sampled_from(["gaussian_kernel", "laplace_kernel",
-                               "parabolic_source"]),
+                               "parabolic_source", "multivariate_integration",
+                               "sobolev_embedding"]),
               odd_floats).map(lambda mv: ["analyze", "--model", mv[0],
                                           "--param", f"d={mv[1]}"]),
+    # counts whose integer root is past 2^53
+    odd_floats.map(lambda v: ["analyze", "--model", "backward_heat",
+                              "--param", f"t_bar={v}"]),
     st.tuples(odd_floats, odd_sizes).map(
         lambda an: ["discretize", "--operator", "j_alpha",
                     f"--alpha={an[0]}", f"--n={an[1]}"]),
