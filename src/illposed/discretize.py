@@ -3,20 +3,20 @@
 Finite sections (Hilbert matrix, product-quadrature fractional
 integration), dense or as structured Toeplitz/Hankel sections with FFT
 matrix-vector products; singular value computation with a drop
-tolerance and residual-checked Lanczos; FFT estimation of convolution
-multipliers from kernel samples; and the end-to-end pipeline
-matrix -> spectrum -> corner curve -> interval.
+tolerance and residual-checked Lanczos bidiagonalization; FFT estimation
+of convolution multipliers from kernel samples; and the end-to-end
+pipeline matrix -> spectrum -> corner curve -> interval.  Needs numpy
+only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy import linalg
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, svds
 
 from .core import (DEFAULT_THRESHOLDS, INDETERMINATE, MODERATE, SEVERE,
                    IllPosednessInterval, InsufficientDataError, Report,
@@ -42,8 +42,15 @@ __all__ = [
 
 SVD_DROP_TOL = 1e-14
 FIT_TOL = 0.02  # relative rms residual that selects a decay model
-# per-triplet residual bound ||A v - sigma u|| <= RESIDUAL_TOL * sigma_1
+# per-triplet residual bound ||A^T u - sigma v|| <= RESIDUAL_TOL * sigma_1
 RESIDUAL_TOL = 1e-10
+EPS = np.finfo(float).eps
+# a Lanczos coefficient this small against the largest one is rounding:
+# the Krylov subspaces are exhausted
+EXHAUSTED = 4.0 * EPS
+# largest estimated |u_i . u_j| the Lanczos recurrence lets stand, well
+# below what would show in the RESIDUAL_TOL certificate
+LOSS_TOL = 1e-11
 TOEPLITZ = "toeplitz"
 HANKEL = "hankel"
 
@@ -115,35 +122,46 @@ class Section:
 
     def dense(self):
         """The section as a dense n x n matrix."""
-        c = self.coeffs
+        i = np.arange(self.n)
         if self.kind == TOEPLITZ:
-            return linalg.toeplitz(c, np.zeros(self.n))
-        return linalg.hankel(c[:self.n], c[self.n - 1:])
+            # zero above the diagonal: c padded with one zero at index -1
+            lag = i[:, None] - i[None, :]
+            return np.append(self.coeffs, 0.0)[np.where(lag >= 0, lag, -1)]
+        return self.coeffs[i[:, None] + i[None, :]]
 
     def operator(self):
-        """LinearOperator whose products use FFTs, one per n x k block."""
+        """Products with the section (``matvec``, ``matmat``) and its
+        transpose (``rmatvec``, ``rmatmat``) by FFTs, one per n x k block."""
         n = self.n
         size = 1 << (2 * n - 2).bit_length()  # the power of two >= 2n - 1
         spectrum = np.fft.rfft(self.coeffs, size)
 
-        def convolve(x):
-            # linear convolution with the coefficients; size >= 2n - 1
-            # keeps every entry used below free of wrap-around
-            s = spectrum if x.ndim == 1 else spectrum[:, None]
-            return np.fft.irfft(s * np.fft.rfft(x, size, axis=0), size, axis=0)
+        def product(s, x, conj=False):
+            # circular convolution (correlation if conj) with the
+            # coefficients; size >= 2n - 1 keeps the first n entries free
+            # of wrap-around
+            f = np.fft.rfft(x, size, axis=0)
+            if conj:
+                f = f.conj()
+            f *= s if x.ndim == 1 else s[:, None]
+            return np.fft.irfft(f, size, axis=0)[:n]
 
         if self.kind == TOEPLITZ:
+            # (T x)_i = sum_t c_(i-t) x_t, (T^T x)_i = sum_t c_t x_(i+t)
+            reverse = spectrum.conj()
+
             def matvec(x):
-                return convolve(x)[:n]
+                return product(spectrum, x)
 
             def rmatvec(x):
-                return convolve(x[::-1])[n - 1::-1]
+                return product(reverse, x)
         else:
+            # (H x)_i = sum_t c_(i+t) x_t
             def matvec(x):
-                return convolve(x[::-1])[n - 1:2 * n - 1]
+                return product(spectrum, x, conj=True)
             rmatvec = matvec
-        return LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec,
-                              matmat=matvec, dtype=float)
+        return SimpleNamespace(matvec=matvec, rmatvec=rmatvec, matmat=matvec,
+                               rmatmat=rmatvec)
 
 
 def hilbert_section(n):
@@ -184,7 +202,7 @@ class Spectrum(SigmaSequence):
     ``values`` holds the ``len(values)`` largest singular values; ``kept``
     is how many of all n values clear the drop tolerance, which is what a
     dense SVD would keep (``len(values)`` for ``dense`` itself).
-    ``method`` is ``propack``, ``eigsh`` or ``dense``.
+    ``method`` is ``lanczos`` or ``dense``.
     """
 
     kept: int = 0
@@ -250,45 +268,28 @@ def _clears_drop_tol(c):
 def _leading_values(section):
     """Leading singular values of a section, or None to use the dense SVD.
 
-    Toeplitz sections: once the certificate shows that all n values clear
-    the drop tolerance, the top ``_trusted_window(n)[1]`` come from
-    PROPACK's Lanczos bidiagonalization.  Hankel sections are symmetric and
-    taken to be positive semidefinite, as moment matrices such as the
-    Hilbert section are, so their singular values are their largest
-    eigenvalues: ARPACK finds them with k doubled from 32 until the k-th
-    falls below the tolerance.  No certificate, a k of n/2 or more, a
-    solver that does not converge, a triplet residual above
-    RESIDUAL_TOL * sigma_1, or Hankel values that leave more than
-    RESIDUAL_TOL of the squared Frobenius norm unaccounted for (an
-    indefinite section) all give None.
+    Both kinds go through ``_bidiagonalize``.  Toeplitz sections: once
+    the certificate shows that all n values clear the drop tolerance, it
+    gives the top ``_trusted_window(n)[1]`` values.  Hankel sections: it
+    gives every value down to the first converged one below the
+    tolerance, and those values must account for the squared Frobenius
+    norm up to RESIDUAL_TOL of it, which certifies that none was missed.
+    No certificate, a window of n/2 or more, a solve that does not
+    converge within n/2 steps, fewer than the wanted values, a triplet
+    residual above RESIDUAL_TOL * sigma_1 or missing Hankel mass all give
+    None.
     """
     n = len(section)
-    op = section.operator()
-    try:
-        if section.kind == TOEPLITZ:
-            k = _trusted_window(n)[1]
-            if 2 * k >= n or not _clears_drop_tol(section.coeffs):
-                return None
-            u, s, vt = svds(op, k=k, solver="propack", maxiter=4 * k,
-                            random_state=0)
-            v = vt.T
-            method = "propack"
-        else:
-            k = 32
-            while True:
-                if 2 * k >= n:
-                    return None
-                lam, v = eigsh(op, k=k, which="LA", v0=np.ones(n))
-                s = np.abs(lam)
-                if s.min() < SVD_DROP_TOL * s.max():
-                    break
-                k *= 2
-            u = v * np.sign(lam)
-            method = "eigsh"
-    except (np.linalg.LinAlgError, ArpackError):
+    if section.kind == TOEPLITZ:
+        k = _trusted_window(n)[1]
+        if 2 * k >= n or not _clears_drop_tol(section.coeffs):
+            return None
+    else:
+        k = n
+    found = _bidiagonalize(section.operator(), n, k)
+    if found is None:
         return None
-    order = np.argsort(s)[::-1]
-    s, u, v = s[order], u[:, order], v[:, order]
+    s, residual = found
     kept = n
     if section.kind == HANKEL:
         # coeffs[j] fills the min(j + 1, 2n - 1 - j) entries of antidiagonal j
@@ -297,11 +298,104 @@ def _leading_values(section):
         if mass - np.dot(s, s) > RESIDUAL_TOL * mass:
             return None
         kept = int(np.count_nonzero(s > SVD_DROP_TOL * s[0]))
-        s, u, v = s[:kept], u[:, :kept], v[:, :kept]
-    residual = np.linalg.norm(op.matmat(v) - u * s, axis=0)
+        s, residual = s[:kept], residual[:kept]
+    elif s.size < k:
+        return None
     if s[-1] <= 0 or np.any(residual > RESIDUAL_TOL * s[0]):
         return None
-    return Spectrum(s, kept=kept, method=method)
+    return Spectrum(s, kept=kept, method="lanczos")
+
+
+def _bidiagonalize(op, n, k):
+    """The k largest singular values of an n x n operator, cut after the
+    first converged one below SVD_DROP_TOL * sigma_1, with the residual
+    norm ||A^T u - sigma v|| of each triplet; None if that takes n/2 steps.
+
+    Golub-Kahan-Lanczos bidiagonalization (R. M. Larsen, DAIMI PB-537,
+    1998) from a fixed random start.  A V = U B with B upper bidiagonal
+    holds by construction; A^T U = V B^T + beta_m v_{m+1} e_m^T holds up
+    to the reorthogonalization, so |beta_m y_m| bounds the residual of the
+    Ritz triplet (sigma, U y, V x), and the residuals returned are taken
+    on that side.  Each new v is orthogonalized against all of V.  Then U
+    loses orthogonality only through rounding, which a running bound
+    follows (Larsen's recurrence with V orthogonal); u is orthogonalized
+    against U when the bound passes LOSS_TOL.  A coefficient at rounding
+    level ends the recurrence: the subspaces are invariant and B's values
+    exact.  Each stop test takes one SVD of B.  Tests double in size until
+    k steps, then aim 5% past where the count of converged triplets,
+    extrapolated from the last two tests, reaches the wanted count: one
+    more step costs far less than one more test.  The products A^T u_j
+    are kept, so the residuals cost two matrix products and no FFT.
+    """
+    cap = n // 2
+    U, V = np.empty((cap, n)), np.empty((cap + 1, n))
+    W = np.empty((cap, n))  # W[j] = A^T u_j
+    alpha, beta = np.zeros(cap), np.zeros(cap)
+    v = np.random.default_rng(0).standard_normal(n)
+    V[0] = v / math.sqrt(v @ v)
+    b, norm, loss, test, last = 0.0, 0.0, 0.0, min(16, cap), None
+    for j in range(cap):
+        p = op.matvec(V[j])
+        if j:
+            p -= b * U[j - 1]
+        a = math.sqrt(p @ p)
+        # bound on max |u_j . u_i|
+        loss = (b * loss + EPS * (a + b + norm)) / a if a > 0 else math.inf
+        if loss > LOSS_TOL:
+            a, loss = _orthogonalize(p, U[:j]), EPS
+        exhausted = not a > EXHAUSTED * norm
+        if exhausted:
+            W[j] = 0.0
+        else:
+            U[j] = p / a
+            W[j] = op.rmatvec(U[j])
+            r = W[j] - a * V[j]
+            b = _orthogonalize(r, V[:j + 1])
+            norm = max(norm, a, b)
+            alpha[j] = a
+            exhausted = not b > EXHAUSTED * norm
+        if not exhausted:
+            beta[j] = b
+            V[j + 1] = r / b
+        m = j + 1
+        if m < test and not exhausted:
+            continue
+        bidiagonal = np.diag(alpha[:m]) + np.diag(beta[:m - 1], 1)
+        y, s, xt = np.linalg.svd(bidiagonal)
+        # the values down to the first below the tolerance, or all of
+        # them once the subspaces are exhausted; a value has converged when
+        # its bound is below RESIDUAL_TOL * sigma_1 and does not reach
+        # across the tolerance, so that the count kept is decided
+        drop = SVD_DROP_TOL * s[0]
+        above = int(np.count_nonzero(s > drop))
+        wanted = min(k, above if exhausted else above + 1)
+        bound = np.abs(beta[m - 1] * y[m - 1, :wanted])
+        loose = (bound > RESIDUAL_TOL * s[0]) | (np.abs(s[:wanted] - drop) <= bound)
+        converged = int(np.argmax(loose)) if loose.any() else wanted
+        if converged == wanted <= m:
+            residual = y[:, :wanted].T @ W[:m] \
+                - s[:wanted, None] * (xt[:wanted] @ V[:m])
+            return s[:wanted], np.sqrt(np.einsum("ij,ij->i", residual, residual))
+        if m < k or last is None or converged <= last[1]:
+            test = 2 * m
+        else:
+            rate = (converged - last[1]) / (m - last[0])
+            test = m + math.ceil(1.05 * (wanted - converged) / rate)
+        test, last = min(test, cap), (m, converged)
+    return None
+
+
+def _orthogonalize(x, basis):
+    """Remove from x, in place, its components along the orthonormal rows of
+    ``basis`` by classical Gram-Schmidt, repeated while it cancels more than
+    half of x; returns the new norm of x."""
+    norm = math.sqrt(x @ x)
+    for _ in range(3):
+        x -= (basis @ x) @ basis
+        norm, before = math.sqrt(x @ x), norm
+        if norm > 0.5 * before:
+            break
+    return norm
 
 
 # ---------------------------------------------------------------------------

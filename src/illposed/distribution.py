@@ -57,6 +57,9 @@ GROWTH_FACTOR = 1.5
 GROWTH_RUNS = 5
 # midpoint-grid step of the sampled (generic_sampled) measure
 SAMPLE_STEP = 1.0 / 64.0
+# most integers a discrete scan enumerates at once: 2^24 of them take
+# about 0.6 GB at peak, and backward_heat at t_bar = 1e-12 needs 1.3e7
+SCAN_POINTS = 1 << 24
 # truncation schedule of essinf (see its docstring)
 R0 = 8.0
 ESSINF_DOUBLINGS = 14
@@ -241,6 +244,9 @@ def _discrete_scan(lam, eps, weight=None):
     one, else settled; one call of fn per enumeration."""
     def totals(kmax):
         top = int(kmax.max(initial=0))
+        if 2 * top + 1 > SCAN_POINTS:
+            raise MemoryError(f"the discrete scan needs {float(2 * top + 1):.3g} "
+                              f"points, more than the {SCAN_POINTS} it may hold")
         ks = np.arange(-top, top + 1)
         vals = _values(lam.fn, ks)
         out = np.empty(eps.shape)

@@ -194,14 +194,23 @@ def backward_heat(t_bar=1.0):
         # largest integer k >= 0 with k^2 < x, i.e. k^2 <= ceil(x) - 1
         return math.isqrt(math.ceil(x) - 1) if x > 0 else -1
 
+    def root(eps):
+        # sqrt(-ln eps / t) and the largest integer k >= 0 below it; for t
+        # below about 1e-307 the quotient overflows but its root does not,
+        # and is then far too large for k^2 < x to differ from k <= sqrt(x)
+        x = max(0.0, -math.log(eps)) / t
+        if math.isfinite(x):
+            return math.sqrt(x), strict_root(x)
+        r = math.sqrt(-math.log(eps)) / math.sqrt(t)
+        return r, math.floor(r)
+
     def count(eps):
-        k = strict_root(-math.log(eps) / t) if eps < 1.0 else -1
+        k = root(eps)[1] if eps < 1.0 else -1
         return float(2 * k + 1) if k >= 0 else 0.0
 
     mult = Multiplier(
         fn=fn, shape=DISCRETE, sup_bound=1.0, superlevel=count,
-        cutoff_hint=lambda e: math.ceil(
-            math.sqrt(max(0.0, -math.log(e)) / t)) + 2)
+        cutoff_hint=lambda e: math.ceil(root(e)[0]) + 2)
     return OperatorModel(
         id="backward_heat", parameters={"t_bar": t},
         multiplier=mult, measure=MeasureSpace(COUNTING_INTEGERS),

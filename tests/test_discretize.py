@@ -198,7 +198,7 @@ class TestSections:
         seq = dz.singular_values(dz.riemann_liouville_section(alpha, n))
         dense = np.linalg.svd(dz.riemann_liouville_matrix(alpha, n),
                               compute_uv=False)
-        assert seq.method == "propack"
+        assert seq.method == "lanczos"
         assert len(seq) == n // 8 and seq.kept == n
         # counts beyond the leading values saturate: the data stops there
         assert counting.counting_phi(seq, seq.values[-1] ** 2 / 2.0) \
@@ -210,11 +210,19 @@ class TestSections:
         dense = dz.singular_values(dz.hilbert_matrix(n))
         monkeypatch.setattr(dz.Section, "dense", _no_dense)
         seq = dz.singular_values(dz.hilbert_section(n))
-        assert seq.method == "eigsh"
+        assert seq.method == "lanczos"
         assert len(seq) == seq.kept == len(dense) == kept
         # the trailing values sit at the rounding floor of both methods
         assert seq.values[:10] == pytest.approx(dense.values[:10], rel=1e-12)
         assert seq.values == pytest.approx(dense.values, rel=1e-2)
+
+    @pytest.mark.parametrize("n", [22, 28, 49, 64, 65, 128, 200])
+    def test_hilbert_kept_count_is_decided(self, n):
+        # a Ritz value whose bound reaches across the drop tolerance has not
+        # converged: stopping there would keep too few values
+        seq = dz.singular_values(dz.hilbert_section(n))
+        dense = dz.singular_values(dz.hilbert_matrix(n))
+        assert seq.kept == len(seq) == len(dense)
 
     def test_uncertified_alpha_takes_the_dense_path(self):
         n = 256
@@ -226,25 +234,43 @@ class TestSections:
         assert seq.kept == len(seq) == len(dense) == n - 1
         assert np.array_equal(seq.values, dense.values)
 
-    def test_indefinite_hankel_takes_the_dense_path(self):
-        # rank two with eigenvalues of both signs: the largest eigenvalues
-        # alone would miss the negative one
+    def test_indefinite_hankel_is_certified(self, monkeypatch):
+        # rank two with eigenvalues of both signs: singular values see both,
+        # where the largest eigenvalues alone would miss the negative one
         n = 256
         section = dz.Section("hankel", np.cos(0.3 * np.arange(2 * n - 1)), n)
-        seq = dz.singular_values(section)
         dense = dz.singular_values(section.dense())
-        assert seq.method == "dense"
+        monkeypatch.setattr(dz.Section, "dense", _no_dense)
+        seq = dz.singular_values(section)
+        assert seq.method == "lanczos"
         assert seq.kept == len(seq) == len(dense) == 2
-        assert np.array_equal(seq.values, dense.values)
+        assert seq.values == pytest.approx(dense.values, rel=1e-12)
 
     def test_failed_solve_falls_back_to_dense(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("no convergence")
-        monkeypatch.setattr(dz, "svds", fail)
+        monkeypatch.setattr(dz, "_bidiagonalize", lambda *args: None)
         seq = dz.singular_values(dz.riemann_liouville_section(1.0, 128))
         dense = dz.singular_values(dz.riemann_liouville_matrix(1.0, 128))
         assert seq.method == "dense"
         assert np.array_equal(seq.values, dense.values)
+
+    @pytest.mark.parametrize("operator,alpha", [("j_alpha", 1.0),
+                                                ("hilbert", None)])
+    def test_transpose_residual_above_bound_goes_dense(self, monkeypatch,
+                                                       operator, alpha):
+        # transpose products off by 1e-8: A V = U B still holds, so only
+        # ||A^T u - sigma v|| can tell that the triplets are wrong
+        section, matrix = _section_and_matrix(operator, alpha, 256)
+        exact = dz.Section.operator
+
+        def skewed(self):
+            op = exact(self)
+            rmatvec = op.rmatvec
+            op.rmatvec = lambda x: rmatvec(x) * (1.0 + 1e-8)
+            return op
+        monkeypatch.setattr(dz.Section, "operator", skewed)
+        seq = dz.singular_values(section)
+        assert seq.method == "dense"
+        assert np.array_equal(seq.values, dz.singular_values(matrix).values)
 
     @pytest.mark.parametrize("operator,alpha,n", [("j_alpha", 0.25, 512),
                                                   ("j_alpha", 1.0, 1024),

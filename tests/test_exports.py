@@ -27,15 +27,19 @@ def test_package_reexports_resolve():
             assert getattr(importlib.import_module(home), obj.__name__) is obj, name
 
 
-def test_check_runs_without_scipy_integrate_or_optimize():
-    # these scipy modules take longer to import than the rest of the package
-    # and none is needed: quadrature is distribution._quad and the section
-    # products use numpy.fft.  A fresh interpreter, because pytest's warning
-    # filters import scipy.integrate into this one.
-    script = ("import sys, illposed, illposed.cli, illposed.acceptance\n"
-              "illposed.acceptance.run_all(only={'4', '5', '6', '7'})\n"
-              "print([m for m in ('scipy.integrate', 'scipy.optimize',"
-              " 'scipy.fft', 'scipy.special') if m in sys.modules])")
+def test_commands_run_on_numpy_alone():
+    # the package imports no scipy: quadrature is distribution._quad, the
+    # section products use numpy.fft and the section spectra come from
+    # discretize._bidiagonalize.  A fresh interpreter, because pytest's
+    # warning filters import scipy.integrate into this one.
+    script = ("import io, contextlib, sys\n"
+              "import illposed, illposed.cli, illposed.acceptance\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    illposed.acceptance.run_all()\n"
+              "    for op in ('j_alpha', 'hilbert'):\n"
+              "        assert illposed.cli.main(['discretize', '--operator', op,"
+              " '--n', '512']) == 0\n"
+              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(illposed.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,

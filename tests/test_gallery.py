@@ -65,6 +65,17 @@ class TestConstructors:
             assert k * k < x <= (k + 1) ** 2
             assert model.multiplier.superlevel(eps) == float(2 * k + 1)
 
+    @pytest.mark.parametrize("t_bar", [1e-308, 5e-324])
+    def test_backward_heat_count_past_the_float_range(self, t_bar):
+        # -ln(eps)/t overflows to inf; its root sqrt(-ln eps)/sqrt(t) does not
+        model = gallery.make("backward_heat", t_bar=t_bar)
+        for eps in (1e-3, 1e-12):
+            assert -math.log(eps) / t_bar == math.inf
+            root = math.sqrt(-math.log(eps)) / math.sqrt(t_bar)
+            assert model.multiplier.superlevel(eps) == \
+                2.0 * math.floor(root) + 1.0
+            assert model.multiplier.cutoff_hint(eps) == math.ceil(root) + 2
+
     def test_parabolic_limit_at_origin(self):
         model = gallery.make("parabolic_source", diffusivity=1.0, t0=3.0, d=2)
         assert model.multiplier.fn(0.0) == pytest.approx(9.0)

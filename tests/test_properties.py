@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from illposed.core import (MODERATE, MONOTONE_TAIL, NON_INFORMATIVE,
@@ -275,6 +275,9 @@ REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
 
 
 @given(argv=odd_requests)
+# -ln(eps) / t_bar overflows: the count and the scan's cutoff take the root
+@example(argv=["analyze", "--model", "backward_heat", "--param", "t_bar=1e-308"])
+@example(argv=["analyze", "--model", "backward_heat", "--param", "t_bar=5e-324"])
 @settings(max_examples=80, deadline=None)
 def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
     out, err = io.StringIO(), io.StringIO()
