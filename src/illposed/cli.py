@@ -47,9 +47,6 @@ def to_json(obj):
                          for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        floats = _finite_floats(obj)
-        if floats is not None:  # the bytes _fmt gives, in one pass
-            return "[" + ",".join(map("{:.17g}".format, floats)) + "]"
         return "[" + ",".join(to_json(v) for v in obj) + "]"
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
@@ -57,18 +54,6 @@ def to_json(obj):
     if isinstance(obj, (np.floating,)):
         return _fmt(float(obj))
     return _fmt(obj)
-
-
-def _finite_floats(seq):
-    """The entries of a 1-d float array or a list of floats as Python
-    floats if all are finite, else None."""
-    if isinstance(seq, np.ndarray):
-        if seq.ndim != 1 or seq.dtype.kind != "f" or not np.isfinite(seq).all():
-            return None
-        return seq.tolist()
-    if all(type(v) is float and math.isfinite(v) for v in seq):
-        return seq
-    return None
 
 
 def _write(text, path):

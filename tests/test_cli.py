@@ -3,7 +3,6 @@ import math
 import tracemalloc
 import warnings
 
-import numpy as np
 import pytest
 
 from illposed import cli, counting, discretize, distribution, gallery
@@ -580,25 +579,3 @@ def test_numeric_scan_past_its_point_limit_fails_at_once(capsys):
     assert "needs 1.28e+09 points" in err and str(distribution.SCAN_POINTS) in err
     # bytes: far below the 8 bytes per point that one scan array takes
     assert peak < distribution.SCAN_POINTS
-
-
-@pytest.mark.parametrize("values", [
-    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300],
-    [-0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0],
-    [],
-])
-@pytest.mark.parametrize("container", [list, tuple, np.array])
-def test_one_pass_floats_match_the_element_wise_bytes(values, container):
-    # an all-finite float sequence is written in one pass; anything else
-    # element by element, where non-finite values stay quoted strings
-    seq = container(values)
-    element_wise = "[" + ",".join(cli._fmt(float(v)) for v in values) + "]"
-    assert cli.to_json(seq) == element_wise
-    assert cli.to_json({"x": seq}) == '{"x":' + element_wise + "}"
-
-
-def test_integer_array_keeps_integer_bytes():
-    ints = np.arange(-2, 3)
-    assert cli.to_json(ints) == "[-2,-1,0,1,2]"
-    assert cli.to_json(ints.astype(float)) == "[-2,-1,0,1,2]"
-    assert cli.to_json([1, 2.5, True, None]) == "[1,2.5,true,null]"
