@@ -263,21 +263,24 @@ class Multiplier:
     handling inside it.  ``shape`` declares how the superlevel sets
     {fn > eps} can be found numerically:
 
-      monotone_tail         initial-interval superlevel sets; fn nonincreasing
-                            beyond ``breakpoints[0]`` (default 0)
-      radial_monotone_tail  same, on the radius in R^d
-      piecewise_monotone    fn monotone between consecutive breakpoints
-      discrete              evaluated on the integers
+      monotone_tail,        fn monotone on each branch between 0, the
+      radial_monotone_tail, ``breakpoints`` (none by default) and the end
+      piecewise_monotone    of the domain, the last branch decaying on an
+                            unbounded domain; the search walks the branches
+                            of all three alike, and the measure says whether
+                            the points are radii in R^d
+      discrete              evaluated on the integers up to
+                            ``cutoff_hint(eps)``, which it requires
       generic_sampled       indicator sums on a midpoint grid of step
                             ``distribution.SAMPLE_STEP``
 
     Closed forms, when present, take precedence over the numeric search:
     ``superlevel`` (plain measure), ``log_superlevel`` (log measure, for
     models whose Phi overflows) or ``boundary`` (threshold point / radius of
-    the superlevel set); ``cutoff_hint`` maps eps to a safe enumeration
-    cutoff for discrete multipliers.  Reweighted curves need no further
-    data: ``distribution.reweight`` integrates the density over the
-    superlevel sets.
+    the superlevel set); ``cutoff_hint`` maps eps to an integer beyond
+    which a discrete multiplier stays at or below eps.  Reweighted curves
+    need no further data: ``distribution.reweight`` integrates the density
+    over the superlevel sets.
     """
 
     fn: Callable
@@ -294,6 +297,8 @@ class Multiplier:
             raise ValueError(f"unknown multiplier shape {self.shape!r}")
         if self.sup_bound <= 0:
             raise ValueError("sup_bound must be positive")
+        if self.shape == DISCRETE and self.cutoff_hint is None:
+            raise ValueError("a discrete multiplier needs a cutoff_hint")
 
 
 @dataclass(frozen=True)

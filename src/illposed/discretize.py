@@ -130,8 +130,8 @@ class Section:
         return self.coeffs[i[:, None] + i[None, :]]
 
     def operator(self):
-        """Products with the section (``matvec``, ``matmat``) and its
-        transpose (``rmatvec``, ``rmatmat``) by FFTs, one per n x k block."""
+        """Products of a vector with the section (``matvec``) and its
+        transpose (``rmatvec``) by FFTs."""
         n = self.n
         size = 1 << (2 * n - 2).bit_length()  # the power of two >= 2n - 1
         spectrum = np.fft.rfft(self.coeffs, size)
@@ -140,11 +140,11 @@ class Section:
             # circular convolution (correlation if conj) with the
             # coefficients; size >= 2n - 1 keeps the first n entries free
             # of wrap-around
-            f = np.fft.rfft(x, size, axis=0)
+            f = np.fft.rfft(x, size)
             if conj:
                 f = f.conj()
-            f *= s if x.ndim == 1 else s[:, None]
-            return np.fft.irfft(f, size, axis=0)[:n]
+            f *= s
+            return np.fft.irfft(f, size)[:n]
 
         if self.kind == TOEPLITZ:
             # (T x)_i = sum_t c_(i-t) x_t, (T^T x)_i = sum_t c_t x_(i+t)
@@ -160,8 +160,7 @@ class Section:
             def matvec(x):
                 return product(spectrum, x, conj=True)
             rmatvec = matvec
-        return SimpleNamespace(matvec=matvec, rmatvec=rmatvec, matmat=matvec,
-                               rmatmat=rmatvec)
+        return SimpleNamespace(matvec=matvec, rmatvec=rmatvec)
 
 
 def hilbert_section(n):

@@ -2,21 +2,22 @@
 
 The distribution function Phi(eps) = mu({lambda > eps}) is the non-compact
 counterpart of the singular value counting function.  This module measures
-superlevel sets numerically (bisection on monotone profiles, branchwise
-bisection on piecewise monotone ones, enumeration on the integers,
-indicator sums on a fixed-step midpoint grid), evaluates closed forms when
-a model carries them, and builds the derived objects: rearrangements,
-reweighted curves and the essential-infimum diagnostic.
+superlevel sets numerically (bisection on the monotone branches of a
+continuous profile, an exact scan of the integers up to the multiplier's
+cutoff, indicator sums on a fixed-step midpoint grid), evaluates closed
+forms when a model carries them, and builds the derived objects:
+rearrangements, reweighted curves and the essential-infimum diagnostic.
 
 The numeric search works on a whole eps grid at once.  Multiplier
 callbacks take an array of points and return an array of its shape, and
-``_values`` evaluates and checks each grid in one call.  A superlevel set
-anchored at 0 gets one bracket per eps: the brackets grow along one ladder
-of doublings shared by the grid, and one bisection then halves all of them
-together, each stopping on the rule a lone bracket would use.  The
-doubling loops of the enumerations settle each eps on its own.  A single
-eps is a one-element grid, so a sample's value does not depend on the grid
-it was computed in.
+``_values`` evaluates and checks each grid in one call.  Every continuous
+profile is walked branch by branch between its breakpoints; the branch
+that runs to infinity gets one bracket per eps, grown along one ladder of
+doublings shared by the grid, and one bisection then halves every
+crossing together, each stopping on the rule a lone bracket would use.
+The doubling loop of the indicator sums settles each eps on its own.  A
+single eps is a one-element grid, so a sample's value does not depend on
+the grid it was computed in.
 
 All functions are pure; per-epsilon results are independent and
 truncation schedules are deterministic, so results are reproducible.
@@ -32,9 +33,8 @@ import numpy as np
 from .core import (COUNTING_INTEGERS, DISCRETE, GENERIC_SAMPLED, INF,
                    LEBESGUE_HALFLINE, LEBESGUE_LINE, LEBESGUE_RADIAL,
                    LEBESGUE_UNIT_INTERVAL, MONOTONE_TAIL, Multiplier,
-                   NON_INFORMATIVE, PIECEWISE_MONOTONE,
-                   RADIAL_MONOTONE_TAIL, UnsupportedMeasureError,
-                   ball_volume, DistributionFunction, MeasureSpace)
+                   NON_INFORMATIVE, UnsupportedMeasureError, ball_volume,
+                   DistributionFunction, MeasureSpace)
 
 __all__ = [
     "superlevel_measure",
@@ -140,30 +140,25 @@ def _bisect(fn, eps, lo, hi, rising=False):
     return out
 
 
-def _initial_interval_sup(fn, eps, hint=1.0, cap=INF):
+def _initial_interval_sup(fn, eps, hint):
     """sup{x >= 0 : fn(x) > eps[i]} for every i, assuming each superlevel
     set is an initial interval.
 
     Monotonicity of fn is not required, only that the superlevel set is
     anchored at 0; the bisection then converges to its endpoint.  The upper
-    brackets grow by doubling along one ladder of points shared by the
-    whole grid; a bracket beyond 1e280 means the set is unbounded for every
-    practical purpose, and that eps alone gets +inf.
+    brackets grow by doubling from ``hint`` along one ladder of points
+    shared by the whole grid; a bracket beyond 1e280 means the set is
+    unbounded for every practical purpose, and that eps alone gets +inf.
     """
     x = np.zeros(eps.shape)
-    if cap <= 0:
-        return x
     live = np.flatnonzero(_values(fn, np.zeros(1))[0] > eps)
     lo, hi = np.zeros(eps.shape), np.zeros(eps.shape)
-    low, step = 0.0, min(max(hint, 1e-6), cap)
+    low, step = 0.0, hint
     while live.size:
         above = _values(fn, np.array([step]))[0] > eps[live]
         lo[live[~above]], hi[live[~above]] = low, step
         live = live[above]
-        if step >= cap:
-            x[live] = cap
-            break
-        low, step = step, min(step * 2.0, cap)
+        low, step = step, step * 2.0
         if step > 1e280:
             x[live] = INF
             break
@@ -176,35 +171,34 @@ def _superlevel_set(lam, eps, domain_hi=INF):
     """{lam > eps[i]} within [0, domain_hi] for every i, as one (a, b) pair
     of arrays per monotone branch, a == b where the branch holds none of it.
 
-    On [0, inf) the profile must decay past its last breakpoint; b is +inf
-    where the set is unbounded.
+    The branches run between 0, the breakpoints and domain_hi.  On
+    [0, inf) the last one runs from the last breakpoint to infinity, where
+    the profile must decay; b is +inf where the set is unbounded.
     """
-    fn = lam.fn
-    if lam.shape in (MONOTONE_TAIL, RADIAL_MONOTONE_TAIL):
-        hint = max(1.0, *(lam.breakpoints or (1.0,)))
-        return [(np.zeros(eps.shape),
-                 _initial_interval_sup(fn, eps, hint=hint, cap=domain_hi))]
-    if lam.shape != PIECEWISE_MONOTONE:
+    if lam.shape in (DISCRETE, GENERIC_SAMPLED):
         raise UnsupportedMeasureError(f"unsupported shape {lam.shape!r}")
+    fn = lam.fn
     pts = [0.0] + [b for b in lam.breakpoints if 0.0 < b < domain_hi]
     bounded = domain_hi < INF
     if bounded:
         pts.append(domain_hi)
-    # one row per branch [a, b] and one column per eps; the bracket of each
-    # crossing is bisected in one search, rising where fn(b) > fn(a)
-    vals = _values(fn, np.array(pts))
-    shape = (len(pts) - 1, eps.size)
-    a = np.broadcast_to(np.array(pts[:-1])[:, None], shape)
-    b = np.broadcast_to(np.array(pts[1:])[:, None], shape)
-    in_a, in_b = vals[:-1, None] > eps, vals[1:, None] > eps
-    rising = np.broadcast_to((vals[1:] > vals[:-1])[:, None], shape)
-    lo, hi = a.copy(), np.where(in_a | in_b, b, a)
-    cross = in_a != in_b
-    x = _bisect(fn, np.broadcast_to(eps, shape)[cross], a[cross], b[cross],
-                rising=rising[cross])
-    lo[cross] = np.where(rising[cross], x, a[cross])
-    hi[cross] = np.where(rising[cross], b[cross], x)
-    out = list(zip(lo, hi))
+    out = []
+    if len(pts) > 1:
+        # one row per branch [a, b] and one column per eps; the bracket of
+        # each crossing is bisected in one search, rising where fn(b) > fn(a)
+        vals = _values(fn, np.array(pts))
+        shape = (len(pts) - 1, eps.size)
+        a = np.broadcast_to(np.array(pts[:-1])[:, None], shape)
+        b = np.broadcast_to(np.array(pts[1:])[:, None], shape)
+        in_a, in_b = vals[:-1, None] > eps, vals[1:, None] > eps
+        rising = np.broadcast_to((vals[1:] > vals[:-1])[:, None], shape)
+        lo, hi = a.copy(), np.where(in_a | in_b, b, a)
+        cross = in_a != in_b
+        x = _bisect(fn, np.broadcast_to(eps, shape)[cross], a[cross],
+                    b[cross], rising=rising[cross])
+        lo[cross] = np.where(rising[cross], x, a[cross])
+        hi[cross] = np.where(rising[cross], b[cross], x)
+        out = list(zip(lo, hi))
     if not bounded:
         last = pts[-1]
         x = _initial_interval_sup(lambda w: fn(last + w), eps,
@@ -213,21 +207,51 @@ def _superlevel_set(lam, eps, domain_hi=INF):
     return out
 
 
-def _settle(total_at, size, tol):
-    """total_at(size), an array over the eps grid, for doubling sizes until
-    each entry is stable to a relative tol twice in a row; sustained growth
-    or 60 rounds mean divergence, and that entry gets +inf."""
-    prev = total_at(size)
-    out = np.full(prev.shape, INF)
-    live = np.ones(prev.shape, dtype=bool)
-    growth = stable = np.zeros(prev.shape, dtype=int)
+def _discrete_scan(lam, eps, weight=None):
+    """Sum of weights over {k in Z : lam(k) > eps[i]} for every i; counts
+    when weight is None.  Exact: one call of fn enumerates every |k| up to
+    the largest cutoff_hint(eps[i])."""
+    kmax = [int(lam.cutoff_hint(float(e))) for e in eps]
+    top = max(kmax, default=0)
+    if 2 * top + 1 > SCAN_POINTS:
+        raise MemoryError(f"the discrete scan needs {float(2 * top + 1):.3g} "
+                          f"points, more than the {SCAN_POINTS} it may hold")
+    ks = np.arange(-top, top + 1)
+    vals = _values(lam.fn, ks)
+    out = np.empty(eps.shape)
+    for i, (e, m) in enumerate(zip(eps, kmax)):
+        window = slice(top - m, top + m + 1)
+        hits = ks[window][vals[window] > e]
+        if weight is None:
+            out[i] = float(hits.size)
+        else:
+            total = 0.0
+            for k in hits:
+                total += weight(int(k))
+            out[i] = total
+    return out
+
+
+def _sampled_measure(lam, eps):
+    """Indicator sums on midpoint grids of [0, r] for doubling r, until
+    each eps is stable to a relative 1e-12 twice in a row; sustained
+    growth or 60 rounds mean divergence, and that eps gets +inf."""
+    def grid_measure(r):
+        n = max(16, int(round(r / SAMPLE_STEP)))
+        return (r / n) * _count_above(_midpoint_values(lam.fn, r, n), eps)
+
+    r = 8.0
+    prev = grid_measure(r)
+    out = np.full(eps.shape, INF)
+    live = np.ones(eps.shape, dtype=bool)
+    growth = stable = np.zeros(eps.shape, dtype=int)
     for _ in range(59):
-        size *= 2
-        cur = total_at(size)
+        r *= 2
+        cur = grid_measure(r)
         growth = np.where((prev > 0) & (cur >= GROWTH_FACTOR * prev),
                           growth + 1, 0)
         live &= growth < GROWTH_RUNS
-        stable = np.where(np.abs(cur - prev) <= tol * np.maximum(cur, 1e-300),
+        stable = np.where(np.abs(cur - prev) <= 1e-12 * np.maximum(cur, 1e-300),
                           stable + 1, 0)
         done = live & (stable >= 2)
         out[done] = cur[done]
@@ -236,44 +260,6 @@ def _settle(total_at, size, tol):
             break
         prev = cur
     return out
-
-
-def _discrete_scan(lam, eps, weight=None):
-    """Sum of weights over {k in Z : lam(k) > eps[i]} for every i; counts
-    when weight is None.  Exact on |k| <= cutoff_hint(eps) when there is
-    one, else settled; one call of fn per enumeration."""
-    def totals(kmax):
-        top = int(kmax.max(initial=0))
-        if 2 * top + 1 > SCAN_POINTS:
-            raise MemoryError(f"the discrete scan needs {float(2 * top + 1):.3g} "
-                              f"points, more than the {SCAN_POINTS} it may hold")
-        ks = np.arange(-top, top + 1)
-        vals = _values(lam.fn, ks)
-        out = np.empty(eps.shape)
-        for i, (e, m) in enumerate(zip(eps, kmax)):
-            window = slice(top - m, top + m + 1)
-            hits = ks[window][vals[window] > e]
-            if weight is None:
-                out[i] = float(hits.size)
-            else:
-                total = 0.0
-                for k in hits:
-                    total += weight(int(k))
-                out[i] = total
-        return out
-
-    if lam.cutoff_hint is not None:
-        return totals(np.array([int(lam.cutoff_hint(float(e))) for e in eps]))
-    return _settle(lambda k: totals(np.full(eps.shape, k)), 8, 0.0)
-
-
-def _sampled_measure(lam, eps):
-    """Indicator sums on midpoint grids of [0, r], r doubling until settled."""
-    def grid_measure(r):
-        n = max(16, int(round(r / SAMPLE_STEP)))
-        return (r / n) * _count_above(_midpoint_values(lam.fn, r, n), eps)
-
-    return _settle(grid_measure, 8.0, 1e-12)
 
 
 def _numeric_measure(lam, mu, eps, trim=None):
@@ -619,13 +605,17 @@ def reweight(lam, mu, kappa, grid):
     if not mu.is_discrete and mu.kind not in (
             LEBESGUE_LINE, LEBESGUE_HALFLINE, LEBESGUE_UNIT_INTERVAL):
         raise UnsupportedMeasureError(f"reweighting not supported on {mu.kind!r}")
+    if mu.is_discrete != (lam.shape == DISCRETE):
+        raise UnsupportedMeasureError(
+            "discrete multipliers need the counting measure and the counting "
+            "measure needs a discrete multiplier")
     weight = _positive(kappa)
     hi = 1.0 if mu.kind == LEBESGUE_UNIT_INTERVAL else INF
     eps = np.asarray(grid, dtype=float)
     if mu.is_discrete:
         masses = _discrete_scan(lam, eps, weight=weight)
     else:
-        if lam.shape == MONOTONE_TAIL and lam.boundary is not None:
+        if lam.boundary is not None:
             # the closed form's set [0, x) from its measure, so that each
             # closed-form evaluation is one measure call like any other
             per_x = 2.0 if mu.kind == LEBESGUE_LINE else 1.0

@@ -132,3 +132,9 @@ def test_multiplier_validation():
         Multiplier(fn=lambda w: 1.0, shape="wavy", sup_bound=1.0)
     with pytest.raises(ValueError):
         Multiplier(fn=lambda w: 1.0, shape="monotone_tail", sup_bound=0.0)
+
+
+def test_discrete_multiplier_needs_a_cutoff_hint():
+    with pytest.raises(ValueError, match="cutoff_hint"):
+        Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), shape="discrete",
+                   sup_bound=1.0)

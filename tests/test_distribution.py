@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from illposed.core import (LEBESGUE_HALFLINE, LEBESGUE_LINE,
-                           LEBESGUE_UNIT_INTERVAL, MONOTONE_TAIL,
-                           PIECEWISE_MONOTONE, GENERIC_SAMPLED,
+from illposed.core import (COUNTING_INTEGERS, DISCRETE, LEBESGUE_HALFLINE,
+                           LEBESGUE_LINE, LEBESGUE_UNIT_INTERVAL,
+                           MONOTONE_TAIL, PIECEWISE_MONOTONE, GENERIC_SAMPLED,
                            MeasureSpace, Multiplier,
                            UnsupportedMeasureError, geometric_grid,
                            DistributionFunction)
@@ -123,6 +123,52 @@ class TestSuperlevelMeasure:
             == pytest.approx(1000.0 + math.log(2.0), rel=1e-12)
         with pytest.raises(ValueError, match="log_superlevel_measure"):
             dist.superlevel_measure(lam, mu, 1e-6)
+
+
+class TestSuperlevelSearch:
+    """The one search: monotone branches between the breakpoints, and an
+    exact scan of the integers up to the cutoff."""
+
+    def test_discrete_scan_counts_every_point_below_the_cutoff(self):
+        # {1/(1+k^2) > 1e-5} is k^2 < 99999, so |k| <= 316: 633 integers
+        lam = Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), shape=DISCRETE,
+                         sup_bound=1.0,
+                         cutoff_hint=lambda e: math.ceil(math.sqrt(1.0 / e)))
+        mu = MeasureSpace(COUNTING_INTEGERS)
+        assert dist.superlevel_measure(lam, mu, 1e-5) == 633.0
+        curve = dist.phi_curve(lam, mu, geometric_grid(0.9, 1e-5, 20))
+        assert math.exp(curve.log_phi[-1]) == pytest.approx(633.0, rel=1e-14)
+
+    def test_multiplier_c_walks_its_constant_branch(self):
+        lam, mu = bare("multiplier_c", s=1.0)
+        assert lam.breakpoints == (math.e,)
+        eps = np.array([0.5, 0.1])
+        (a0, b0), (a1, b1) = dist._superlevel_set(lam, eps)
+        # lambda = 1 on [0, e]: the whole branch, with no bisection in it
+        assert list(a0) == [0.0, 0.0] and list(b0) == [math.e, math.e]
+        assert list(a1) == [math.e, math.e]
+        assert list(b1) == pytest.approx(np.exp(eps ** -0.5), rel=1e-12)
+        closed = gallery.make("multiplier_c", s=1.0).multiplier
+        curve = dist.phi_curve(lam, mu, geometric_grid(0.99, 1e-8, 40))
+        finite = np.isfinite(curve.log_phi)
+        assert 0 < np.count_nonzero(finite) < finite.size
+        want = [closed.log_superlevel(float(e)) for e in curve.eps_grid[finite]]
+        np.testing.assert_allclose(curve.log_phi[finite], want, rtol=1e-12)
+
+    def test_monotone_tail_on_the_unit_interval_ends_at_one(self):
+        # {1/(1+w) > eps} is [0, 1/eps - 1): beyond the domain at eps = 0.4
+        lam = Multiplier(fn=lambda w: 1.0 / (1.0 + w), shape=MONOTONE_TAIL,
+                         sup_bound=1.0)
+        assert dist.superlevel_measure(lam, UNIT, 0.4) == 1.0
+        assert dist.superlevel_measure(lam, UNIT, 0.8) \
+            == pytest.approx(0.25, rel=1e-11)
+
+    def test_counting_measure_needs_a_discrete_multiplier(self):
+        lam = Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), shape=MONOTONE_TAIL,
+                         sup_bound=1.0)
+        with pytest.raises(UnsupportedMeasureError):
+            dist.reweight(lam, MeasureSpace(COUNTING_INTEGERS),
+                          lambda k: 1.0, np.array([0.5, 0.1]))
 
 
 class TestPhiCurve:
