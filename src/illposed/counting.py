@@ -104,6 +104,10 @@ def corner_curve(sigma: SigmaSequence, window=None) -> DistributionFunction:
     last = np.diff(sq, append=0.0) < 0  # False on ties and on zeros
     n = np.arange(lo, lo + sq.size, dtype=float)[last]
     if n.size < 2:
+        if np.count_nonzero(sq) >= 2:
+            raise InsufficientDataError(
+                "the window's values tie: a flat spectrum has no decay to "
+                "estimate")
         raise InsufficientDataError("window too small")
     return DistributionFunction.build(sq[last], np.log(n), source=CORNERS,
                                       sup_bound=float(sigma.values[0] ** 2))

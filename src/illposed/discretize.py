@@ -11,7 +11,12 @@ only.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
@@ -53,6 +58,20 @@ EXHAUSTED = 4.0 * EPS
 LOSS_TOL = 1e-11
 TOEPLITZ = "toeplitz"
 HANKEL = "hankel"
+# Sections up to this order solve on one BLAS thread.  Their only threaded
+# BLAS calls are the stop-test SVDs of B (m <= n/2 <= 512) and the
+# certificate products, which ran in the same wall time on one thread as
+# on two on a 2-core host (the SVD of B: 0.019-0.021 s either way at
+# m = 300, 5-10% slower on one at m = 560) while the second thread spun
+# beside them.  At n = 2048 the reorthogonalization products are threaded:
+# one thread made a benchmark `sections` pass 15% slower, and the SVD of B
+# alone 43% slower at m = 1100.
+ONE_THREAD_MAX_N = 1024
+# (get, set) symbol pairs of OpenBLAS's thread count, first match wins:
+# numpy's scipy-openblas wheels, then plain OpenBLAS, each ILP64 first
+OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
 
 
 def hilbert_matrix(n):
@@ -264,6 +283,71 @@ def _clears_drop_tol(c):
         return bool(np.abs(d).sum() * np.abs(c).sum() * SVD_DROP_TOL < 1.0)
 
 
+@functools.cache
+def _openblas_controls():
+    """(get, set) thread-count functions of every OpenBLAS mapped into the
+    process, from /proc/self/maps; empty without /proc or without OpenBLAS.
+    Looked up on first use, so that importing costs nothing."""
+    paths = set()
+    try:
+        with open("/proc/self/maps") as maps:
+            for line in maps:
+                # the pathname is all after the fifth field; it may hold spaces
+                fields = line.rstrip("\n").split(None, 5)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
+                    paths.add(fields[5])
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                get, set_ = getattr(lib, get), getattr(lib, set_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+_blocks_lock = threading.Lock()
+_open_blocks = 0
+_saved_counts = ()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then restore
+    each library's previous count, also when the block raises.
+
+    Where no OpenBLAS control is found (another BLAS, no /proc) the block
+    runs unchanged.  The count is process-wide: another Python thread that
+    calls BLAS while the block runs also runs on one thread.  Blocks may
+    nest or overlap across threads: the first to open saves the counts and
+    the last to close restores them.
+    """
+    global _open_blocks, _saved_counts
+    controls = _openblas_controls()
+    with _blocks_lock:
+        if not _open_blocks:
+            _saved_counts = tuple(get() for get, _ in controls)
+            for _, set_ in controls:
+                set_(1)
+        _open_blocks += 1
+    try:
+        yield
+    finally:
+        with _blocks_lock:
+            _open_blocks -= 1
+            if not _open_blocks:
+                for (_, set_), count in zip(controls, _saved_counts):
+                    set_(count)
+
+
 def _leading_values(section):
     """Leading singular values of a section, or None to use the dense SVD.
 
@@ -276,7 +360,9 @@ def _leading_values(section):
     No certificate, a window of n/2 or more, a solve that does not
     converge within n/2 steps, fewer than the wanted values, a triplet
     residual above RESIDUAL_TOL * sigma_1 or missing Hankel mass all give
-    None.
+    None.  Sections of order n <= ONE_THREAD_MAX_N solve on one BLAS
+    thread (``_one_blas_thread``): there a second thread only spins beside
+    the solve and saves no time; larger ones keep the library default.
     """
     n = len(section)
     if section.kind == TOEPLITZ:
@@ -285,7 +371,9 @@ def _leading_values(section):
             return None
     else:
         k = n
-    found = _bidiagonalize(section.operator(), n, k)
+    with (_one_blas_thread() if n <= ONE_THREAD_MAX_N
+          else contextlib.nullcontext()):
+        found = _bidiagonalize(section.operator(), n, k)
     if found is None:
         return None
     s, residual = found

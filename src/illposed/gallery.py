@@ -92,6 +92,11 @@ def _dimension(d):
     return int(d)
 
 
+def _sqrt_expm1(x):
+    """sqrt(e^x - 1) as e^(x/2) sqrt(1 - e^-x), for x where e^x overflows."""
+    return math.exp(0.5 * x) * math.sqrt(-math.expm1(-x))
+
+
 # ---------------------------------------------------------------------------
 # compact models (singular value laws)
 
@@ -227,7 +232,12 @@ def multiplier_a1(s=1.0):
         return (1.0 + w * w) ** -s
 
     def boundary(eps):
-        return math.sqrt(eps ** (-1.0 / s) - 1.0) if eps < 1.0 else 0.0
+        if eps >= 1.0:
+            return 0.0
+        try:
+            return math.sqrt(eps ** (-1.0 / s) - 1.0)
+        except OverflowError:  # the power leaves the floats, the root may not
+            return _sqrt_expm1(-math.log(eps) / s)
 
     mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
                       boundary=boundary)
@@ -374,7 +384,10 @@ def laplace_kernel(a=1.0, b=1.0, d=1):
     def boundary(eps):
         if eps >= 1.0:
             return 0.0
-        return math.sqrt((eps ** (-0.5 / a) - 1.0) / b)
+        try:
+            return math.sqrt((eps ** (-0.5 / a) - 1.0) / b)
+        except OverflowError:
+            return _sqrt_expm1(-math.log(eps) / (2.0 * a)) / math.sqrt(b)
 
     mult = Multiplier(fn=fn, shape=RADIAL_MONOTONE_TAIL, sup_bound=1.0,
                       boundary=boundary)

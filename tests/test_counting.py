@@ -78,8 +78,16 @@ class TestCornerCurve:
         seq = SigmaSequence(1.0 / np.arange(1, 11, dtype=float))
         phi = corner_curve(seq, window=(0, 40))
         assert np.exp(phi.log_phi[[0, -1]]) == pytest.approx([2.0, 10.0])
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError, match="window too small"):
             corner_curve(seq, window=(9, 9))
+
+    def test_flat_window_is_named(self):
+        # one group of equal values is one corner: no decay to estimate
+        seq = SigmaSequence(np.ones(64))
+        with pytest.raises(InsufficientDataError, match="values tie"):
+            corner_curve(seq)
+        # a last value below the plateau gives a second corner
+        assert len(corner_curve(SigmaSequence([1.0] * 63 + [0.5])).eps_grid) == 2
 
     def test_squares_that_underflow_are_left_out(self):
         # sigma_n = exp(-n): sigma_n^2 is 0 in floats beyond n = 372

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -302,6 +306,97 @@ class TestSections:
             dz.Section("circulant", [1.0, 0.5], 2)
         with pytest.raises(ValueError):
             dz.hilbert_section(0)
+
+
+def _thread_counts():
+    return [get() for get, _ in dz._openblas_controls()]
+
+
+def _needs_openblas():
+    if not dz._openblas_controls():
+        pytest.skip("no OpenBLAS thread control in this process")
+
+
+class TestOneBlasThread:
+    def test_block_runs_on_one_thread_and_restores_the_counts(self):
+        _needs_openblas()
+        before = _thread_counts()
+        with dz._one_blas_thread():
+            assert _thread_counts() == [1] * len(before)
+        assert _thread_counts() == before
+        with pytest.raises(RuntimeError, match="inside"):
+            with dz._one_blas_thread():
+                assert _thread_counts() == [1] * len(before)
+                raise RuntimeError("inside")
+        assert _thread_counts() == before
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_small_sections_solve_on_one_thread(self, monkeypatch, n):
+        # up to ONE_THREAD_MAX_N the solve sees one thread; beyond it, and
+        # after it, the counts the process had
+        _needs_openblas()
+        before, seen = _thread_counts(), []
+        solve = dz._bidiagonalize
+
+        def counted(*args):
+            seen.append(_thread_counts())
+            return solve(*args)
+        monkeypatch.setattr(dz, "_bidiagonalize", counted)
+        monkeypatch.setattr(dz.Section, "dense", _no_dense)
+        seq = dz.singular_values(dz.riemann_liouville_section(1.0, n))
+        assert seq.method == "lanczos"
+        assert seen == [[1] * len(before) if n <= dz.ONE_THREAD_MAX_N
+                        else before]
+        assert _thread_counts() == before
+
+    @pytest.mark.parametrize("operator,alpha", [("j_alpha", 1.0),
+                                                ("hilbert", None)])
+    def test_solve_without_controls_gives_the_same_spectrum(
+            self, monkeypatch, operator, alpha):
+        section, _ = _section_and_matrix(operator, alpha, 512)
+        seq = dz.singular_values(section)
+        monkeypatch.setattr(dz, "_openblas_controls", lambda: ())
+        again = dz.singular_values(section)
+        assert again.method == seq.method == "lanczos"
+        assert again.kept == seq.kept
+        assert np.array_equal(again.values, seq.values)
+
+    def test_import_does_not_look_for_controls(self):
+        # a fresh interpreter: this one has solved sections already
+        script = ("import illposed, illposed.cli, illposed.discretize as dz\n"
+                  "print(dz._openblas_controls.cache_info().misses)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dz.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, env=env,
+                             timeout=300, check=True)
+        assert out.stdout.strip() == "0"
+
+    def test_overlapping_blocks_restore_the_counts(self):
+        # threads entering and leaving blocks at random: the count reads 1
+        # while any block is open and the old count once all have closed
+        _needs_openblas()
+        before, wrong = _thread_counts(), []
+
+        def enter_many():
+            for _ in range(300):
+                with dz._one_blas_thread():
+                    counts = _thread_counts()
+                    if counts != [1] * len(before):
+                        wrong.append(counts)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_many) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
+        assert _thread_counts() == before
 
 
 class TestDiscretizeCommand:

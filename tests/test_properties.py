@@ -269,6 +269,21 @@ odd_requests = st.one_of(
                    f"--t-max={r[2]}", f"--points={r[3]}"]))
 
 
+# boundaries whose inner power eps^(-1/s) overflows although the root is a
+# float: each reports, and its last ln Phi is ln 2 + x/2 + ln(1 - e^-x)/2
+# with x = -ln eps / s (-ln eps / (2a) for laplace_kernel)
+OVERFLOWING_POWERS = {
+    ("analyze", "--model", "multiplier_a1", "--eps-min=5e-324"): 1.0,
+    ("analyze", "--model", "multiplier_a1", "--eps-min=1e-310"): 1.0,
+    ("analyze", "--model", "multiplier_a1", "--param", "s=0.5",
+     "--eps-min=1e-200"): 0.5,
+    ("analyze", "--model", "laplace_kernel", "--param", "a=0.25",
+     "--eps-min=1e-200"): 0.5,
+}
+# every sigma_n is 1: exit 1, naming the tie
+FLAT_SPECTRA = (
+    ("analyze", "--model", "sobolev_embedding", "--param", "d=1e308"),
+    ("analyze", "--model", "riemann_liouville", "--param", "alpha=1e-300"))
 REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
                "degree", "expected", "matches_expected", "finiteness",
                "diagnostics"]
@@ -278,6 +293,15 @@ REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
 # -ln(eps) / t_bar overflows: the count and the scan's cutoff take the root
 @example(argv=["analyze", "--model", "backward_heat", "--param", "t_bar=1e-308"])
 @example(argv=["analyze", "--model", "backward_heat", "--param", "t_bar=5e-324"])
+@example(argv=["analyze", "--model", "multiplier_a1", "--eps-min=5e-324"])
+@example(argv=["analyze", "--model", "multiplier_a1", "--eps-min=1e-310"])
+@example(argv=["analyze", "--model", "multiplier_a1", "--param", "s=0.5",
+               "--eps-min=1e-200"])
+@example(argv=["analyze", "--model", "laplace_kernel", "--param", "a=0.25",
+               "--eps-min=1e-200"])
+@example(argv=["analyze", "--model", "sobolev_embedding", "--param", "d=1e308"])
+@example(argv=["analyze", "--model", "riemann_liouville", "--param",
+               "alpha=1e-300"])
 @settings(max_examples=80, deadline=None)
 def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -298,6 +322,14 @@ def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
         assert list(payload)[-len(REPORT_KEYS):] == REPORT_KEYS
         assert list(payload["interval"]) == ["A", "B"]
         assert payload["classification"] in CLASSIFICATIONS
+    if tuple(argv) in OVERFLOWING_POWERS:
+        assert code == 0
+        x = -math.log(payload["eps_grid"][-1]) / OVERFLOWING_POWERS[tuple(argv)]
+        closed = math.log(2.0) + 0.5 * x + 0.5 * math.log(-math.expm1(-x))
+        assert payload["log_phi"][-1] == pytest.approx(closed, rel=1e-12)
+    if tuple(argv) in FLAT_SPECTRA:
+        assert code == 1
+        assert "a flat spectrum has no decay" in err.getvalue()
 
 
 # The estimator as it read curves one sample at a time, kept as the oracle
