@@ -147,6 +147,11 @@ def _grid_for(model, args, points=None, depth=2.0 ** -59):
     return geometric_grid(eps_max, eps_min, points or args.points)
 
 
+def _at_least_one(flag, value):
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -169,6 +174,7 @@ def _cmd_gallery(args):
 def _cmd_analyze(args):
     thresholds = _thresholds(args)
     model = gallery.make(args.model, **_parse_params(args.param))
+    _at_least_one("--sigma-terms", args.sigma_terms)
     grid = _grid_for(model, args)
     report = gallery.analyze(model, grid=grid, thresholds=thresholds,
                              n_terms=args.sigma_terms, method=args.method,
@@ -184,13 +190,14 @@ def _cmd_rearrange(args):
         raise ValueError(f"--t-min and --t-max must be finite with "
                          f"0 < --t-min <= --t-max, got --t-min "
                          f"{args.t_min!r}, --t-max {args.t_max!r}")
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
+    _at_least_one("--points", args.points)
+    _at_least_one("--sigma-terms", args.sigma_terms)
     # the curve is inverted by interpolation, so sample it densely
     # regardless of how many output points were requested
     grid = _grid_for(model, args, points=max(args.points, 400))
     phi = gallery.curve(model, grid, n_terms=args.sigma_terms)
-    ts = np.geomspace(args.t_min, args.t_max, args.points)
+    with np.errstate(over="ignore"):  # geomspace sets the endpoints exactly
+        ts = np.geomspace(args.t_min, args.t_max, args.points)
     vals = distribution.decreasing_rearrangement(phi, ts)
     ts, vals = [float(t) for t in ts], [float(v) for v in vals]
     payload = {"model": model.id, "mode": args.mode, "t": ts,

@@ -51,14 +51,10 @@ MEASURE_KINDS = (
     LEBESGUE_UNIT_INTERVAL,
 )
 
-# multiplier shapes
+# multiplier shapes, read off a multiplier's data by Multiplier.shape
 MONOTONE_TAIL = "monotone_tail"
-RADIAL_MONOTONE_TAIL = "radial_monotone_tail"
-PIECEWISE_MONOTONE = "piecewise_monotone"
 DISCRETE = "discrete"
 GENERIC_SAMPLED = "generic_sampled"
-SHAPES = (MONOTONE_TAIL, RADIAL_MONOTONE_TAIL, PIECEWISE_MONOTONE, DISCRETE,
-          GENERIC_SAMPLED)
 
 
 class InsufficientDataError(ValueError):
@@ -255,50 +251,58 @@ def ball_volume(d, r):
 class Multiplier:
     """Nonnegative multiplier with enough structure to measure superlevel sets.
 
-    ``fn`` evaluates the multiplier (on the radius for radial shapes, on
+    ``fn`` evaluates the multiplier (on the radius for radial measures, on
     integers for discrete ones) at every point of a numpy array and returns
     an array of the same shape.  Values must be nonnegative; saturating to
     +inf (a pole) or to 0 (underflow) is allowed, and the evaluator runs
     the callback under ``np.errstate``, so overflow warnings need no
-    handling inside it.  ``shape`` declares how the superlevel sets
-    {fn > eps} can be found numerically:
+    handling inside it.  How the superlevel sets {fn > eps} are searched
+    numerically is read off the data (see ``shape``):
 
-      monotone_tail,        fn monotone on each branch between 0, the
-      radial_monotone_tail, ``breakpoints`` (none by default) and the end
-      piecewise_monotone    of the domain, the last branch decaying on an
-                            unbounded domain; the search walks the branches
-                            of all three alike, and the measure says whether
-                            the points are radii in R^d
-      discrete              evaluated on the integers up to
-                            ``cutoff_hint(eps)``, which it requires
-      generic_sampled       indicator sums on a midpoint grid of step
+      cutoff_hint set       the integers up to ``cutoff_hint(eps)``
+      breakpoints None      indicator sums on a midpoint grid of step
                             ``distribution.SAMPLE_STEP``
+      otherwise             fn monotone on each branch between 0, the
+                            ``breakpoints`` (none by default) and the end of
+                            the domain, the last branch decaying on an
+                            unbounded domain
 
-    Closed forms, when present, take precedence over the numeric search:
-    ``superlevel`` (plain measure), ``log_superlevel`` (log measure, for
-    models whose Phi overflows) or ``boundary`` (threshold point / radius of
-    the superlevel set); ``cutoff_hint`` maps eps to an integer beyond
-    which a discrete multiplier stays at or below eps.  Reweighted curves
-    need no further data: ``distribution.reweight`` integrates the density
-    over the superlevel sets.
+    ``breakpoints`` is None or a tuple of finite, positive, strictly
+    increasing numbers.  Closed forms, when present, take precedence over
+    the numeric search: ``superlevel`` (plain measure), ``log_superlevel``
+    (log measure, for models whose Phi overflows) or ``boundary`` (threshold
+    point / radius of the superlevel set); ``cutoff_hint`` maps eps to an
+    integer beyond which a discrete multiplier stays at or below eps.
+    Reweighted curves need no further data: ``distribution.reweight``
+    integrates the density over the superlevel sets.
     """
 
     fn: Callable
-    shape: str
     sup_bound: float
-    breakpoints: tuple = ()
+    breakpoints: tuple | None = ()
     superlevel: Callable | None = None
     log_superlevel: Callable | None = None
     boundary: Callable | None = None
     cutoff_hint: Callable | None = None
 
     def __post_init__(self):
-        if self.shape not in SHAPES:
-            raise ValueError(f"unknown multiplier shape {self.shape!r}")
         if self.sup_bound <= 0:
             raise ValueError("sup_bound must be positive")
-        if self.shape == DISCRETE and self.cutoff_hint is None:
-            raise ValueError("a discrete multiplier needs a cutoff_hint")
+        b = self.breakpoints
+        if b is not None and not (
+                isinstance(b, tuple)
+                and all(isinstance(x, numbers.Real) for x in b)
+                and all(x < y for x, y in zip((0.0,) + b, b + (INF,)))):
+            raise ValueError("breakpoints must be None or a tuple of finite, "
+                             f"positive, strictly increasing numbers, got {b!r}")
+
+    @property
+    def shape(self):
+        """The numeric search the data selects: DISCRETE with a cutoff_hint,
+        GENERIC_SAMPLED without breakpoints, MONOTONE_TAIL otherwise."""
+        if self.cutoff_hint is not None:
+            return DISCRETE
+        return GENERIC_SAMPLED if self.breakpoints is None else MONOTONE_TAIL
 
 
 @dataclass(frozen=True)

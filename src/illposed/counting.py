@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import (CORNERS, DEFAULT_THRESHOLDS, INF, InsufficientDataError,
                    IllPosednessInterval, LEBESGUE_HALFLINE, MODERATE,
-                   MONOTONE_TAIL, MeasureSpace, Multiplier,
-                   DistributionFunction, SigmaSequence)
+                   MeasureSpace, Multiplier, DistributionFunction,
+                   SigmaSequence)
 from . import estimate
 
 __all__ = [
@@ -179,6 +179,5 @@ def step_multiplier_from_sigma(sigma: SigmaSequence):
     def superlevel(eps):
         return counting_phi(sigma, eps).count
 
-    mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=float(sq[0]),
-                      superlevel=superlevel)
+    mult = Multiplier(fn=fn, sup_bound=float(sq[0]), superlevel=superlevel)
     return mult, MeasureSpace(LEBESGUE_HALFLINE)

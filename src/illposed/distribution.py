@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (COUNTING_INTEGERS, DISCRETE, GENERIC_SAMPLED, INF,
                    LEBESGUE_HALFLINE, LEBESGUE_LINE, LEBESGUE_RADIAL,
-                   LEBESGUE_UNIT_INTERVAL, MONOTONE_TAIL, Multiplier,
+                   LEBESGUE_UNIT_INTERVAL, Multiplier,
                    NON_INFORMATIVE, UnsupportedMeasureError, ball_volume,
                    DistributionFunction, MeasureSpace)
 
@@ -178,7 +178,7 @@ def _superlevel_set(lam, eps, domain_hi=INF):
     if lam.shape in (DISCRETE, GENERIC_SAMPLED):
         raise UnsupportedMeasureError(f"unsupported shape {lam.shape!r}")
     fn = lam.fn
-    pts = [0.0] + [b for b in lam.breakpoints if 0.0 < b < domain_hi]
+    pts = [0.0] + [b for b in lam.breakpoints if b < domain_hi]
     bounded = domain_hi < INF
     if bounded:
         pts.append(domain_hi)
@@ -435,7 +435,7 @@ def rearrangement_multiplier(phi):
     function as the one the curve came from, which the suite verifies.
     """
     fn = lambda t: decreasing_rearrangement(phi, t)
-    mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=phi.sup_bound)
+    mult = Multiplier(fn=fn, sup_bound=phi.sup_bound)
     return mult, MeasureSpace(LEBESGUE_HALFLINE)
 
 

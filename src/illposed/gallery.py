@@ -17,17 +17,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (COUNTING_INTEGERS, DISCRETE, GENERIC_SAMPLED, INF,
-                   INDETERMINATE, LEBESGUE_HALFLINE, LEBESGUE_LINE,
-                   LEBESGUE_RADIAL, MODERATE, MONOTONE_TAIL, MILD,
-                   Multiplier, MeasureSpace, PIECEWISE_MONOTONE,
-                   RADIAL_MONOTONE_TAIL, Report, SEVERE, SigmaSequence,
-                   TailLaw, DEFAULT_THRESHOLDS, geometric_grid)
+from .core import (COUNTING_INTEGERS, INF, INDETERMINATE, LEBESGUE_HALFLINE,
+                   LEBESGUE_LINE, LEBESGUE_RADIAL, MODERATE, MILD, Multiplier,
+                   MeasureSpace, Report, SEVERE, SigmaSequence, TailLaw,
+                   DEFAULT_THRESHOLDS, geometric_grid)
 from . import counting as _counting
 from . import distribution as _distribution
 
 __all__ = ["Expected", "OperatorModel", "Report", "make", "curve", "analyze",
-           "available_models", "weyl_from_theta", "MODEL_IDS"]
+           "available_models", "MODEL_IDS"]
 
 MATCH_TOL = 0.05  # largest |degree - tagged degree| that matches
 
@@ -138,16 +136,6 @@ def sobolev_embedding(p=2.0, d=2):
 # ---------------------------------------------------------------------------
 # counting asymptotics given directly
 
-def weyl_from_theta(theta_inverse, d, c=1.0):
-    """log Phi(eps) = log c + (d/2) log theta_inverse(eps)."""
-    def log_phi(eps):
-        inv = theta_inverse(eps)
-        if inv <= 0:
-            return -INF
-        return math.log(c) + 0.5 * d * math.log(inv)
-    return log_phi
-
-
 def weyl(p=2.0, d=2, c=1.0):
     """Eigenvalue-counting model Phi(eps) = c * (Theta^-1(eps))^(d/2).
 
@@ -165,9 +153,15 @@ def weyl(p=2.0, d=2, c=1.0):
         pole = a == 0  # kept out of the power, which warns at 0
         return np.where(pole, INF, np.where(pole, 1.0, a / c) ** power)
 
-    mult = Multiplier(
-        fn=fn, shape=MONOTONE_TAIL, sup_bound=INF,
-        log_superlevel=weyl_from_theta(lambda eps: eps ** (-1.0 / p), d, c))
+    def log_superlevel(eps):
+        # log c + (d/2) log Theta^-1(eps), with Theta^-1(eps) = eps^(-1/p)
+        try:
+            inv = eps ** (-1.0 / p)
+        except OverflowError:  # the power leaves the floats, its log does not
+            return math.log(c) + 0.5 * d * (-math.log(eps) / p)
+        return math.log(c) + 0.5 * d * math.log(inv) if inv > 0 else -INF
+
+    mult = Multiplier(fn=fn, sup_bound=INF, log_superlevel=log_superlevel)
     return OperatorModel(
         id="weyl", parameters={"p": p, "d": d, "c": c},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_HALFLINE),
@@ -213,9 +207,8 @@ def backward_heat(t_bar=1.0):
         k = root(eps)[1] if eps < 1.0 else -1
         return float(2 * k + 1) if k >= 0 else 0.0
 
-    mult = Multiplier(
-        fn=fn, shape=DISCRETE, sup_bound=1.0, superlevel=count,
-        cutoff_hint=lambda e: math.ceil(root(e)[0]) + 2)
+    mult = Multiplier(fn=fn, sup_bound=1.0, superlevel=count,
+                      cutoff_hint=lambda e: math.ceil(root(e)[0]) + 2)
     return OperatorModel(
         id="backward_heat", parameters={"t_bar": t},
         multiplier=mult, measure=MeasureSpace(COUNTING_INTEGERS),
@@ -239,8 +232,7 @@ def multiplier_a1(s=1.0):
         except OverflowError:  # the power leaves the floats, the root may not
             return _sqrt_expm1(-math.log(eps) / s)
 
-    mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
-                      boundary=boundary)
+    mult = Multiplier(fn=fn, sup_bound=1.0, boundary=boundary)
     return OperatorModel(
         id="multiplier_a1", parameters={"s": s},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
@@ -262,7 +254,7 @@ def multiplier_a2():
         y_lo = 2.0 * eps / (1.0 + disc)  # stable form of (1 - disc)/(2 eps)
         return 2.0 * (math.sqrt(y_hi) - math.sqrt(y_lo))
 
-    mult = Multiplier(fn=fn, shape=PIECEWISE_MONOTONE, sup_bound=0.5,
+    mult = Multiplier(fn=fn, sup_bound=0.5,
                       breakpoints=(1.0,), superlevel=superlevel)
     return OperatorModel(
         id="multiplier_a2", parameters={},
@@ -283,8 +275,7 @@ def multiplier_b(s=1.0):
     def boundary(eps):
         return (-math.log(eps)) ** (1.0 / s) if eps < 1.0 else 0.0
 
-    mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
-                      boundary=boundary)
+    mult = Multiplier(fn=fn, sup_bound=1.0, boundary=boundary)
     return OperatorModel(
         id="multiplier_b", parameters={"s": s},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
@@ -312,7 +303,7 @@ def multiplier_c(s=1.0):
             return -INF
         return math.log(2.0) + eps ** (-1.0 / (2.0 * s))
 
-    mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=1.0,
+    mult = Multiplier(fn=fn, sup_bound=1.0,
                       breakpoints=(math.e,), log_superlevel=log_superlevel)
     return OperatorModel(
         id="multiplier_c", parameters={"s": s},
@@ -337,8 +328,7 @@ def hausdorff():
     def boundary(eps):
         return max(0.0, (math.log(2.0 * math.pi) - math.log(eps)) / math.pi)
 
-    mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=math.pi,
-                      boundary=boundary)
+    mult = Multiplier(fn=fn, sup_bound=math.pi, boundary=boundary)
     return OperatorModel(
         id="hausdorff", parameters={},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_HALFLINE),
@@ -359,8 +349,7 @@ def gaussian_kernel(d=1):
             return 0.0
         return math.sqrt(2.0 * (math.log(peak) - math.log(eps)))
 
-    mult = Multiplier(fn=fn, shape=RADIAL_MONOTONE_TAIL, sup_bound=peak,
-                      boundary=boundary)
+    mult = Multiplier(fn=fn, sup_bound=peak, boundary=boundary)
     return OperatorModel(
         id="gaussian_kernel", parameters={"d": d},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_RADIAL, dim=d),
@@ -389,8 +378,7 @@ def laplace_kernel(a=1.0, b=1.0, d=1):
         except OverflowError:
             return _sqrt_expm1(-math.log(eps) / (2.0 * a)) / math.sqrt(b)
 
-    mult = Multiplier(fn=fn, shape=RADIAL_MONOTONE_TAIL, sup_bound=1.0,
-                      boundary=boundary)
+    mult = Multiplier(fn=fn, sup_bound=1.0, boundary=boundary)
     return OperatorModel(
         id="laplace_kernel", parameters={"a": a, "b": b, "d": d},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_RADIAL, dim=d),
@@ -411,8 +399,7 @@ def fractional_line(s=0.5):
     def boundary(eps):
         return eps ** (-0.5 / s)
 
-    mult = Multiplier(fn=fn, shape=MONOTONE_TAIL, sup_bound=INF,
-                      boundary=boundary)
+    mult = Multiplier(fn=fn, sup_bound=INF, boundary=boundary)
     return OperatorModel(
         id="fractional_line", parameters={"s": s},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_LINE),
@@ -435,7 +422,7 @@ def parabolic_source(diffusivity=1.0, t0=1.0, d=1):
         num = -np.expm1(-a)
         return np.where(at0, t0 * t0, (num * num) / (kap4 * r ** 4))
 
-    mult = Multiplier(fn=fn, shape=RADIAL_MONOTONE_TAIL, sup_bound=t0 * t0)
+    mult = Multiplier(fn=fn, sup_bound=t0 * t0)
     return OperatorModel(
         id="parabolic_source",
         parameters={"diffusivity": kap, "t0": t0, "d": d},
@@ -450,7 +437,7 @@ def counterexample_sin2():
     def fn(w):
         return np.sin(w) ** 2
 
-    mult = Multiplier(fn=fn, shape=GENERIC_SAMPLED, sup_bound=1.0,
+    mult = Multiplier(fn=fn, sup_bound=1.0, breakpoints=None,
                       log_superlevel=lambda e: INF if e < 1.0 else -INF)
     return OperatorModel(
         id="counterexample_sin2", parameters={},
@@ -464,7 +451,7 @@ def counterexample_const(c=0.5):
     _positive(c=c)
     c = float(c)
     mult = Multiplier(fn=lambda w: np.full(np.shape(w), c),
-                      shape=GENERIC_SAMPLED, sup_bound=c,
+                      sup_bound=c, breakpoints=None,
                       log_superlevel=lambda e: INF if e < c else -INF)
     return OperatorModel(
         id="counterexample_const", parameters={"c": c},

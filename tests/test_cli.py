@@ -197,6 +197,19 @@ def test_rearrange_needs_a_point(capsys, points):
     assert err.startswith("error: --points must be >= 1")
 
 
+@pytest.mark.parametrize("command", ["analyze", "rearrange"])
+@pytest.mark.parametrize("model", gallery.MODEL_IDS)
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_sigma_terms_below_one_names_the_flag(capsys, command, model, terms):
+    # sigma models used to fail on an empty sequence, multiplier models
+    # ignored the value
+    code, out, err = run(capsys, command, "--model", model,
+                         "--sigma-terms", terms)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --sigma-terms must be >= 1, got {terms}\n"
+
+
 def test_rearrange_one_point(capsys):
     code, out, err = run(capsys, "rearrange", "--model", "hausdorff",
                          "--points", "1")

@@ -129,12 +129,22 @@ def test_interval_invariants():
 
 def test_multiplier_validation():
     with pytest.raises(ValueError):
-        Multiplier(fn=lambda w: 1.0, shape="wavy", sup_bound=1.0)
-    with pytest.raises(ValueError):
-        Multiplier(fn=lambda w: 1.0, shape="monotone_tail", sup_bound=0.0)
+        Multiplier(fn=lambda w: 1.0, sup_bound=0.0)
 
 
-def test_discrete_multiplier_needs_a_cutoff_hint():
-    with pytest.raises(ValueError, match="cutoff_hint"):
-        Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), shape="discrete",
-                   sup_bound=1.0)
+@pytest.mark.parametrize("breakpoints", [
+    (math.nan,), (1.0, math.nan), (math.inf,), (0.0,), (-1.0,), (2.0, 1.0),
+    (1.0, 1.0), [1.0], "1", ("1",)])
+def test_breakpoints_must_be_finite_positive_and_increasing(breakpoints):
+    # a NaN breakpoint used to drop out of the search silently: the
+    # multiplier_a2 profile then measured Phi(0.1) = 0 instead of 5.657
+    with pytest.raises(ValueError, match="breakpoints"):
+        Multiplier(fn=lambda w: w * w / (1.0 + w ** 4), sup_bound=0.5,
+                   breakpoints=breakpoints)
+
+
+@pytest.mark.parametrize("breakpoints", [None, (), (1.0,), (1, 2.5),
+                                         (np.float64(0.5), 3.0)])
+def test_valid_breakpoints_are_kept(breakpoints):
+    lam = Multiplier(fn=lambda w: w, sup_bound=1.0, breakpoints=breakpoints)
+    assert lam.breakpoints == breakpoints

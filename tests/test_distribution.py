@@ -5,11 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from illposed.core import (COUNTING_INTEGERS, DISCRETE, LEBESGUE_HALFLINE,
-                           LEBESGUE_LINE, LEBESGUE_UNIT_INTERVAL,
-                           MONOTONE_TAIL, PIECEWISE_MONOTONE, GENERIC_SAMPLED,
-                           MeasureSpace, Multiplier,
-                           UnsupportedMeasureError, geometric_grid,
+from illposed.core import (COUNTING_INTEGERS, LEBESGUE_HALFLINE,
+                           LEBESGUE_LINE, LEBESGUE_UNIT_INTERVAL, MeasureSpace,
+                           Multiplier, UnsupportedMeasureError, geometric_grid,
                            DistributionFunction)
 from illposed import distribution as dist
 from illposed import gallery
@@ -24,7 +22,7 @@ def bare(model_id, **params):
     """Gallery multiplier stripped of its closed forms: numeric path only."""
     model = gallery.make(model_id, **params)
     lam = model.multiplier
-    stripped = Multiplier(fn=lam.fn, shape=lam.shape, sup_bound=lam.sup_bound,
+    stripped = Multiplier(fn=lam.fn, sup_bound=lam.sup_bound,
                           breakpoints=lam.breakpoints,
                           cutoff_hint=lam.cutoff_hint)
     return stripped, model.measure
@@ -94,15 +92,14 @@ class TestSuperlevelMeasure:
     def test_finite_sampled_measure(self, mu, want):
         # {1/(1+|w|) > eps} is |w| < 1/eps - 1; the midpoint grid of step
         # SAMPLE_STEP counts it exactly, and the line doubles the half-line
-        lam = Multiplier(fn=lambda w: 1.0 / (1.0 + np.abs(w)),
-                         shape=GENERIC_SAMPLED, sup_bound=1.0)
+        lam = Multiplier(fn=lambda w: 1.0 / (1.0 + np.abs(w)), sup_bound=1.0,
+                         breakpoints=None)
         got = tuple(dist.superlevel_measure(lam, mu, eps, method="numeric")
                     for eps in (0.5, 0.2, 0.01))
         assert got == want
 
     def test_negative_multiplier_rejected(self):
-        lam = Multiplier(fn=lambda w: np.full_like(w, -1.0), shape=MONOTONE_TAIL,
-                         sup_bound=1.0)
+        lam = Multiplier(fn=lambda w: np.full_like(w, -1.0), sup_bound=1.0)
         with pytest.raises(ValueError):
             dist.superlevel_measure(lam, HALF, 1e-6, method="numeric")
 
@@ -111,7 +108,7 @@ class TestSuperlevelMeasure:
         # the 1001st midpoint of essinf's first grid, 2048 points on [0, 8]
         x0 = 1000.5 * 8.0 / 2048.0
         lam = Multiplier(fn=lambda w: np.where(w == x0, bad, 1.0 / (1.0 + w)),
-                         shape=MONOTONE_TAIL, sup_bound=1.0)
+                         sup_bound=1.0)
         with pytest.raises(ValueError,
                            match=rf"^multiplier must be nonnegative, got {text}$"):
             dist.essinf_estimate(lam, HALF)
@@ -131,8 +128,7 @@ class TestSuperlevelSearch:
 
     def test_discrete_scan_counts_every_point_below_the_cutoff(self):
         # {1/(1+k^2) > 1e-5} is k^2 < 99999, so |k| <= 316: 633 integers
-        lam = Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), shape=DISCRETE,
-                         sup_bound=1.0,
+        lam = Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), sup_bound=1.0,
                          cutoff_hint=lambda e: math.ceil(math.sqrt(1.0 / e)))
         mu = MeasureSpace(COUNTING_INTEGERS)
         assert dist.superlevel_measure(lam, mu, 1e-5) == 633.0
@@ -157,15 +153,13 @@ class TestSuperlevelSearch:
 
     def test_monotone_tail_on_the_unit_interval_ends_at_one(self):
         # {1/(1+w) > eps} is [0, 1/eps - 1): beyond the domain at eps = 0.4
-        lam = Multiplier(fn=lambda w: 1.0 / (1.0 + w), shape=MONOTONE_TAIL,
-                         sup_bound=1.0)
+        lam = Multiplier(fn=lambda w: 1.0 / (1.0 + w), sup_bound=1.0)
         assert dist.superlevel_measure(lam, UNIT, 0.4) == 1.0
         assert dist.superlevel_measure(lam, UNIT, 0.8) \
             == pytest.approx(0.25, rel=1e-11)
 
     def test_counting_measure_needs_a_discrete_multiplier(self):
-        lam = Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), shape=MONOTONE_TAIL,
-                         sup_bound=1.0)
+        lam = Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), sup_bound=1.0)
         with pytest.raises(UnsupportedMeasureError):
             dist.reweight(lam, MeasureSpace(COUNTING_INTEGERS),
                           lambda k: 1.0, np.array([0.5, 0.1]))
@@ -276,39 +270,33 @@ class TestRearrangementDuality:
 
 
 class TestUnitInterval:
-    # increasing profiles are single piecewise-monotone branches: the
-    # monotone_tail shape promises initial-interval superlevel sets, which
-    # an increasing profile violates
+    # an increasing profile is one rising branch from 0 to 1
     def test_square_profile(self):
-        lam = Multiplier(fn=lambda w: w * w, shape=PIECEWISE_MONOTONE,
-                         sup_bound=1.0)
+        lam = Multiplier(fn=lambda w: w * w, sup_bound=1.0)
         # {w^2 <= 1/4} = [0, 1/2]
         assert dist.increasing_rearrangement(lam, UNIT, 0.5) \
             == pytest.approx(0.25, abs=1e-9)
 
     def test_identity_profile(self):
-        lam = Multiplier(fn=lambda w: w, shape=PIECEWISE_MONOTONE,
-                         sup_bound=1.0)
+        lam = Multiplier(fn=lambda w: w, sup_bound=1.0)
         for t in (0.1, 0.5, 0.9):
             assert dist.increasing_rearrangement(lam, UNIT, t) \
                 == pytest.approx(t, abs=1e-9)
 
     def test_tent_profile(self):
-        lam = Multiplier(fn=lambda w: np.minimum(w, 1.0 - w),
-                         shape=PIECEWISE_MONOTONE, sup_bound=0.5,
+        lam = Multiplier(fn=lambda w: np.minimum(w, 1.0 - w), sup_bound=0.5,
                          breakpoints=(0.5,))
         # {min(w, 1-w) <= 1/4} = [0, 1/4] u [3/4, 1]
         assert dist.increasing_rearrangement(lam, UNIT, 0.5) \
             == pytest.approx(0.25, abs=1e-9)
 
     def test_index_function_at_zero(self):
-        lam = Multiplier(fn=lambda w: w * w, shape=MONOTONE_TAIL,
-                         sup_bound=1.0)
+        lam = Multiplier(fn=lambda w: w * w, sup_bound=1.0)
         small = dist.increasing_rearrangement(lam, UNIT, 1e-4)
         assert 0.0 < small < 1e-6
 
     def test_requires_unit_interval_measure(self):
-        lam = Multiplier(fn=lambda w: w, shape=MONOTONE_TAIL, sup_bound=1.0)
+        lam = Multiplier(fn=lambda w: w, sup_bound=1.0)
         for mu in (HALF, LINE):
             with pytest.raises(UnsupportedMeasureError):
                 dist.increasing_rearrangement(lam, mu, 0.5)
@@ -479,8 +467,8 @@ class TestEssinf:
         assert dist.essinf_estimate(lam, mu).verdict == "ill_posed"
 
     def test_shifted_constant_stabilizes_above_floor(self):
-        lam = Multiplier(fn=lambda w: 0.5 + 1.0 / (1.0 + w),
-                         shape=GENERIC_SAMPLED, sup_bound=1.5)
+        lam = Multiplier(fn=lambda w: 0.5 + 1.0 / (1.0 + w), sup_bound=1.5,
+                         breakpoints=None)
         res = dist.essinf_estimate(lam, HALF)
         assert res.verdict == "well_posed_candidate"
         assert res.value == pytest.approx(0.5, rel=1e-3)

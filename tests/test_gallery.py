@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from illposed import gallery
+from illposed import counting, gallery
 from illposed.core import Multiplier, geometric_grid
 from illposed import distribution as dist
 
@@ -179,8 +179,8 @@ class TestGalleryInvariants:
         b = dist.phi_curve(wey.multiplier, wey.measure, grid).log_phi
         assert a.tolist() == pytest.approx(b.tolist(), abs=1e-15)
 
-    def test_weyl_generic_theta_callable(self):
-        log_phi = gallery.weyl_from_theta(lambda eps: eps ** -0.5, d=4, c=2.0)
+    def test_weyl_log_superlevel_hook(self):
+        log_phi = gallery.weyl(p=2.0, d=4, c=2.0).multiplier.log_superlevel
         # Phi = 2 eps^(-1): degree 1/2
         assert log_phi(1e-4) == pytest.approx(math.log(2.0) + math.log(1e4))
 
@@ -205,7 +205,7 @@ class TestGalleryInvariants:
         model = gallery.make("multiplier_a1", s=1.0)
         lam = model.multiplier
         c = 7.0
-        scaled = Multiplier(fn=lambda w: c * lam.fn(w), shape=lam.shape,
+        scaled = Multiplier(fn=lambda w: c * lam.fn(w),
                             sup_bound=c * lam.sup_bound)
         for eps in (0.5, 1e-2, 1e-5):
             a = dist.superlevel_measure(scaled, model.measure, c * eps,
@@ -217,7 +217,7 @@ class TestGalleryInvariants:
         model = gallery.make("multiplier_a1", s=1.0)
         lam = model.multiplier
         c = 5.0
-        scaled = Multiplier(fn=lambda w: c * lam.fn(w), shape=lam.shape,
+        scaled = Multiplier(fn=lambda w: c * lam.fn(w),
                             sup_bound=c * lam.sup_bound,
                             boundary=lambda e: lam.boundary(e / c))
         grid = geometric_grid(c * 0.99, c * 1e-10, 60)
@@ -265,8 +265,34 @@ EDGES = {
 }
 
 
-@pytest.mark.parametrize("model_id", [m for m in gallery.MODEL_IDS
-                                      if gallery.make(m).kind == "multiplier"])
+def _bridge(name):
+    """The multiplier of one of the two bridges from a curve or sequence."""
+    if name == "step_multiplier_from_sigma":
+        seq = gallery.make("riemann_liouville").sigma_sequence(64)
+        return counting.step_multiplier_from_sigma(seq)[0]
+    model = gallery.make("hausdorff")
+    return dist.rearrangement_multiplier(gallery.curve(model))[0]
+
+
+SHAPES = {"backward_heat": "discrete", "counterexample_sin2": "generic_sampled",
+          "counterexample_const": "generic_sampled"}
+MULTIPLIER_IDS = [m for m in gallery.MODEL_IDS
+                  if gallery.make(m).kind == "multiplier"]
+
+
+@pytest.mark.parametrize("name", MULTIPLIER_IDS + [
+    "step_multiplier_from_sigma", "rearrangement_multiplier"])
+def test_shape_is_read_off_the_data(name):
+    # a cutoff_hint means the integer scan, breakpoints=None the sampled
+    # sums, anything else the monotone branches
+    lam = (gallery.make(name).multiplier if name in MULTIPLIER_IDS
+           else _bridge(name))
+    assert lam.shape == SHAPES.get(name, "monotone_tail")
+    with pytest.raises(AttributeError):
+        lam.shape = "discrete"
+
+
+@pytest.mark.parametrize("model_id", MULTIPLIER_IDS)
 def test_array_callback_matches_its_scalar_values(model_id):
     lam = gallery.make(model_id).multiplier
     if lam.shape == "discrete":

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from illposed.core import (MODERATE, MONOTONE_TAIL, NON_INFORMATIVE,
+from illposed.core import (MODERATE, NON_INFORMATIVE,
                            IllPosednessInterval, InsufficientDataError,
                            MeasureSpace, Multiplier, SigmaSequence,
                            Thresholds, geometric_grid, ratio)
@@ -25,7 +25,7 @@ from illposed.distribution import (decreasing_rearrangement,
                                    reweight, superlevel_measure)
 from illposed.core import (CLASSIFICATIONS, DistributionFunction,
                            LEBESGUE_HALFLINE, LEBESGUE_LINE,
-                           LEBESGUE_UNIT_INTERVAL, PIECEWISE_MONOTONE)
+                           LEBESGUE_UNIT_INTERVAL)
 from illposed import cli, gallery
 
 
@@ -90,8 +90,7 @@ def test_counting_right_continuity_at_stored_squares(frac, values):
        c=st.floats(min_value=0.5, max_value=5.0))
 @settings(max_examples=25, deadline=None)
 def test_phi_curves_are_monotone(s, c):
-    lam = Multiplier(fn=lambda w: c / (1.0 + w) ** s, shape=MONOTONE_TAIL,
-                     sup_bound=c)
+    lam = Multiplier(fn=lambda w: c / (1.0 + w) ** s, sup_bound=c)
     grid = geometric_grid(0.9 * c, 1e-6 * c, 40)
     curve = phi_curve(lam, HALF, grid)  # construction enforces monotonicity
     finite = curve.log_phi[np.isfinite(curve.log_phi)]
@@ -111,10 +110,9 @@ def test_numeric_curve_equals_its_single_eps_measures(s, c, knots, kind):
     # one-element grid gives: a power law and a piecewise-linear profile
     xs = np.concatenate([[0.0], np.cumsum([g for g, _ in knots])])
     ys = np.array([c] + [c * v for _, v in knots])
-    power = Multiplier(fn=lambda w: c / (1.0 + w) ** s, shape=MONOTONE_TAIL,
-                       sup_bound=c)
+    power = Multiplier(fn=lambda w: c / (1.0 + w) ** s, sup_bound=c)
     linear = Multiplier(fn=lambda w: np.interp(np.abs(w), xs, ys),
-                        shape=PIECEWISE_MONOTONE, sup_bound=float(ys.max()),
+                        sup_bound=float(ys.max()),
                         breakpoints=tuple(float(x) for x in xs[1:]))
     grid = geometric_grid(0.9 * c, 1e-6 * c, 24)
     for lam, mu in ((power, HALF), (linear, MeasureSpace(kind))):
@@ -188,7 +186,7 @@ def test_unit_density_reweighting_matches_the_numeric_curve(knots, v0, kind,
             return inner
         return np.where(w <= xs[-1], inner, float(ys[-1]) / (1.0 + w - xs[-1]))
 
-    lam = Multiplier(fn=fn, shape=PIECEWISE_MONOTONE, sup_bound=float(ys.max()),
+    lam = Multiplier(fn=fn, sup_bound=float(ys.max()),
                      breakpoints=tuple(float(x) for x in xs[1:]))
     mu = MeasureSpace(kind)
     grid = np.array(sorted(levels, reverse=True)) / 100.0
@@ -231,6 +229,8 @@ odd_requests = st.one_of(
                                "sobolev_embedding"]),
               odd_floats).map(lambda mv: ["analyze", "--model", mv[0],
                                           "--param", f"d={mv[1]}"]),
+    odd_floats.map(lambda v: ["analyze", "--model", "weyl", "--param",
+                              f"p={v}"]),
     # counts whose integer root is past 2^53
     odd_floats.map(lambda v: ["analyze", "--model", "backward_heat",
                               "--param", f"t_bar={v}"]),
@@ -280,6 +280,12 @@ OVERFLOWING_POWERS = {
     ("analyze", "--model", "laplace_kernel", "--param", "a=0.25",
      "--eps-min=1e-200"): 0.5,
 }
+# weyl's eps^(-1/p) overflows at small p although its log is a float: each
+# reports, and its last ln Phi is (d/2) (-ln eps) / p with d = 2
+WEYL_POWERS = {
+    ("analyze", "--model", "weyl", "--param", "p=0.05"): 0.05,
+    ("analyze", "--model", "weyl", "--param", "p=1e-300"): 1e-300,
+}
 # every sigma_n is 1: exit 1, naming the tie
 FLAT_SPECTRA = (
     ("analyze", "--model", "sobolev_embedding", "--param", "d=1e308"),
@@ -299,6 +305,11 @@ REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
                "--eps-min=1e-200"])
 @example(argv=["analyze", "--model", "laplace_kernel", "--param", "a=0.25",
                "--eps-min=1e-200"])
+# geomspace's power overflows at a t_max next to the float limit
+@example(argv=["rearrange", "--model", "riemann_liouville", "--t-min=1e-300",
+               "--t-max=1.7976931348622103e+308", "--points=2"])
+@example(argv=["analyze", "--model", "weyl", "--param", "p=0.05"])
+@example(argv=["analyze", "--model", "weyl", "--param", "p=1e-300"])
 @example(argv=["analyze", "--model", "sobolev_embedding", "--param", "d=1e308"])
 @example(argv=["analyze", "--model", "riemann_liouville", "--param",
                "alpha=1e-300"])
@@ -327,6 +338,13 @@ def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
         x = -math.log(payload["eps_grid"][-1]) / OVERFLOWING_POWERS[tuple(argv)]
         closed = math.log(2.0) + 0.5 * x + 0.5 * math.log(-math.expm1(-x))
         assert payload["log_phi"][-1] == pytest.approx(closed, rel=1e-12)
+    if tuple(argv) in WEYL_POWERS:
+        assert code == 0
+        p = WEYL_POWERS[tuple(argv)]
+        closed = -math.log(payload["eps_grid"][-1]) / p
+        assert payload["log_phi"][-1] == pytest.approx(closed, rel=1e-12)
+        assert payload["interval"] == {"A": pytest.approx(p / 2, rel=1e-12),
+                                       "B": pytest.approx(p / 2, rel=1e-12)}
     if tuple(argv) in FLAT_SPECTRA:
         assert code == 1
         assert "a flat spectrum has no decay" in err.getvalue()
