@@ -6,7 +6,9 @@ matrix-vector products; singular value computation with a drop
 tolerance and residual-checked Lanczos bidiagonalization; FFT estimation
 of convolution multipliers from kernel samples; and the end-to-end
 pipeline matrix -> spectrum -> corner curve -> interval.  Needs numpy
-only.
+only: the LAPACK and thread-count routines it calls through ctypes are
+found in the OpenBLAS already mapped into the process, numpy's own, and
+without them the same results come from numpy alone.
 """
 
 from __future__ import annotations
@@ -58,20 +60,30 @@ EXHAUSTED = 4.0 * EPS
 LOSS_TOL = 1e-11
 TOEPLITZ = "toeplitz"
 HANKEL = "hankel"
-# Sections up to this order solve on one BLAS thread.  Their only threaded
-# BLAS calls are the stop-test SVDs of B (m <= n/2 <= 512) and the
-# certificate products, which ran in the same wall time on one thread as
-# on two on a 2-core host (the SVD of B: 0.019-0.021 s either way at
-# m = 300, 5-10% slower on one at m = 560) while the second thread spun
-# beside them.  At n = 2048 the reorthogonalization products are threaded:
-# one thread made a benchmark `sections` pass 15% slower, and the SVD of B
-# alone 43% slower at m = 1100.
+# Sections up to this order solve on one BLAS thread: on a 2-core host a
+# second one about doubles the CPU time of such a solve and saves little
+# or no wall time.  The stop-test SVD of B (dbdsdc, m <= n/2 <= 512) takes
+# the same time on one thread as on two (5 ms at m = 300, 19 ms at
+# m = 560), and so do the reorthogonalization products up to about
+# 300 x 1024, while two threads halve them at 512 x 1024.  At n = 2048 one
+# thread made a benchmark `sections` pass 15% slower, measured while B
+# still took the dense SVD, which ran 43% slower on one thread at
+# m = 1100; dbdsdc takes about 0.1 s there on one thread or two.
 ONE_THREAD_MAX_N = 1024
 # (get, set) symbol pairs of OpenBLAS's thread count, first match wins:
 # numpy's scipy-openblas wheels, then plain OpenBLAS, each ILP64 first
 OPENBLAS_THREAD_SYMBOLS = tuple(
     (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
     for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
+# LAPACKE_dbdsdc symbols with the type of their integer arguments, in the
+# same order; the first found in any mapped OpenBLAS wins, so an ILP64
+# library (numpy's wheels) goes before an LP64 one (scipy's).  The 64_
+# suffix marks the ILP64 interface, as OpenBLAS names it.
+DBDSDC_SYMBOLS = tuple(
+    (f"{prefix}LAPACKE_dbdsdc{suffix}", integer)
+    for prefix in ("scipy_", "")
+    for suffix, integer in (("64_", ctypes.c_int64), ("", ctypes.c_int)))
+LAPACK_ROW_MAJOR = 101
 
 
 def hilbert_matrix(n):
@@ -284,10 +296,10 @@ def _clears_drop_tol(c):
 
 
 @functools.cache
-def _openblas_controls():
-    """(get, set) thread-count functions of every OpenBLAS mapped into the
-    process, from /proc/self/maps; empty without /proc or without OpenBLAS.
-    Looked up on first use, so that importing costs nothing."""
+def _openblas_libraries():
+    """Every OpenBLAS mapped into the process, from /proc/self/maps, in
+    path order; empty without /proc or without OpenBLAS.  Looked up on
+    first use, so that importing costs nothing."""
     paths = set()
     try:
         with open("/proc/self/maps") as maps:
@@ -298,12 +310,20 @@ def _openblas_controls():
                     paths.add(fields[5])
     except OSError:
         return ()
-    controls = []
+    libraries = []
     for path in sorted(paths):
         try:
-            lib = ctypes.CDLL(path)
+            libraries.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return tuple(libraries)
+
+
+@functools.cache
+def _openblas_controls():
+    """(get, set) thread-count functions of every mapped OpenBLAS."""
+    controls = []
+    for lib in _openblas_libraries():
         for get, set_ in OPENBLAS_THREAD_SYMBOLS:
             if hasattr(lib, get) and hasattr(lib, set_):
                 get, set_ = getattr(lib, get), getattr(lib, set_)
@@ -312,6 +332,23 @@ def _openblas_controls():
                 controls.append((get, set_))
                 break
     return tuple(controls)
+
+
+@functools.cache
+def _lapacke_dbdsdc():
+    """LAPACKE_dbdsdc of a mapped OpenBLAS, or None (another BLAS, no
+    /proc)."""
+    for name, integer in DBDSDC_SYMBOLS:
+        for lib in _openblas_libraries():
+            if hasattr(lib, name):
+                dbdsdc = getattr(lib, name)
+                pointer = ctypes.c_void_p
+                dbdsdc.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                                   integer, pointer, pointer, pointer, integer,
+                                   pointer, integer, pointer, pointer]
+                dbdsdc.restype = integer
+                return dbdsdc
+    return None
 
 
 _blocks_lock = threading.Lock()
@@ -410,7 +447,8 @@ def _bidiagonalize(op, n, k):
     solve, where orthogonalizing it at every step costs a third more time
     at n = 2048.  A coefficient at rounding level ends the recurrence:
     the subspaces are invariant and B's values exact.  Each stop test
-    takes one SVD of B.  Tests double in size until
+    takes one SVD of B from its two diagonals (``_bidiagonal_svd``: LAPACK's
+    ``dbdsdc``, else numpy's dense SVD).  Tests double in size until
     k steps, then aim 5% past where the count of converged triplets,
     extrapolated from the last two tests, reaches the wanted count: one
     more step costs far less than one more test.  The products A^T u_j
@@ -449,8 +487,7 @@ def _bidiagonalize(op, n, k):
         m = j + 1
         if m < test and not exhausted:
             continue
-        bidiagonal = np.diag(alpha[:m]) + np.diag(beta[:m - 1], 1)
-        y, s, xt = np.linalg.svd(bidiagonal)
+        y, s, xt = _bidiagonal_svd(alpha[:m], beta[:m - 1])
         # the values down to the first below the tolerance, or all of
         # them once the subspaces are exhausted; a value has converged when
         # its bound is below RESIDUAL_TOL * sigma_1 and does not reach
@@ -485,6 +522,36 @@ def _orthogonalize(x, basis):
         if norm > 0.5 * before:
             break
     return norm
+
+
+def _bidiagonal_svd(d, e):
+    """``np.linalg.svd`` of the upper bidiagonal matrix with diagonal d and
+    superdiagonal e: (y, s, xt) with B = y diag(s) xt.
+
+    LAPACK's bidiagonal divide and conquer (``dbdsdc``; Gu and Eisenstat,
+    SIAM J. Matrix Anal. Appl. 16(1), 1995) through LAPACKE in numpy's
+    OpenBLAS.  It is the routine ``gesdd`` calls after its Householder
+    reduction to bidiagonal form, and that reduction and its
+    back-transformation leave a bidiagonal matrix as it is, so skipping
+    them, and the dense copy of B, gives the same bits.  Without that
+    symbol (another BLAS, no /proc), the dense SVD of B.
+    """
+    dbdsdc = _lapacke_dbdsdc()
+    if dbdsdc is None:
+        return np.linalg.svd(np.diag(d) + np.diag(e, 1))
+    s = np.array(d, dtype=float)  # overwritten by the values
+    m = s.size
+    if s.shape != (m,) or np.shape(e) != (m - 1,):
+        raise ValueError("a bidiagonal needs m diagonal and m - 1 "
+                         "superdiagonal entries")
+    work = np.append(e, 0.0)  # float; destroyed; never empty
+    y, xt = np.empty((m, m)), np.empty((m, m))
+    info = dbdsdc(LAPACK_ROW_MAJOR, b"U", b"I", m, s.ctypes.data,
+                  work.ctypes.data, y.ctypes.data, m, xt.ctypes.data, m,
+                  None, None)
+    if info:
+        raise np.linalg.LinAlgError(f"SVD did not converge (dbdsdc info {info})")
+    return y, s, xt
 
 
 # ---------------------------------------------------------------------------

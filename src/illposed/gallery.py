@@ -157,9 +157,19 @@ def weyl(p=2.0, d=2, c=1.0):
         # log c + (d/2) log Theta^-1(eps), with Theta^-1(eps) = eps^(-1/p)
         try:
             inv = eps ** (-1.0 / p)
-        except OverflowError:  # the power leaves the floats, its log does not
-            return math.log(c) + 0.5 * d * (-math.log(eps) / p)
-        return math.log(c) + 0.5 * d * math.log(inv) if inv > 0 else -INF
+        except OverflowError:  # the power leaves the floats, its log may not
+            log_inv = -math.log(eps) / p
+        else:
+            if not inv > 0:
+                return -INF
+            log_inv = math.log(inv)
+        # Phi is finite at every eps > 0: an infinite log is an overflow
+        log_phi = math.log(c) + 0.5 * d * log_inv
+        if not math.isfinite(log_phi):
+            raise ValueError(f"weyl with p = {p!r} and d = {d}: ln Phi(eps) = "
+                             f"ln c + (d/2)(-ln eps)/p leaves the float range "
+                             f"at eps = {eps!r}")
+        return log_phi
 
     mult = Multiplier(fn=fn, sup_bound=INF, log_superlevel=log_superlevel)
     return OperatorModel(

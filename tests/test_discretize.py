@@ -364,13 +364,14 @@ class TestOneBlasThread:
     def test_import_does_not_look_for_controls(self):
         # a fresh interpreter: this one has solved sections already
         script = ("import illposed, illposed.cli, illposed.discretize as dz\n"
-                  "print(dz._openblas_controls.cache_info().misses)")
+                  "print([f.cache_info().misses for f in (dz._openblas_libraries,"
+                  " dz._openblas_controls, dz._lapacke_dbdsdc)])")
         src = os.path.dirname(os.path.dirname(os.path.abspath(dz.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", script],
                              capture_output=True, text=True, env=env,
                              timeout=300, check=True)
-        assert out.stdout.strip() == "0"
+        assert out.stdout.strip() == "[0, 0, 0]"
 
     def test_overlapping_blocks_restore_the_counts(self):
         # threads entering and leaving blocks at random: the count reads 1
@@ -397,6 +398,58 @@ class TestOneBlasThread:
         assert not any(worker.is_alive() for worker in workers)
         assert wrong == []
         assert _thread_counts() == before
+
+
+def _needs_dbdsdc():
+    if dz._lapacke_dbdsdc() is None:
+        pytest.skip("no LAPACKE_dbdsdc in this process")
+
+
+class TestBidiagonalSvd:
+    @pytest.mark.parametrize("zeros", [None, "diagonal", "superdiagonal"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 300])
+    def test_equals_the_dense_svd_bit_for_bit(self, m, zeros):
+        _needs_dbdsdc()
+        rng = np.random.default_rng(m)
+        d = 10.0 ** rng.uniform(-14.0, 0.0, m)
+        e = 10.0 ** rng.uniform(-14.0, 0.0, m - 1)
+        if zeros == "diagonal":
+            d[rng.permutation(m)[:max(1, m // 5)]] = 0.0
+        elif zeros == "superdiagonal":
+            e[rng.permutation(m - 1)[:max(1, m // 5)]] = 0.0
+        dense = np.linalg.svd(np.diag(d) + np.diag(e, 1))
+        found = dz._bidiagonal_svd(d, e)
+        for want, got in zip(dense, found):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    def test_non_finite_entries_raise_as_the_dense_svd_does(self):
+        _needs_dbdsdc()
+        d, e = np.array([1.0, math.nan, 0.5]), np.array([0.25, 0.125])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(np.diag(d) + np.diag(e, 1))
+        with pytest.raises(np.linalg.LinAlgError, match="dbdsdc"):
+            dz._bidiagonal_svd(d, e)
+
+    def test_superdiagonal_of_the_wrong_length_is_refused(self):
+        # no pointer past the end of e reaches LAPACK
+        _needs_dbdsdc()
+        for e in ([0.5, 0.5], []):
+            with pytest.raises(ValueError):
+                dz._bidiagonal_svd([1.0, 2.0], e)
+
+    @pytest.mark.parametrize("section", [
+        dz.riemann_liouville_section(1.0, 512),
+        dz.riemann_liouville_section(0.5, 512),
+        dz.hilbert_section(512),
+        dz.hilbert_section(3)])  # a test at m = 1
+    def test_solve_without_the_symbol_gives_the_same_spectrum(
+            self, monkeypatch, section):
+        seq = dz.singular_values(section)
+        monkeypatch.setattr(dz, "_lapacke_dbdsdc", lambda: None)
+        again = dz.singular_values(section)
+        assert (again.method, again.kept) == (seq.method, seq.kept)
+        assert np.array_equal(again.values, seq.values)
 
 
 class TestDiscretizeCommand:

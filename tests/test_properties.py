@@ -286,6 +286,11 @@ WEYL_POWERS = {
     ("analyze", "--model", "weyl", "--param", "p=0.05"): 0.05,
     ("analyze", "--model", "weyl", "--param", "p=1e-300"): 1e-300,
 }
+# weyl's ln Phi itself leaves the floats: a usage error naming p and d, not
+# a divergence
+WEYL_OVERFLOWS = (
+    ("analyze", "--model", "weyl", "--param", "p=1e-300", "--param",
+     "d=10000000"),)
 # every sigma_n is 1: exit 1, naming the tie
 FLAT_SPECTRA = (
     ("analyze", "--model", "sobolev_embedding", "--param", "d=1e308"),
@@ -310,6 +315,8 @@ REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
                "--t-max=1.7976931348622103e+308", "--points=2"])
 @example(argv=["analyze", "--model", "weyl", "--param", "p=0.05"])
 @example(argv=["analyze", "--model", "weyl", "--param", "p=1e-300"])
+@example(argv=["analyze", "--model", "weyl", "--param", "p=1e-300", "--param",
+               "d=10000000"])
 @example(argv=["analyze", "--model", "sobolev_embedding", "--param", "d=1e308"])
 @example(argv=["analyze", "--model", "riemann_liouville", "--param",
                "alpha=1e-300"])
@@ -345,6 +352,9 @@ def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
         assert payload["log_phi"][-1] == pytest.approx(closed, rel=1e-12)
         assert payload["interval"] == {"A": pytest.approx(p / 2, rel=1e-12),
                                        "B": pytest.approx(p / 2, rel=1e-12)}
+    if tuple(argv) in WEYL_OVERFLOWS:
+        assert code == 2
+        assert "p = 1e-300 and d = 10000000" in err.getvalue()
     if tuple(argv) in FLAT_SPECTRA:
         assert code == 1
         assert "a flat spectrum has no decay" in err.getvalue()
