@@ -60,16 +60,16 @@ EXHAUSTED = 4.0 * EPS
 LOSS_TOL = 1e-11
 TOEPLITZ = "toeplitz"
 HANKEL = "hankel"
-# Sections up to this order solve on one BLAS thread: on a 2-core host a
-# second one about doubles the CPU time of such a solve and saves little
-# or no wall time.  The stop-test SVD of B (dbdsdc, m <= n/2 <= 512) takes
-# the same time on one thread as on two (5 ms at m = 300, 19 ms at
-# m = 560), and so do the reorthogonalization products up to about
-# 300 x 1024, while two threads halve them at 512 x 1024.  At n = 2048 one
-# thread made a benchmark `sections` pass 15% slower, measured while B
-# still took the dense SVD, which ran 43% slower on one thread at
-# m = 1100; dbdsdc takes about 0.1 s there on one thread or two.
-ONE_THREAD_MAX_N = 1024
+# Sections up to this order solve on one BLAS thread.  The rule: a second
+# thread stays only at orders where, in warm single j_alpha solves at both
+# alpha = 1 and 0.5, the wall time it saves is at least half the CPU time
+# it adds.  Medians of 30-42 solves on a 2-vCPU Xeon (OpenBLAS 0.3.31),
+# wall saved against CPU added, alpha = 1 and 0.5: n = 1024, 0.01 s for
+# 0.04 s and none for 0.07 s; n = 2048, 0.06 s for 0.15 s and 0.11 s for
+# 0.23 s; n = 3072, 0.23 s for 0.46 s and 0.36 s for 0.57 s; n = 4096,
+# 0.65 s for 0.53 s and 1.10 s for 0.54 s.  n = 3072 is a near tie at
+# alpha = 1, so no order above 2048 is moved to one thread.
+ONE_THREAD_MAX_N = 2048
 # (get, set) symbol pairs of OpenBLAS's thread count, first match wins:
 # numpy's scipy-openblas wheels, then plain OpenBLAS, each ILP64 first
 OPENBLAS_THREAD_SYMBOLS = tuple(
@@ -398,8 +398,9 @@ def _leading_values(section):
     converge within n/2 steps, fewer than the wanted values, a triplet
     residual above RESIDUAL_TOL * sigma_1 or missing Hankel mass all give
     None.  Sections of order n <= ONE_THREAD_MAX_N solve on one BLAS
-    thread (``_one_blas_thread``): there a second thread only spins beside
-    the solve and saves no time; larger ones keep the library default.
+    thread (``_one_blas_thread``): there a second thread saves less wall
+    time than half the CPU time it adds (see ONE_THREAD_MAX_N); larger
+    ones, and the dense fallback, keep the library default.
     """
     n = len(section)
     if section.kind == TOEPLITZ:

@@ -330,23 +330,58 @@ class TestOneBlasThread:
                 raise RuntimeError("inside")
         assert _thread_counts() == before
 
-    @pytest.mark.parametrize("n", [1024, 2048])
-    def test_small_sections_solve_on_one_thread(self, monkeypatch, n):
-        # up to ONE_THREAD_MAX_N the solve sees one thread; beyond it, and
-        # after it, the counts the process had
-        _needs_openblas()
-        before, seen = _thread_counts(), []
-        solve = dz._bidiagonalize
+    @staticmethod
+    def _counts_seen_by(monkeypatch, name, section):
+        # the thread counts at each call of dz.<name> during one solve
+        seen, call = [], getattr(dz, name)
 
         def counted(*args):
             seen.append(_thread_counts())
-            return solve(*args)
-        monkeypatch.setattr(dz, "_bidiagonalize", counted)
+            return call(*args)
+        monkeypatch.setattr(dz, name, counted)
+        return dz.singular_values(section), seen
+
+    @pytest.mark.parametrize("operator,n", [
+        pytest.param("j_alpha", 1024, id="1024"),
+        pytest.param("j_alpha", 2048, id="2048"),
+        pytest.param("hilbert", 2048, id="hilbert-2048")])
+    def test_small_sections_solve_on_one_thread(self, monkeypatch, operator,
+                                                n):
+        # up to ONE_THREAD_MAX_N the solve sees one thread, and after it
+        # the counts the process had
+        _needs_openblas()
+        assert n <= dz.ONE_THREAD_MAX_N
+        before = _thread_counts()
         monkeypatch.setattr(dz.Section, "dense", _no_dense)
-        seq = dz.singular_values(dz.riemann_liouville_section(1.0, n))
+        section = (dz.hilbert_section(n) if operator == "hilbert"
+                   else dz.riemann_liouville_section(1.0, n))
+        seq, seen = self._counts_seen_by(monkeypatch, "_bidiagonalize",
+                                         section)
         assert seq.method == "lanczos"
-        assert seen == [[1] * len(before) if n <= dz.ONE_THREAD_MAX_N
-                        else before]
+        assert seen == [[1] * len(before)]
+        assert _thread_counts() == before
+
+    def test_larger_sections_keep_the_process_counts(self, monkeypatch):
+        _needs_openblas()
+        before = _thread_counts()
+        monkeypatch.setattr(dz, "ONE_THREAD_MAX_N", 512)
+        monkeypatch.setattr(dz.Section, "dense", _no_dense)
+        seq, seen = self._counts_seen_by(
+            monkeypatch, "_bidiagonalize",
+            dz.riemann_liouville_section(1.0, 1024))
+        assert seq.method == "lanczos"
+        assert seen == [before]
+        assert _thread_counts() == before
+
+    def test_dense_fallback_keeps_the_process_counts(self, monkeypatch):
+        _needs_openblas()
+        before = _thread_counts()
+        monkeypatch.setattr(dz, "_bidiagonalize", lambda *args: None)
+        seq, seen = self._counts_seen_by(
+            monkeypatch, "_dense_singular_values",
+            dz.riemann_liouville_section(1.0, 256))
+        assert seq.method == "dense"
+        assert seen == [before]
         assert _thread_counts() == before
 
     @pytest.mark.parametrize("operator,alpha", [("j_alpha", 1.0),
