@@ -58,6 +58,10 @@ EXHAUSTED = 4.0 * EPS
 # largest estimated |u_i . u_j| the Lanczos recurrence lets stand, well
 # below what would show in the RESIDUAL_TOL certificate
 LOSS_TOL = 1e-11
+# Lanczos steps the workspace holds before its one copy: hilbert sections
+# stop within them (by m = 43 at n = 50000), j_alpha sections run on to
+# m = 128-557 at n = 512-2048 and then get all n/2 rows at once
+FIRST_ROWS = 64
 TOEPLITZ = "toeplitz"
 HANKEL = "hankel"
 # Sections up to this order solve on one BLAS thread.  The rule: a second
@@ -453,16 +457,21 @@ def _bidiagonalize(op, n, k):
     k steps, then aim 5% past where the count of converged triplets,
     extrapolated from the last two tests, reaches the wanted count: one
     more step costs far less than one more test.  The products A^T u_j
-    are kept, so the residuals cost two matrix products and no FFT.
+    are kept, so the residuals cost two matrix products and no FFT.  The
+    bases hold FIRST_ROWS steps at first; a solve that runs past them
+    copies them once into room for n/2 steps (``_widened``).
     """
     cap = n // 2
-    U, V = np.empty((cap, n)), np.empty((cap + 1, n))
-    W = np.empty((cap, n))  # W[j] = A^T u_j
+    rows = min(cap, FIRST_ROWS)
+    U, V = np.empty((rows, n)), np.empty((rows + 1, n))
+    W = np.empty((rows, n))  # W[j] = A^T u_j
     alpha, beta = np.zeros(cap), np.zeros(cap)
     v = np.random.default_rng(0).standard_normal(n)
     V[0] = v / math.sqrt(v @ v)
     b, norm, loss, test, last = 0.0, 0.0, 0.0, min(16, cap), None
     for j in range(cap):
+        if j == rows:
+            U, V, W = _widened(U, cap), _widened(V, cap + 1), _widened(W, cap)
         p = op.matvec(V[j])
         if j:
             p -= b * U[j - 1]
@@ -510,6 +519,14 @@ def _bidiagonalize(op, n, k):
             test = m + math.ceil(1.05 * (wanted - converged) / rate)
         test, last = min(test, cap), (m, converged)
     return None
+
+
+def _widened(a, rows):
+    """a copied into the first rows of a fresh ``np.empty`` array of that
+    many rows; the pages of the rest are allocated only when written."""
+    out = np.empty((rows, a.shape[1]))
+    out[:len(a)] = a
+    return out
 
 
 def _orthogonalize(x, basis):
@@ -672,7 +689,6 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
     seq = singular_values(m)
     kept = seq.kept
     lo, hi = _trusted_window(kept)
-    hi = min(hi, kept)
     if hi <= lo:
         raise ValueError(f"{kept} singular value(s) kept: too few for a "
                          "two-point estimation window")

@@ -358,7 +358,11 @@ def _numeric_path(lam, mu, eps, method, trim):
 
 def _measure(lam, mu, eps, method, trim, want_log):
     if not _numeric_path(lam, mu, eps, method, trim):
-        return _closed_measure(lam, mu, eps, want_log, trim)
+        try:
+            return _closed_measure(lam, mu, eps, want_log, trim)
+        except OverflowError:
+            raise ValueError(f"the closed form leaves the float range at "
+                             f"eps = {eps!r}") from None
     m = float(_numeric_measure(lam, mu, np.array([float(eps)]), trim)[0])
     return _log(m) if want_log else m
 
@@ -471,9 +475,9 @@ def increasing_rearrangement(lam, mu, t):
 # ---------------------------------------------------------------------------
 # reweighting
 
-# QUADPACK's qk21: the 21-point Kronrod rule on [-1, 1] and its embedded
-# 10-point Gauss rule.  The rule is symmetric; _GK_X holds the nodes
-# x >= 0 from the end inward, and the Gauss nodes are x_1, x_3, ..., x_9.
+# The 21-point Kronrod rule on [-1, 1] and its embedded 10-point Gauss rule
+# (QUADPACK's qk21).  The rule is symmetric; _GK_X holds the nodes x >= 0
+# from the end inward, and the Gauss nodes are x_1, x_3, ..., x_9.
 _GK_X = np.array([
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -492,40 +496,33 @@ _G_W = np.array([
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338])
-# qk21 adds the Kronrod terms in this order: the Gauss nodes, then the rest
-_GK_ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
 QUAD_ABS_TOL = 1.49e-8
 QUAD_CELLS = 200
 _EPMACH = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
 
 
-def _in_order(*cols):
-    """Row sums of the columns, added left to right as qk21's loops add."""
-    return np.cumsum(np.column_stack(cols), axis=1)[:, -1]
+def _kronrod(fx):
+    """The Kronrod sum of each row of values at (c, c - h x_i, c + h x_i):
+    the centre term plus one dot product over the symmetric pairs."""
+    return _GK_W[10] * fx[:, 0] + (fx[:, 1:11] + fx[:, 11:]) @ _GK_W[:10]
 
 
 def _gk21(g, a, b):
-    """QUADPACK's qk21 on the cells [a_i, b_i]: integrals and error estimates.
+    """The 21-point Gauss-Kronrod rule on the cells [a_i, b_i]: integrals and
+    error estimates, with the error heuristics of QUADPACK's qk21.
 
-    The sums run in qk21's order, so a one-cell integral is the one
-    QUADPACK's qagse returns; g maps an array of points to its values.
+    g maps an array of points to its values.
     """
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     dx = h[:, None] * _GK_X[:10]
     fx = g(np.concatenate([c[:, None], c[:, None] - dx, c[:, None] + dx],
                           axis=1))
-    fc, f1, f2 = fx[:, 0], fx[:, 1:11], fx[:, 11:]
-    fsum = (f1 + f2)[:, _GK_ORDER]
-    absum = (np.abs(f1) + np.abs(f2))[:, _GK_ORDER]
-    resk = _in_order(_GK_W[10] * fc, _GK_W[_GK_ORDER] * fsum)
-    resg = _in_order(_G_W * fsum[:, :5])
-    mid = 0.5 * resk[:, None]
-    resabs = _in_order(np.abs(_GK_W[10] * fc),
-                       _GK_W[_GK_ORDER] * absum) * np.abs(h)
-    resasc = _in_order(_GK_W[10] * np.abs(fc - mid[:, 0]),
-                       _GK_W[:10] * (np.abs(f1 - mid) + np.abs(f2 - mid))
-                       ) * np.abs(h)
+    resk = _kronrod(fx)
+    # the Gauss nodes c -/+ h x_1, c -/+ h x_3, ..., c -/+ h x_9
+    resg = (fx[:, 2:11:2] + fx[:, 12::2]) @ _G_W
+    resabs = _kronrod(np.abs(fx)) * np.abs(h)
+    resasc = _kronrod(np.abs(fx - 0.5 * resk[:, None])) * np.abs(h)
     err = np.abs((resk - resg) * h)
     scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0) & (err != 0), scaled, err)
@@ -681,28 +678,19 @@ def essinf_estimate(lam, mu):
     """
     history = []
     seen_max = 0.0
-    hit_zero = False
     for k in range(ESSINF_DOUBLINGS + 1):
         r = R0 * 2.0 ** k
         if lam.shape == DISCRETE:
             vals = _values(lam.fn, np.arange(-int(r), int(r) + 1))
-            m = float(vals.min())
+            m, stable = float(vals.min()), True
             seen_max = max(seen_max, float(vals.max()))
         else:
             m, mx, stable = _refined_min(lam.fn, r, seen_max)
             seen_max = max(seen_max, mx)
-            if not stable:
-                hit_zero = True
         history.append(m)
-        floor = ESSINF_FLOOR_REL * max(seen_max, 1e-300)
-        if m <= floor:
-            hit_zero = True
-        if hit_zero:
+        if not stable or m <= ESSINF_FLOOR_REL * max(seen_max, 1e-300):
             # the infimum over a larger domain can only be smaller still
-            break
-    floor = ESSINF_FLOOR_REL * max(seen_max, 1e-300)
-    if hit_zero or history[-1] <= floor:
-        return EssinfResult(0.0, "ill_posed", tuple(history))
+            return EssinfResult(0.0, "ill_posed", tuple(history))
     last = history[-3:]
     if len(last) == 3 and max(last) - min(last) <= 1e-3 * max(last):
         return EssinfResult(history[-1], "well_posed_candidate",

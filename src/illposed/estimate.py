@@ -53,10 +53,12 @@ def _block_trend(w, blocks=4):
     Block averages tolerate the sawtooth produced by integer-valued counting
     curves, which a pointwise monotonicity check would reject.  Blocks of
     +inf ratios have no step between them (inf - inf is nan): 'mixed'.
+    A block of ratios near the float limit may sum past it, and its mean
+    is then +inf as well.
     """
     k = min(blocks, w.size)
-    means = np.array([chunk.mean() for chunk in np.array_split(w, k)])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.array([chunk.mean() for chunk in np.array_split(w, k)])
         d = np.diff(means)
     slack = 1e-12 * np.maximum(np.abs(means[1:]), 1e-300)
     if np.all(d >= -slack) and means[-1] > means[0]:
@@ -81,7 +83,8 @@ def classify_window(window, thresholds=DEFAULT_THRESHOLDS):
         raise InsufficientDataError(
             f"need at least {t.min_tail_samples} tail samples, got {w.size}")
     lo, hi = float(w.min()), float(w.max())
-    with np.errstate(invalid="ignore"):  # nan across a window of +inf ratios
+    # nan across a window of +inf ratios, +-inf across ratios near 1e308
+    with np.errstate(invalid="ignore", over="ignore"):
         drift = float((w[-1] - w[0]) / max(abs(w[-1]), 1e-300))
     trend = _block_trend(w)
     if lo > t.tau_severe or (drift >= t.drift_tol and trend == "increasing"):

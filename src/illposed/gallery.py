@@ -91,7 +91,12 @@ def _dimension(d):
 
 
 def _sqrt_expm1(x):
-    """sqrt(e^x - 1) as e^(x/2) sqrt(1 - e^-x), for x where e^x overflows."""
+    """sqrt(e^x - 1) for x > 0, as e^(x/2) sqrt(1 - e^-x).
+
+    The boundaries sqrt(eps^(-p) - 1) take it with x = -p ln eps: it is
+    accurate to rounding near eps = 1, where eps^(-p) - 1 cancels, and
+    finite wherever the root is, although eps^(-p) is not.
+    """
     return math.exp(0.5 * x) * math.sqrt(-math.expm1(-x))
 
 
@@ -154,17 +159,9 @@ def weyl(p=2.0, d=2, c=1.0):
         return np.where(pole, INF, np.where(pole, 1.0, a / c) ** power)
 
     def log_superlevel(eps):
-        # log c + (d/2) log Theta^-1(eps), with Theta^-1(eps) = eps^(-1/p)
-        try:
-            inv = eps ** (-1.0 / p)
-        except OverflowError:  # the power leaves the floats, its log may not
-            log_inv = -math.log(eps) / p
-        else:
-            if not inv > 0:
-                return -INF
-            log_inv = math.log(inv)
+        # ln c + (d/2) ln Theta^-1(eps), with ln Theta^-1(eps) = -ln(eps) / p;
         # Phi is finite at every eps > 0: an infinite log is an overflow
-        log_phi = math.log(c) + 0.5 * d * log_inv
+        log_phi = math.log(c) + 0.5 * d * (-math.log(eps) / p)
         if not math.isfinite(log_phi):
             raise ValueError(f"weyl with p = {p!r} and d = {d}: ln Phi(eps) = "
                              f"ln c + (d/2)(-ln eps)/p leaves the float range "
@@ -235,12 +232,7 @@ def multiplier_a1(s=1.0):
         return (1.0 + w * w) ** -s
 
     def boundary(eps):
-        if eps >= 1.0:
-            return 0.0
-        try:
-            return math.sqrt(eps ** (-1.0 / s) - 1.0)
-        except OverflowError:  # the power leaves the floats, the root may not
-            return _sqrt_expm1(-math.log(eps) / s)
+        return _sqrt_expm1(-math.log(eps) / s) if eps < 1.0 else 0.0
 
     mult = Multiplier(fn=fn, sup_bound=1.0, boundary=boundary)
     return OperatorModel(
@@ -383,10 +375,7 @@ def laplace_kernel(a=1.0, b=1.0, d=1):
     def boundary(eps):
         if eps >= 1.0:
             return 0.0
-        try:
-            return math.sqrt((eps ** (-0.5 / a) - 1.0) / b)
-        except OverflowError:
-            return _sqrt_expm1(-math.log(eps) / (2.0 * a)) / math.sqrt(b)
+        return _sqrt_expm1(-math.log(eps) / (2.0 * a)) / math.sqrt(b)
 
     mult = Multiplier(fn=fn, sup_bound=1.0, boundary=boundary)
     return OperatorModel(

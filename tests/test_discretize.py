@@ -225,6 +225,25 @@ class TestSections:
         dense = dz.singular_values(dz.hilbert_matrix(n))
         assert seq.kept == len(seq) == len(dense)
 
+    def test_large_hilbert_section_solves_in_a_small_workspace(self,
+                                                              monkeypatch):
+        # the solve stops after 43 steps; n/2 rows of each Lanczos basis,
+        # reserved before the first step, would take 9.3 GiB apiece
+        monkeypatch.setattr(dz.Section, "dense", _no_dense)
+        seq = dz.singular_values(dz.hilbert_section(50000))
+        assert seq.method == "lanczos"
+        assert seq.kept == len(seq) == 39
+        assert 2.44 < seq.values[0] < math.pi
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_widened_workspace_gives_the_same_values(self, monkeypatch, alpha):
+        # these solves run past FIRST_ROWS steps and copy their bases once
+        section = dz.riemann_liouville_section(alpha, 512)
+        widened = dz.singular_values(section)
+        monkeypatch.setattr(dz, "FIRST_ROWS", 256)
+        assert np.array_equal(widened.values,
+                              dz.singular_values(section).values)
+
     def test_uncertified_alpha_takes_the_dense_path(self):
         n = 256
         with warnings.catch_warnings():

@@ -291,6 +291,15 @@ WEYL_POWERS = {
 WEYL_OVERFLOWS = (
     ("analyze", "--model", "weyl", "--param", "p=1e-300", "--param",
      "d=10000000"),)
+# a closed form whose measure leaves the floats at some eps of the grid: a
+# usage error naming that eps, not a raw OverflowError
+CLOSED_OVERFLOWS = (
+    ("analyze", "--model", "multiplier_a1", "--param", "s=1e-5"),
+    ("analyze", "--model", "multiplier_b", "--param", "s=1e-5"),
+    ("analyze", "--model", "multiplier_c", "--param", "s=1e-5"),
+    ("analyze", "--model", "fractional_line", "--param", "s=1e-5"),
+    ("analyze", "--model", "fractional_line", "--eps-min=5e-324"),
+    ("analyze", "--model", "fractional_line", "--eps-min=1e-310"))
 # every sigma_n is 1: exit 1, naming the tie
 FLAT_SPECTRA = (
     ("analyze", "--model", "sobolev_embedding", "--param", "d=1e308"),
@@ -317,6 +326,14 @@ REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
 @example(argv=["analyze", "--model", "weyl", "--param", "p=1e-300"])
 @example(argv=["analyze", "--model", "weyl", "--param", "p=1e-300", "--param",
                "d=10000000"])
+# ratios near 1e308: the estimator's block means sum past the float limit
+@example(argv=["analyze", "--model", "weyl", "--param", "p=1e308"])
+@example(argv=["analyze", "--model", "multiplier_a1", "--param", "s=1e-5"])
+@example(argv=["analyze", "--model", "multiplier_b", "--param", "s=1e-5"])
+@example(argv=["analyze", "--model", "multiplier_c", "--param", "s=1e-5"])
+@example(argv=["analyze", "--model", "fractional_line", "--param", "s=1e-5"])
+@example(argv=["analyze", "--model", "fractional_line", "--eps-min=5e-324"])
+@example(argv=["analyze", "--model", "fractional_line", "--eps-min=1e-310"])
 @example(argv=["analyze", "--model", "sobolev_embedding", "--param", "d=1e308"])
 @example(argv=["analyze", "--model", "riemann_liouville", "--param",
                "alpha=1e-300"])
@@ -355,6 +372,10 @@ def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
     if tuple(argv) in WEYL_OVERFLOWS:
         assert code == 2
         assert "p = 1e-300 and d = 10000000" in err.getvalue()
+    if tuple(argv) in CLOSED_OVERFLOWS:
+        assert code == 2
+        assert "the closed form leaves the float range at eps = " \
+            in err.getvalue()
     if tuple(argv) in FLAT_SPECTRA:
         assert code == 1
         assert "a flat spectrum has no decay" in err.getvalue()
@@ -476,6 +497,11 @@ def _outcome(fn, *args):
 @given(phi=estimator_curves(),
        fraction=st.sampled_from([1.0 / 3.0, 0.05, 0.5, 1.0]),
        minimum=st.sampled_from([10, 2, 5]))
+# ln Phi at the smallest normal float: ratios near 1.5e306, and the window's
+# drift overflows
+@example(phi=DistributionFunction.build(
+    0.9375 * 1.001 ** -np.arange(10), [2.2250738585072014e-308] * 9 + [5.0],
+    source="counting"), fraction=1.0 / 3.0, minimum=10)
 @settings(max_examples=300, deadline=None)
 def test_one_pass_estimator_equals_the_per_sample_one(phi, fraction, minimum):
     # bit for bit: repr shows every digit and the type of every number
