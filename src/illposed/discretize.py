@@ -3,7 +3,9 @@
 Finite sections (Hilbert matrix, product-quadrature fractional
 integration), dense or as structured Toeplitz/Hankel sections with FFT
 matrix-vector products; singular value computation with a drop
-tolerance and residual-checked Lanczos bidiagonalization; FFT estimation
+tolerance and residual-checked symmetric Lanczos on each section's
+symmetric Hankel form (a singular value is the magnitude of one of its
+eigenvalues); FFT estimation
 of convolution multipliers from kernel samples; and the end-to-end
 pipeline matrix -> spectrum -> corner curve -> interval.  Needs numpy
 only: the LAPACK and thread-count routines it calls through ctypes are
@@ -20,7 +22,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -49,26 +50,31 @@ __all__ = [
 
 SVD_DROP_TOL = 1e-14
 FIT_TOL = 0.02  # relative rms residual that selects a decay model
-# per-triplet residual bound ||A^T u - sigma v|| <= RESIDUAL_TOL * sigma_1
+# per-pair residual bound ||S x - theta x|| <= RESIDUAL_TOL * |theta_1|
 RESIDUAL_TOL = 1e-10
 EPS = np.finfo(float).eps
 # a Lanczos coefficient this small against the largest one is rounding:
-# the Krylov subspaces are exhausted
+# the Krylov subspace is exhausted
 EXHAUSTED = 4.0 * EPS
-# largest estimated |u_i . u_j| the Lanczos recurrence lets stand, well
-# below what would show in the RESIDUAL_TOL certificate
-LOSS_TOL = 1e-11
 # Lanczos steps the workspace holds before its one copy: hilbert sections
-# stop within them (by m = 43 at n = 50000), j_alpha sections run on to
-# m = 128-557 at n = 512-2048 and then get all n/2 rows at once
+# stop within them (by m = 45 at n = 50000), j_alpha sections run on to
+# m = 140-597 at n = 512-2048 and then get all 3n/4 rows at once
 FIRST_ROWS = 64
+# doubles in one row block of the reorthogonalization (1 MiB) in a solve
+# on one BLAS thread: the block is read twice in a row, the second time
+# from L2.  On a 2-vCPU Xeon it takes 14-19% off a pass over 150-600 rows
+# of n = 2048 on one thread, and adds 50-60% on two, so solves on the
+# library's threads orthogonalize against the whole basis at once.
+BLOCK_DOUBLES = 1 << 17
 TOEPLITZ = "toeplitz"
 HANKEL = "hankel"
 # Sections up to this order solve on one BLAS thread.  The rule: a second
 # thread stays only at orders where, in warm single j_alpha solves at both
 # alpha = 1 and 0.5, the wall time it saves is at least half the CPU time
 # it adds.  Medians of 30-42 solves on a 2-vCPU Xeon (OpenBLAS 0.3.31),
-# wall saved against CPU added, alpha = 1 and 0.5: n = 1024, 0.01 s for
+# taken with the Golub-Kahan bidiagonalization that the symmetric Lanczos
+# solve replaced (two FFT products a step instead of one), wall saved
+# against CPU added, alpha = 1 and 0.5: n = 1024, 0.01 s for
 # 0.04 s and none for 0.07 s; n = 2048, 0.06 s for 0.15 s and 0.11 s for
 # 0.23 s; n = 3072, 0.23 s for 0.46 s and 0.36 s for 0.57 s; n = 4096,
 # 0.65 s for 0.53 s and 1.10 s for 0.54 s.  n = 3072 is a near tie at
@@ -79,12 +85,12 @@ ONE_THREAD_MAX_N = 2048
 OPENBLAS_THREAD_SYMBOLS = tuple(
     (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
     for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
-# LAPACKE_dbdsdc symbols with the type of their integer arguments, in the
+# LAPACKE_dstevd symbols with the type of their integer arguments, in the
 # same order; the first found in any mapped OpenBLAS wins, so an ILP64
 # library (numpy's wheels) goes before an LP64 one (scipy's).  The 64_
 # suffix marks the ILP64 interface, as OpenBLAS names it.
-DBDSDC_SYMBOLS = tuple(
-    (f"{prefix}LAPACKE_dbdsdc{suffix}", integer)
+DSTEVD_SYMBOLS = tuple(
+    (f"{prefix}LAPACKE_dstevd{suffix}", integer)
     for prefix in ("scipy_", "")
     for suffix, integer in (("64_", ctypes.c_int64), ("", ctypes.c_int)))
 LAPACK_ROW_MAJOR = 101
@@ -129,8 +135,8 @@ class Section:
     ``toeplitz``: lower triangular, entry (i, j) = coeffs[i - j] for i >= j,
     so ``coeffs`` is the first column (length n).  ``hankel``: entry
     (i, j) = coeffs[i + j], with ``coeffs`` of length 2n - 1.  Products
-    with the section and its transpose are zero-padded real FFT
-    convolutions, O(n log n), so the matrix itself is never stored.
+    with its symmetric form are zero-padded real FFT correlations,
+    O(n log n), so the matrix itself is never stored.
     """
 
     kind: str
@@ -164,38 +170,30 @@ class Section:
             return np.append(self.coeffs, 0.0)[np.where(lag >= 0, lag, -1)]
         return self.coeffs[i[:, None] + i[None, :]]
 
+    def symmetric(self):
+        """The symmetric Hankel section with this section's singular values:
+        the section itself, or T J for a Toeplitz section T and the flip J
+        (orthogonal), whose entry (i, j) = coeffs[i + j - (n - 1)], zero
+        where i + j < n - 1."""
+        if self.kind == HANKEL:
+            return self
+        return Section(HANKEL, np.concatenate((np.zeros(self.n - 1),
+                                               self.coeffs)), self.n)
+
     def operator(self):
-        """Products of a vector with the section (``matvec``) and its
-        transpose (``rmatvec``) by FFTs."""
+        """x -> S x by FFTs, for the symmetric form S = ``symmetric()``."""
         n = self.n
         size = 1 << (2 * n - 2).bit_length()  # the power of two >= 2n - 1
-        spectrum = np.fft.rfft(self.coeffs, size)
+        spectrum = np.fft.rfft(self.symmetric().coeffs, size)
 
-        def product(s, x, conj=False):
-            # circular convolution (correlation if conj) with the
+        def matvec(x):
+            # (S x)_i = sum_t c_(i+t) x_t: a circular correlation with the
             # coefficients; size >= 2n - 1 keeps the first n entries free
             # of wrap-around
-            f = np.fft.rfft(x, size)
-            if conj:
-                f = f.conj()
-            f *= s
+            f = np.fft.rfft(x, size).conj()
+            f *= spectrum
             return np.fft.irfft(f, size)[:n]
-
-        if self.kind == TOEPLITZ:
-            # (T x)_i = sum_t c_(i-t) x_t, (T^T x)_i = sum_t c_t x_(i+t)
-            reverse = spectrum.conj()
-
-            def matvec(x):
-                return product(spectrum, x)
-
-            def rmatvec(x):
-                return product(reverse, x)
-        else:
-            # (H x)_i = sum_t c_(i+t) x_t
-            def matvec(x):
-                return product(spectrum, x, conj=True)
-            rmatvec = matvec
-        return SimpleNamespace(matvec=matvec, rmatvec=rmatvec)
+        return matvec
 
 
 def hilbert_section(n):
@@ -289,13 +287,21 @@ def _clears_drop_tol(c):
     Its inverse is lower-triangular Toeplitz with first column d (c * d = 1
     as power series), and both the 1- and the inf-norm of a lower-triangular
     Toeplitz matrix are the absolute sum of its first column, so
-    sigma_min >= 1 / sum|d| and sigma_max <= sum|c|.
+    sigma_min >= 1 / sum|d| and sigma_max <= sum|c|.  d comes from Newton's
+    iteration on power series, d <- d + d (1 - c d), which doubles the
+    number of correct terms per step, with FFT products.
     """
-    d = np.empty(c.size)
+    n = c.size
     with np.errstate(all="ignore"):
-        d[0] = 1.0 / c[0]
-        for k in range(1, c.size):
-            d[k] = -np.dot(c[k:0:-1], d[:k]) / c[0]
+        d = 1.0 / c[:1]
+        while d.size < n:
+            k, m = d.size, min(2 * d.size, n)
+            size = 1 << (m + k - 2).bit_length()  # >= m + k - 1: no wrap
+            fd = np.fft.rfft(d, size)
+            # c d = 1 + e z^k + O(z^m); the new terms are -d e
+            e = np.fft.irfft(np.fft.rfft(c[:m], size) * fd, size)[k:m]
+            d = np.concatenate(
+                (d, -np.fft.irfft(fd * np.fft.rfft(e, size), size)[:m - k]))
         return bool(np.abs(d).sum() * np.abs(c).sum() * SVD_DROP_TOL < 1.0)
 
 
@@ -339,19 +345,18 @@ def _openblas_controls():
 
 
 @functools.cache
-def _lapacke_dbdsdc():
-    """LAPACKE_dbdsdc of a mapped OpenBLAS, or None (another BLAS, no
+def _lapacke_dstevd():
+    """LAPACKE_dstevd of a mapped OpenBLAS, or None (another BLAS, no
     /proc)."""
-    for name, integer in DBDSDC_SYMBOLS:
+    for name, integer in DSTEVD_SYMBOLS:
         for lib in _openblas_libraries():
             if hasattr(lib, name):
-                dbdsdc = getattr(lib, name)
+                dstevd = getattr(lib, name)
                 pointer = ctypes.c_void_p
-                dbdsdc.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
-                                   integer, pointer, pointer, pointer, integer,
-                                   pointer, integer, pointer, pointer]
-                dbdsdc.restype = integer
-                return dbdsdc
+                dstevd.argtypes = [ctypes.c_int, ctypes.c_char, integer,
+                                   pointer, pointer, pointer, integer]
+                dstevd.restype = integer
+                return dstevd
     return None
 
 
@@ -392,19 +397,21 @@ def _one_blas_thread():
 def _leading_values(section):
     """Leading singular values of a section, or None to use the dense SVD.
 
-    Both kinds go through ``_bidiagonalize``.  Toeplitz sections: once
-    the certificate shows that all n values clear the drop tolerance, it
-    gives the top ``_trusted_window(n)[1]`` values.  Hankel sections: it
-    gives every value down to the first converged one below the
-    tolerance, and those values must account for the squared Frobenius
-    norm up to RESIDUAL_TOL of it, which certifies that none was missed.
-    No certificate, a window of n/2 or more, a solve that does not
-    converge within n/2 steps, fewer than the wanted values, a triplet
-    residual above RESIDUAL_TOL * sigma_1 or missing Hankel mass all give
-    None.  Sections of order n <= ONE_THREAD_MAX_N solve on one BLAS
-    thread (``_one_blas_thread``): there a second thread saves less wall
-    time than half the CPU time it adds (see ONE_THREAD_MAX_N); larger
-    ones, and the dense fallback, keep the library default.
+    Both kinds go through ``_lanczos`` on the section's symmetric Hankel
+    form S (``Section.symmetric``), whose eigenvalue magnitudes are the
+    section's singular values.  Toeplitz sections: once the certificate
+    shows that all n values clear the drop tolerance, it gives the top
+    ``_trusted_window(n)[1]`` values.  Hankel sections: it gives every
+    value down to the first converged one below the tolerance, and those
+    values must account for the squared Frobenius norm up to RESIDUAL_TOL
+    of it, which certifies that none was missed.  No certificate, a window
+    of n/2 or more, a solve that does not converge within 3n/4 steps,
+    fewer than the wanted values, an eigenpair residual above
+    RESIDUAL_TOL * sigma_1 or missing Hankel mass all give None.  Sections
+    of order n <= ONE_THREAD_MAX_N solve on one BLAS thread
+    (``_one_blas_thread``): there a second thread saves less wall time
+    than half the CPU time it adds (see ONE_THREAD_MAX_N); larger ones,
+    and the dense fallback, keep the library default.
     """
     n = len(section)
     if section.kind == TOEPLITZ:
@@ -413,9 +420,9 @@ def _leading_values(section):
             return None
     else:
         k = n
-    with (_one_blas_thread() if n <= ONE_THREAD_MAX_N
-          else contextlib.nullcontext()):
-        found = _bidiagonalize(section.operator(), n, k)
+    one_thread = n <= ONE_THREAD_MAX_N
+    with _one_blas_thread() if one_thread else contextlib.nullcontext():
+        found = _lanczos(section.operator(), n, k, one_thread)
     if found is None:
         return None
     s, residual = found
@@ -435,82 +442,76 @@ def _leading_values(section):
     return Spectrum(s, kept=kept, method="lanczos")
 
 
-def _bidiagonalize(op, n, k):
-    """The k largest singular values of an n x n operator, cut after the
-    first converged one below SVD_DROP_TOL * sigma_1, with the residual
-    norm ||A^T u - sigma v|| of each triplet; None if that takes n/2 steps.
+def _lanczos(matvec, n, k, blocked=False):
+    """The k largest eigenvalue magnitudes of a symmetric n x n operator,
+    cut after the first converged one below SVD_DROP_TOL times the
+    largest, with the residual norm ||S x - theta x|| of each eigenpair;
+    None if that takes 3n/4 steps.
 
-    Golub-Kahan-Lanczos bidiagonalization (R. M. Larsen, DAIMI PB-537,
-    1998) from a fixed random start.  A V = U B with B upper bidiagonal
-    holds by construction; A^T U = V B^T + beta_m v_{m+1} e_m^T holds up
-    to the reorthogonalization, so |beta_m y_m| bounds the residual of the
-    Ritz triplet (sigma, U y, V x), and the residuals returned are taken
-    on that side.  Each new v is orthogonalized against all of V.  Then U
-    loses orthogonality only through rounding, which a running bound
-    follows (Larsen's recurrence with V orthogonal); u is orthogonalized
-    against U when the bound passes LOSS_TOL: at most a few times in a
-    solve, where orthogonalizing it at every step costs a third more time
-    at n = 2048.  A coefficient at rounding level ends the recurrence:
-    the subspaces are invariant and B's values exact.  Each stop test
-    takes one SVD of B from its two diagonals (``_bidiagonal_svd``: LAPACK's
-    ``dbdsdc``, else numpy's dense SVD).  Tests double in size until
-    k steps, then aim 5% past where the count of converged triplets,
-    extrapolated from the last two tests, reaches the wanted count: one
-    more step costs far less than one more test.  The products A^T u_j
-    are kept, so the residuals cost two matrix products and no FFT.  The
-    bases hold FIRST_ROWS steps at first; a solve that runs past them
-    copies them once into room for n/2 steps (``_widened``).
+    Symmetric Lanczos with full reorthogonalization (Parlett, *The
+    Symmetric Eigenvalue Problem*, SIAM 1998, ch. 13) from a fixed random
+    start: one product with S per step.  S Q^T = Q^T T + beta_m q_(m+1)
+    e_m^T holds up to the reorthogonalization, with T tridiagonal, so
+    |beta_m s_m| bounds the residual of the Ritz pair (theta, Q^T s).  Each
+    new q is orthogonalized against all of Q, in row blocks of
+    BLOCK_DOUBLES entries if ``blocked``; a coefficient at rounding
+    level ends the recurrence: the subspace is invariant and T's values
+    exact.  Each stop test takes one eigendecomposition of T
+    (``_tridiagonal_eigh``: LAPACK's ``dstevd``, else numpy's ``eigh``)
+    and orders the Ritz values by magnitude.  A value has converged when
+    its bound is below RESIDUAL_TOL * |theta_1| and does not reach across
+    the drop tolerance; the first value below the tolerance, also only
+    once its bound is below half its own magnitude, so that the count
+    kept is decided.  Tests double in size until k steps, then aim 5%
+    past where the count of converged values, extrapolated from the last
+    two tests, reaches the wanted count: one more step costs far less
+    than one more test.  The products W = S Q are kept, so the residuals
+    cost two matrix products and no FFT.  Q and W hold FIRST_ROWS steps
+    at first; a solve that runs past them copies them once into room for
+    3n/4 steps (``_widened``).
     """
-    cap = n // 2
+    cap = 3 * n // 4
     rows = min(cap, FIRST_ROWS)
-    U, V = np.empty((rows, n)), np.empty((rows + 1, n))
-    W = np.empty((rows, n))  # W[j] = A^T u_j
+    block = max(1, BLOCK_DOUBLES // n) if blocked else cap + 1
+    Q, W = np.empty((rows + 1, n)), np.empty((rows, n))  # W[j] = S q_j
     alpha, beta = np.zeros(cap), np.zeros(cap)
-    v = np.random.default_rng(0).standard_normal(n)
-    V[0] = v / math.sqrt(v @ v)
-    b, norm, loss, test, last = 0.0, 0.0, 0.0, min(16, cap), None
+    q = np.random.default_rng(0).standard_normal(n)
+    Q[0] = q / math.sqrt(q @ q)
+    b, norm, test, last = 0.0, 0.0, min(16, cap), None
     for j in range(cap):
         if j == rows:
-            U, V, W = _widened(U, cap), _widened(V, cap + 1), _widened(W, cap)
-        p = op.matvec(V[j])
-        if j:
-            p -= b * U[j - 1]
-        a = math.sqrt(p @ p)
-        # bound on max |u_j . u_i|
-        loss = (b * loss + EPS * (a + b + norm)) / a if a > 0 else math.inf
-        if loss > LOSS_TOL:
-            a, loss = _orthogonalize(p, U[:j]), EPS
-        exhausted = not a > EXHAUSTED * norm
-        if exhausted:
-            W[j] = 0.0
-        else:
-            U[j] = p / a
-            W[j] = op.rmatvec(U[j])
-            r = W[j] - a * V[j]
-            b = _orthogonalize(r, V[:j + 1])
-            norm = max(norm, a, b)
-            alpha[j] = a
-            exhausted = not b > EXHAUSTED * norm
+            Q, W = _widened(Q, cap + 1), _widened(W, cap)
+        W[j] = matvec(Q[j])
+        r = W[j] - b * Q[j - 1] if j else W[j].copy()
+        a = Q[j] @ r
+        r -= a * Q[j]
+        b = _orthogonalize(r, Q[:j + 1], block)
+        alpha[j] = a
+        norm = max(norm, abs(a), b)
+        exhausted = not b > EXHAUSTED * norm
         if not exhausted:
             beta[j] = b
-            V[j + 1] = r / b
+            Q[j + 1] = r / b
         m = j + 1
         if m < test and not exhausted:
             continue
-        y, s, xt = _bidiagonal_svd(alpha[:m], beta[:m - 1])
+        theta, y = _tridiagonal_eigh(alpha[:m], beta[:m - 1])
+        order = np.argsort(-np.abs(theta), kind="stable")
+        theta, y = theta[order], y[:, order]
+        s = np.abs(theta)
         # the values down to the first below the tolerance, or all of
-        # them once the subspaces are exhausted; a value has converged when
-        # its bound is below RESIDUAL_TOL * sigma_1 and does not reach
-        # across the tolerance, so that the count kept is decided
+        # them once the subspace is exhausted
         drop = SVD_DROP_TOL * s[0]
         above = int(np.count_nonzero(s > drop))
         wanted = min(k, above if exhausted else above + 1)
         bound = np.abs(beta[m - 1] * y[m - 1, :wanted])
         loose = (bound > RESIDUAL_TOL * s[0]) | (np.abs(s[:wanted] - drop) <= bound)
+        if above < min(wanted, m):
+            loose[above] |= bound[above] >= 0.5 * s[above]
         converged = int(np.argmax(loose)) if loose.any() else wanted
         if converged == wanted <= m:
-            residual = y[:, :wanted].T @ W[:m] \
-                - s[:wanted, None] * (xt[:wanted] @ V[:m])
+            x = y[:, :wanted].T
+            residual = x @ W[:m] - theta[:wanted, None] * (x @ Q[:m])
             return s[:wanted], np.sqrt(np.einsum("ij,ij->i", residual, residual))
         if m < k or last is None or converged <= last[1]:
             test = 2 * m
@@ -529,47 +530,51 @@ def _widened(a, rows):
     return out
 
 
-def _orthogonalize(x, basis):
+def _orthogonalize(x, basis, block):
     """Remove from x, in place, its components along the orthonormal rows of
     ``basis`` by classical Gram-Schmidt, repeated while it cancels more than
-    half of x; returns the new norm of x."""
+    half of x; returns the new norm of x.  Each pass runs over blocks of
+    ``block`` rows, so that the update reads a block again while it is
+    still in cache."""
     norm = math.sqrt(x @ x)
     for _ in range(3):
-        x -= (basis @ x) @ basis
+        for start in range(0, len(basis), block):
+            rows = basis[start:start + block]
+            x -= (rows @ x) @ rows
         norm, before = math.sqrt(x @ x), norm
         if norm > 0.5 * before:
             break
     return norm
 
 
-def _bidiagonal_svd(d, e):
-    """``np.linalg.svd`` of the upper bidiagonal matrix with diagonal d and
-    superdiagonal e: (y, s, xt) with B = y diag(s) xt.
+def _tridiagonal_eigh(d, e):
+    """``np.linalg.eigh`` of the symmetric tridiagonal matrix with diagonal d
+    and off-diagonal e: (values in ascending order, vectors as columns).
 
-    LAPACK's bidiagonal divide and conquer (``dbdsdc``; Gu and Eisenstat,
+    LAPACK's tridiagonal divide and conquer (``dstevd``; Gu and Eisenstat,
     SIAM J. Matrix Anal. Appl. 16(1), 1995) through LAPACKE in numpy's
-    OpenBLAS.  It is the routine ``gesdd`` calls after its Householder
-    reduction to bidiagonal form, and that reduction and its
-    back-transformation leave a bidiagonal matrix as it is, so skipping
-    them, and the dense copy of B, gives the same bits.  Without that
-    symbol (another BLAS, no /proc), the dense SVD of B.
+    OpenBLAS.  It is the routine ``eigh`` (``syevd``) calls after its
+    Householder reduction to tridiagonal form, and that reduction and its
+    back-transformation leave a tridiagonal matrix as it is, so skipping
+    them, and the dense copy of T, gives the same bits.  Without that
+    symbol (another BLAS, no /proc), ``eigh`` of the dense matrix.
     """
-    dbdsdc = _lapacke_dbdsdc()
-    if dbdsdc is None:
-        return np.linalg.svd(np.diag(d) + np.diag(e, 1))
-    s = np.array(d, dtype=float)  # overwritten by the values
-    m = s.size
-    if s.shape != (m,) or np.shape(e) != (m - 1,):
-        raise ValueError("a bidiagonal needs m diagonal and m - 1 "
-                         "superdiagonal entries")
+    dstevd = _lapacke_dstevd()
+    if dstevd is None:
+        return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    w = np.array(d, dtype=float)  # overwritten by the values
+    m = w.size
+    if w.shape != (m,) or np.shape(e) != (m - 1,):
+        raise ValueError("a tridiagonal needs m diagonal and m - 1 "
+                         "off-diagonal entries")
     work = np.append(e, 0.0)  # float; destroyed; never empty
-    y, xt = np.empty((m, m)), np.empty((m, m))
-    info = dbdsdc(LAPACK_ROW_MAJOR, b"U", b"I", m, s.ctypes.data,
-                  work.ctypes.data, y.ctypes.data, m, xt.ctypes.data, m,
-                  None, None)
+    z = np.empty((m, m))
+    info = dstevd(LAPACK_ROW_MAJOR, b"V", m, w.ctypes.data, work.ctypes.data,
+                  z.ctypes.data, m)
     if info:
-        raise np.linalg.LinAlgError(f"SVD did not converge (dbdsdc info {info})")
-    return y, s, xt
+        raise np.linalg.LinAlgError(
+            f"Eigenvalues did not converge (dstevd info {info})")
+    return w, z
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from illposed import cli, counting
 from illposed import discretize as dz
@@ -183,13 +185,15 @@ class TestSections:
         section, dense = _section_and_matrix(operator, alpha, n)
         assert len(section) == n
         assert np.array_equal(section.dense(), dense)
-        op = section.operator()
+        # the symmetric form: the section itself, or T J for Toeplitz T
+        symmetric = dense if section.kind == "hankel" else dense[:, ::-1]
+        assert np.array_equal(section.symmetric().dense(), symmetric)
+        assert np.array_equal(symmetric, symmetric.T)
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
         scale = np.abs(dense).sum(axis=1).max()
-        for got, want in ((op.matvec(x), dense @ x),
-                          (op.rmatvec(x), dense.T @ x)):
-            assert np.abs(got - want).max() <= 1e-12 * scale
+        got = section.operator()(x)
+        assert np.abs(got - symmetric @ x).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("n", [128, 512, 1024])
@@ -217,7 +221,8 @@ class TestSections:
         assert seq.values[:10] == pytest.approx(dense.values[:10], rel=1e-12)
         assert seq.values == pytest.approx(dense.values, rel=1e-2)
 
-    @pytest.mark.parametrize("n", [22, 28, 49, 64, 65, 128, 200])
+    @pytest.mark.parametrize("n", [22, 28, 49, 55, 58, 64, 65, 67, 128,
+                                   200])
     def test_hilbert_kept_count_is_decided(self, n):
         # a Ritz value whose bound reaches across the drop tolerance has not
         # converged: stopping there would keep too few values
@@ -227,8 +232,8 @@ class TestSections:
 
     def test_large_hilbert_section_solves_in_a_small_workspace(self,
                                                               monkeypatch):
-        # the solve stops after 43 steps; n/2 rows of each Lanczos basis,
-        # reserved before the first step, would take 9.3 GiB apiece
+        # the solve stops after 45 steps; 3n/4 rows of Q and W, reserved
+        # before the first step, would take 14 GiB apiece
         monkeypatch.setattr(dz.Section, "dense", _no_dense)
         seq = dz.singular_values(dz.hilbert_section(50000))
         assert seq.method == "lanczos"
@@ -243,6 +248,16 @@ class TestSections:
         monkeypatch.setattr(dz, "FIRST_ROWS", 256)
         assert np.array_equal(widened.values,
                               dz.singular_values(section).values)
+
+    def test_blocked_reorthogonalization_gives_the_same_values(
+            self, monkeypatch):
+        # blocks of 8 rows against one block: other rounding, same values
+        section = dz.riemann_liouville_section(0.5, 512)
+        one_block = dz._lanczos(section.operator(), 512, 64)
+        monkeypatch.setattr(dz, "BLOCK_DOUBLES", 8 * 512)
+        s, residual = dz._lanczos(section.operator(), 512, 64, blocked=True)
+        assert s == pytest.approx(one_block[0], rel=1e-13, abs=0)
+        assert np.all(residual <= dz.RESIDUAL_TOL * s[0])
 
     def test_uncertified_alpha_takes_the_dense_path(self):
         n = 256
@@ -267,7 +282,7 @@ class TestSections:
         assert seq.values == pytest.approx(dense.values, rel=1e-12)
 
     def test_failed_solve_falls_back_to_dense(self, monkeypatch):
-        monkeypatch.setattr(dz, "_bidiagonalize", lambda *args: None)
+        monkeypatch.setattr(dz, "_lanczos", lambda *args: None)
         seq = dz.singular_values(dz.riemann_liouville_section(1.0, 128))
         dense = dz.singular_values(dz.riemann_liouville_matrix(1.0, 128))
         assert seq.method == "dense"
@@ -275,18 +290,18 @@ class TestSections:
 
     @pytest.mark.parametrize("operator,alpha", [("j_alpha", 1.0),
                                                 ("hilbert", None)])
-    def test_transpose_residual_above_bound_goes_dense(self, monkeypatch,
-                                                       operator, alpha):
-        # transpose products off by 1e-8: A V = U B still holds, so only
-        # ||A^T u - sigma v|| can tell that the triplets are wrong
+    def test_residual_above_bound_goes_dense(self, monkeypatch, operator,
+                                             alpha):
+        # products off by 1e-8 sigma_1 times a cyclic shift, which is not
+        # symmetric: the tridiagonal recurrence does not see it, so only
+        # the explicit residuals ||S x - theta x|| can tell
         section, matrix = _section_and_matrix(operator, alpha, 256)
         exact = dz.Section.operator
+        shift = 1e-8 * np.linalg.norm(matrix, 2)
 
         def skewed(self):
-            op = exact(self)
-            rmatvec = op.rmatvec
-            op.rmatvec = lambda x: rmatvec(x) * (1.0 + 1e-8)
-            return op
+            matvec = exact(self)
+            return lambda x: matvec(x) + shift * np.roll(x, 1)
         monkeypatch.setattr(dz.Section, "operator", skewed)
         seq = dz.singular_values(section)
         assert seq.method == "dense"
@@ -325,6 +340,79 @@ class TestSections:
             dz.Section("circulant", [1.0, 0.5], 2)
         with pytest.raises(ValueError):
             dz.hilbert_section(0)
+
+
+def _clears_drop_tol_by_substitution(c):
+    """The certificate with its inverse series d (c * d = 1) by forward
+    substitution, one term a step: the oracle of dz._clears_drop_tol."""
+    d = np.empty(c.size)
+    with np.errstate(all="ignore"):
+        d[0] = 1.0 / c[0]
+        for k in range(1, c.size):
+            d[k] = -np.dot(c[k:0:-1], d[:k]) / c[0]
+        return bool(np.abs(d).sum() * np.abs(c).sum() * dz.SVD_DROP_TOL < 1.0)
+
+
+def test_certificate_decisions_match_forward_substitution():
+    # 40 alphas by 12 orders: the FFT Newton iteration decides as the loop
+    # does, and 258 of the 480 sections are certified
+    certified = 0
+    for alpha in np.linspace(0.05, 3.0, 40):
+        for n in (1 << p for p in range(1, 13)):
+            c = dz.riemann_liouville_section(float(alpha), n).coeffs
+            decision = dz._clears_drop_tol(c)
+            assert decision == _clears_drop_tol_by_substitution(c), (alpha, n)
+            certified += decision
+    assert certified == 258
+
+
+@st.composite
+def _random_sections(draw):
+    # decaying coefficients, alternating, oscillating or with random signs
+    # (indefinite Hankel sections), and Toeplitz sections with zero odd
+    # coefficients, whose singular values come in pairs
+    kind = draw(st.sampled_from(["toeplitz", "hankel"]))
+    n = draw(st.integers(65, 400))
+    size = n if kind == "toeplitz" else 2 * n - 1
+    j = np.arange(size, dtype=float)
+    if draw(st.booleans()):
+        c = (j + 1.0) ** -draw(st.floats(0.3, 3.0))
+    else:
+        c = np.exp(-draw(st.floats(0.01, 1.0)) * j)
+    modifier = draw(st.sampled_from(["none", "alternating", "oscillating",
+                                     "random signs"]))
+    if modifier == "alternating":
+        c *= (-1.0) ** j
+    elif modifier == "oscillating":
+        c *= np.cos(draw(st.floats(0.05, 3.0)) * j)
+    elif modifier == "random signs":
+        signs = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        c[1:] *= signs.choice([-1.0, 1.0], size - 1)
+    if kind == "toeplitz" and draw(st.booleans()):
+        c[1::2] = 0.0
+    return dz.Section(kind, c, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_sections())
+@example(dz.Section("toeplitz", np.where(np.arange(200) % 2, 0.0,
+                                         (np.arange(200) + 1.0) ** -1.5), 200))
+@example(dz.Section("hankel", np.cos(0.7 * np.arange(255))
+                    * (np.arange(255) + 1.0) ** -1.0, 128))
+def test_random_sections_match_the_dense_svd(section):
+    # either the dense path, or the dense values above 1e-12 sigma_1 to
+    # within 1e-12 sigma_1 and the dense count, up to values within a
+    # factor of 2 of the drop tolerance
+    seq = dz.singular_values(section)
+    if seq.method == "dense":
+        return
+    dense = np.linalg.svd(section.dense(), compute_uv=False)
+    scale, drop = dense[0], dz.SVD_DROP_TOL * dense[0]
+    head = dense[:len(seq)]
+    wanted = head > 1e-12 * scale
+    assert np.abs(seq.values - head)[wanted].max() <= 1e-12 * scale
+    lo, hi = sorted((seq.kept, int(np.count_nonzero(dense > drop))))
+    assert np.all((dense[lo:hi] >= 0.5 * drop) & (dense[lo:hi] <= 2.0 * drop))
 
 
 def _thread_counts():
@@ -374,7 +462,7 @@ class TestOneBlasThread:
         monkeypatch.setattr(dz.Section, "dense", _no_dense)
         section = (dz.hilbert_section(n) if operator == "hilbert"
                    else dz.riemann_liouville_section(1.0, n))
-        seq, seen = self._counts_seen_by(monkeypatch, "_bidiagonalize",
+        seq, seen = self._counts_seen_by(monkeypatch, "_lanczos",
                                          section)
         assert seq.method == "lanczos"
         assert seen == [[1] * len(before)]
@@ -386,7 +474,7 @@ class TestOneBlasThread:
         monkeypatch.setattr(dz, "ONE_THREAD_MAX_N", 512)
         monkeypatch.setattr(dz.Section, "dense", _no_dense)
         seq, seen = self._counts_seen_by(
-            monkeypatch, "_bidiagonalize",
+            monkeypatch, "_lanczos",
             dz.riemann_liouville_section(1.0, 1024))
         assert seq.method == "lanczos"
         assert seen == [before]
@@ -395,7 +483,7 @@ class TestOneBlasThread:
     def test_dense_fallback_keeps_the_process_counts(self, monkeypatch):
         _needs_openblas()
         before = _thread_counts()
-        monkeypatch.setattr(dz, "_bidiagonalize", lambda *args: None)
+        monkeypatch.setattr(dz, "_lanczos", lambda *args: None)
         seq, seen = self._counts_seen_by(
             monkeypatch, "_dense_singular_values",
             dz.riemann_liouville_section(1.0, 256))
@@ -419,7 +507,7 @@ class TestOneBlasThread:
         # a fresh interpreter: this one has solved sections already
         script = ("import illposed, illposed.cli, illposed.discretize as dz\n"
                   "print([f.cache_info().misses for f in (dz._openblas_libraries,"
-                  " dz._openblas_controls, dz._lapacke_dbdsdc)])")
+                  " dz._openblas_controls, dz._lapacke_dstevd)])")
         src = os.path.dirname(os.path.dirname(os.path.abspath(dz.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", script],
@@ -454,53 +542,53 @@ class TestOneBlasThread:
         assert _thread_counts() == before
 
 
-def _needs_dbdsdc():
-    if dz._lapacke_dbdsdc() is None:
-        pytest.skip("no LAPACKE_dbdsdc in this process")
+def _needs_dstevd():
+    if dz._lapacke_dstevd() is None:
+        pytest.skip("no LAPACKE_dstevd in this process")
 
 
-class TestBidiagonalSvd:
-    @pytest.mark.parametrize("zeros", [None, "diagonal", "superdiagonal"])
+class TestTridiagonalEigh:
+    @pytest.mark.parametrize("zeros", [None, "diagonal", "offdiagonal"])
     @pytest.mark.parametrize("m", [1, 2, 3, 17, 300])
-    def test_equals_the_dense_svd_bit_for_bit(self, m, zeros):
-        _needs_dbdsdc()
+    def test_equals_eigh_bit_for_bit(self, m, zeros):
+        _needs_dstevd()
         rng = np.random.default_rng(m)
-        d = 10.0 ** rng.uniform(-14.0, 0.0, m)
+        d = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-14.0, 0.0, m)
         e = 10.0 ** rng.uniform(-14.0, 0.0, m - 1)
         if zeros == "diagonal":
             d[rng.permutation(m)[:max(1, m // 5)]] = 0.0
-        elif zeros == "superdiagonal":
+        elif zeros == "offdiagonal":
             e[rng.permutation(m - 1)[:max(1, m // 5)]] = 0.0
-        dense = np.linalg.svd(np.diag(d) + np.diag(e, 1))
-        found = dz._bidiagonal_svd(d, e)
+        dense = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        found = dz._tridiagonal_eigh(d, e)
         for want, got in zip(dense, found):
             assert got.flags.c_contiguous
             assert np.array_equal(got, want)
 
-    def test_non_finite_entries_raise_as_the_dense_svd_does(self):
-        _needs_dbdsdc()
+    def test_non_finite_entries_raise_as_eigh_does(self):
+        _needs_dstevd()
         d, e = np.array([1.0, math.nan, 0.5]), np.array([0.25, 0.125])
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.svd(np.diag(d) + np.diag(e, 1))
-        with pytest.raises(np.linalg.LinAlgError, match="dbdsdc"):
-            dz._bidiagonal_svd(d, e)
+            np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        with pytest.raises(np.linalg.LinAlgError, match="dstevd"):
+            dz._tridiagonal_eigh(d, e)
 
-    def test_superdiagonal_of_the_wrong_length_is_refused(self):
+    def test_off_diagonal_of_the_wrong_length_is_refused(self):
         # no pointer past the end of e reaches LAPACK
-        _needs_dbdsdc()
+        _needs_dstevd()
         for e in ([0.5, 0.5], []):
             with pytest.raises(ValueError):
-                dz._bidiagonal_svd([1.0, 2.0], e)
+                dz._tridiagonal_eigh([1.0, 2.0], e)
 
     @pytest.mark.parametrize("section", [
         dz.riemann_liouville_section(1.0, 512),
         dz.riemann_liouville_section(0.5, 512),
         dz.hilbert_section(512),
-        dz.hilbert_section(3)])  # a test at m = 1
+        dz.hilbert_section(2)])  # a test at m = 1
     def test_solve_without_the_symbol_gives_the_same_spectrum(
             self, monkeypatch, section):
         seq = dz.singular_values(section)
-        monkeypatch.setattr(dz, "_lapacke_dbdsdc", lambda: None)
+        monkeypatch.setattr(dz, "_lapacke_dstevd", lambda: None)
         again = dz.singular_values(section)
         assert (again.method, again.kept) == (seq.method, seq.kept)
         assert np.array_equal(again.values, seq.values)

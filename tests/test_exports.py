@@ -30,7 +30,7 @@ def test_package_reexports_resolve():
 def test_commands_run_on_numpy_alone():
     # the package imports no scipy: quadrature is distribution._quad, the
     # section products use numpy.fft and the section spectra come from
-    # discretize._bidiagonalize.  A fresh interpreter, because pytest's
+    # discretize._lanczos.  A fresh interpreter, because pytest's
     # warning filters import scipy.integrate into this one.
     script = ("import io, contextlib, sys\n"
               "import illposed, illposed.cli, illposed.acceptance\n"
