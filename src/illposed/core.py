@@ -81,7 +81,10 @@ class Thresholds:
     exact finite-data counterpart, so these numbers are configuration, not
     mathematics.  ``drift_tol`` separates ratio sequences that have settled
     (relative change below it across the tail window -> moderate) from ones
-    still rising or falling (-> severe / mild candidates).
+    still rising or falling (-> severe / mild candidates).  ``residual_tol``
+    is the one fit tolerance: a decay fit whose rms residual, relative to
+    the range of its dependent variable, is below it may settle a class
+    the ratios leave open and give the degree.
     """
 
     tau_mild: float = 0.05
@@ -89,7 +92,7 @@ class Thresholds:
     tau_collapse: float = 0.1
     window_fraction: float = 1.0 / 3.0
     drift_tol: float = 0.1
-    residual_tol: float = 1e-3
+    residual_tol: float = 0.02
     min_tail_samples: int = 10
 
     def __post_init__(self):

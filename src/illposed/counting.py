@@ -14,9 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (CORNERS, DEFAULT_THRESHOLDS, INF, InsufficientDataError,
-                   IllPosednessInterval, LEBESGUE_HALFLINE, MODERATE,
-                   MeasureSpace, Multiplier, DistributionFunction,
-                   SigmaSequence)
+                   IllPosednessInterval, LEBESGUE_HALFLINE, MeasureSpace,
+                   Multiplier, DistributionFunction, SigmaSequence)
 from . import estimate
 
 __all__ = [
@@ -119,21 +118,18 @@ def interval_from_sigma(sigma: SigmaSequence, window=None,
 
     The degree of the counting function equals that of the singular values,
     so this estimates the whole :func:`corner_curve` of the window, as
-    :func:`estimate_curve` does.  The diagnostics record the index range of
-    the corners, the regression of ln n against -2 ln sigma_n and, when that
-    fit is accepted, its ``regression_degree``, which unlike the raw
-    exponents is insensitive to constant prefactors.
+    :func:`estimate_curve` does.  The diagnostics add the index range of
+    the corners and the decay fits; the power-law slope of -ln sigma_n on
+    ln n is the degree, free of the constant prefactors that bias the raw
+    exponents.
     """
     if len(sigma) < 32:
         raise InsufficientDataError(
             f"need at least 32 singular values, got {len(sigma)}")
     phi = corner_curve(sigma, window)
-    interval, (slope, rms, degree) = estimate.read_curve(phi, thresholds)
+    interval, _, fits = estimate.read_curve(phi, thresholds)
     n = np.rint(np.exp(phi.log_phi[[0, -1]]))
-    interval.diagnostics.update(regression_slope=slope, regression_rms=rms,
-                                window_indices=(int(n[0]), int(n[1])))
-    if degree is not None:
-        interval.diagnostics["regression_degree"] = degree
+    interval.diagnostics.update(fits, window_indices=(int(n[0]), int(n[1])))
     return interval
 
 
@@ -144,17 +140,17 @@ def interval_from_counting(phi: DistributionFunction,
 
 
 def estimate_curve(phi: DistributionFunction, thresholds=DEFAULT_THRESHOLDS):
-    """Interval, degree and regression diagnostics of a distribution curve.
+    """Interval, degree and decay-fit diagnostics of a distribution curve.
 
-    Both come from one tail window.  The degree is the regression-refined
-    one when the interval is moderate and the power-law fit is accepted,
-    since constant prefactors bias the raw ratio window; otherwise it is
-    the interval's own degree.
+    All three come from one window, by the one rule of
+    :func:`estimate.read_curve`: the ratio classifier decides and a
+    power-law or log-law fit settles what it leaves open.  The degree is
+    the power-law slope of a moderate curve whenever that fit is accepted,
+    since constant prefactors bias the ratio window; otherwise it is the
+    interval's own.
     """
-    interval, (slope, rms, degree) = estimate.read_curve(phi, thresholds)
-    if interval.classification != MODERATE or degree is None:
-        degree = interval.degree
-    return interval, degree, {"regression_slope": slope, "regression_rms": rms}
+    interval, fitted, fits = estimate.read_curve(phi, thresholds)
+    return interval, interval.degree if fitted is None else fitted, fits
 
 
 def step_multiplier_from_sigma(sigma: SigmaSequence):

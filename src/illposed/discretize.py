@@ -26,8 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DEFAULT_THRESHOLDS, INDETERMINATE, MODERATE, SEVERE,
-                   IllPosednessInterval, InsufficientDataError, Report,
+from .core import (DEFAULT_THRESHOLDS, InsufficientDataError, Report,
                    SigmaSequence)
 from . import counting as _counting
 from . import distribution as _distribution
@@ -49,7 +48,6 @@ __all__ = [
 ]
 
 SVD_DROP_TOL = 1e-14
-FIT_TOL = 0.02  # relative rms residual that selects a decay model
 # per-pair residual bound ||S x - theta x|| <= RESIDUAL_TOL * |theta_1|
 RESIDUAL_TOL = 1e-10
 EPS = np.finfo(float).eps
@@ -670,26 +668,13 @@ def _trusted_window(n_kept):
     return max(4, n_kept // 128), max(16, n_kept // 8)
 
 
-def _spectrum_fits(n, y):
-    """Power-law vs exponential fit of y = -ln sigma_n over the indices n."""
-    slope_p, _, rms_p = _estimate.power_law_fit(np.log(n), y)
-    rate_e, _, rms_e = _estimate.power_law_fit(n, y)
-    scale = max(float(y.max() - y.min()), 1e-300)
-    return {"power_slope": slope_p, "power_rms_rel": rms_p / scale,
-            "exp_rate": rate_e, "exp_rms_rel": rms_e / scale}
-
-
 def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
     """matrix or Section -> singular values -> corner curve -> classification.
 
     Finite sections carry the true spectrum only in their lower index
-    range, where the ratio samples of the corner curve (the raw decay
-    exponents) are still biased by constant prefactors.  So [A, B] are
-    their extremes, but the classification selects between an
-    algebraic-decay model (moderate; degree = fitted exponent) and an
-    exponential-decay model (severe) by the quality of the corresponding
-    fits, and falls back to the estimator when neither fits or the window
-    is too short to tell them apart.
+    range, :func:`_trusted_window`, whose corner curve is read like any
+    singular value law's, by :func:`counting.estimate_curve`.  A window of
+    two corners is too short for any decision: indeterminate.
     """
     seq = singular_values(m)
     kept = seq.kept
@@ -698,38 +683,14 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
         raise ValueError(f"{kept} singular value(s) kept: too few for a "
                          "two-point estimation window")
     phi = _counting.corner_curve(seq, (lo, hi))
+    try:
+        interval, degree, fits = _counting.estimate_curve(phi, thresholds)
+    except InsufficientDataError as exc:
+        interval, degree = _estimate.indeterminate_interval(str(exc)), None
+        fits = _estimate.NO_FIT
     diagnostics = {"window_indices": (lo, hi), "kept_values": kept,
-                   "spectrum": {"method": seq.method, "computed": len(seq)}}
-    fits = _spectrum_fits(np.arange(lo, hi + 1, dtype=float),
-                          -np.log(seq.values[lo - 1:hi]))
-    diagnostics.update(fits)
-    values = [r for _, r in _estimate.ratio_samples(phi)]
-    lower = max(0.0, min(values, default=0.0))
-    upper = max(lower, max(values, default=math.inf))
-    # a line through two points fits exactly, and roundoff would pick the
-    # decay model, so a fit decides only on three points or more
-    fitted = hi - lo >= 2
-    power_ok = fitted and fits["power_rms_rel"] <= FIT_TOL \
-        and fits["power_slope"] > 0
-    exp_ok = fitted and fits["exp_rms_rel"] <= FIT_TOL and fits["exp_rate"] > 0
-    degree = None
-    if power_ok and (not exp_ok
-                     or fits["power_rms_rel"] <= fits["exp_rms_rel"]):
-        classification = MODERATE
-        degree = fits["power_slope"]
-    elif exp_ok:
-        classification = SEVERE
-    else:
-        try:
-            fallback, degree, _ = _counting.estimate_curve(phi, thresholds)
-            classification = fallback.classification
-            diagnostics.update(fallback.diagnostics)
-        except InsufficientDataError:
-            classification = INDETERMINATE
-    collapsed = degree if (classification == MODERATE
-                           and upper - lower < thresholds.tau_collapse) else None
-    interval = IllPosednessInterval(lower, upper, classification, collapsed,
-                                    dict(diagnostics))
+                   "spectrum": {"method": seq.method, "computed": len(seq)},
+                   **fits}
     if operator == "hilbert":
         diagnostics["discretization_artifact"] = (
             "finite sections of the Hilbert matrix have exponentially "

@@ -4,9 +4,11 @@ The asymptotic lower/upper limits are approximated by the min/max of the
 ratio samples over a tail window.  Window min/max alone cannot tell a
 diverging ratio sequence (severe) from one converging to a positive limit
 from below (moderate with a prefactor), so the decision also uses the
-relative drift across the window and a coarse monotone-trend check.  A
-least-squares power-law fit provides the refined degree estimate whenever
-the curve really is a power law.
+relative drift across the window and a coarse monotone-trend check.  Where
+that leaves the class open, two least-squares decay fits over the same
+window settle it: a power law of Phi (moderate) or a power of ln(1/eps)
+(severe).  The power law's slope is the degree itself, free of the
+prefactor bias of the ratios.
 """
 
 from __future__ import annotations
@@ -29,8 +31,12 @@ __all__ = [
     "power_law_fit",
 ]
 
-# the regression report of a curve without a fit: (slope, rms, degree)
-_NO_FIT = (None, math.inf, None)
+FIT_KEYS = ("power_slope", "power_rms_rel", "log_exponent", "log_rms_rel")
+# the decay fits of a curve without a window
+NO_FIT = dict(zip(FIT_KEYS, (None, math.inf, None, math.inf)))
+# a line through two points fits exactly, and roundoff in its residual
+# would pick the model, so a fit decides only on three samples or more
+MIN_FIT_SAMPLES = 3
 
 
 def power_law_fit(x, y):
@@ -75,19 +81,19 @@ def classify_window(window, thresholds=DEFAULT_THRESHOLDS):
     window to keep rising (relative drift >= drift_tol with an increasing
     trend) or to clear tau_severe outright; mild needs a falling or already
     negligible window; moderate needs the window to have settled between the
-    two cutoffs.
+    two cutoffs.  A window shorter than ``min_tail_samples`` is
+    indeterminate.
     """
     t = thresholds
     w = np.asarray(window, dtype=float)
-    if w.size < t.min_tail_samples:
-        raise InsufficientDataError(
-            f"need at least {t.min_tail_samples} tail samples, got {w.size}")
     lo, hi = float(w.min()), float(w.max())
     # nan across a window of +inf ratios, +-inf across ratios near 1e308
     with np.errstate(invalid="ignore", over="ignore"):
         drift = float((w[-1] - w[0]) / max(abs(w[-1]), 1e-300))
     trend = _block_trend(w)
-    if lo > t.tau_severe or (drift >= t.drift_tol and trend == "increasing"):
+    if w.size < t.min_tail_samples:
+        cls = INDETERMINATE
+    elif lo > t.tau_severe or (drift >= t.drift_tol and trend == "increasing"):
         cls = SEVERE
     elif hi < t.tau_mild or (drift <= -t.drift_tol and trend == "decreasing"
                              and w[-1] < t.tau_mild):
@@ -102,14 +108,19 @@ def classify_window(window, thresholds=DEFAULT_THRESHOLDS):
                          "drift": drift, "window_values": w.tolist()}
 
 
-def _tail(thresholds, *arrays):
-    """The tail window of coarse-to-fine sample arrays of one length."""
-    t, size = thresholds, len(arrays[0])
-    if size < t.min_tail_samples:
-        raise InsufficientDataError(
-            f"need at least {t.min_tail_samples} samples, got {size}")
-    k = max(t.min_tail_samples, int(math.ceil(size * t.window_fraction)))
-    return tuple(a[-k:] for a in arrays)
+def decay_fits(neg_log, log_phi):
+    """The two decay models fitted over one window of usable samples.
+
+    power: -ln(eps)/2 = a + p ln Phi, whose slope p is the degree;
+    log:   ln Phi = c + kappa ln ln(1/eps), severe for kappa > 0.
+    Each rms residual is relative to the range of its dependent variable.
+    """
+    ln_ln = np.fromiter(map(math.log, neg_log.tolist()), float, neg_log.size)
+    out = []
+    for x, y in ((log_phi, 0.5 * neg_log), (ln_ln, log_phi)):
+        slope, _, rms = power_law_fit(x, y)
+        out += [slope, rms / max(float(y.max() - y.min()), 1e-300)]
+    return dict(zip(FIT_KEYS, out))
 
 
 def indeterminate_interval(reason):
@@ -119,30 +130,49 @@ def indeterminate_interval(reason):
 
 
 def read_curve(phi, thresholds=DEFAULT_THRESHOLDS):
-    """Interval estimate and power-law fit of ``phi`` from one tail window.
+    """Interval, fitted degree and decay fits of ``phi``, from one window.
 
-    The window is the tail of the samples :func:`core.usable_samples`
+    The window is the trailing ``window_fraction``, at least
+    ``min_tail_samples``, of the samples :func:`core.usable_samples`
     selects; a corner curve (source ``core.CORNERS``), whose window was
-    chosen by index, is read whole.  The fit is ``(slope, rms, degree)``
-    of ln Phi against -ln eps (1/eps overflows below eps = 5.6e-309), with
-    the degree 1/(2*slope) only when the residual is below
-    ``residual_tol`` and the slope positive.  A non-informative curve, or
-    one without a usable sample, is indeterminate with no fit; 1 to
-    ``min_tail_samples - 1`` usable samples raise InsufficientDataError.
+    chosen by index, is read whole and needs three.  :func:`classify_window`
+    classifies the window's ratios.  Where it leaves the class open, a short
+    corner curve included, the better of the :func:`decay_fits` with a
+    positive slope and a relative rms below ``residual_tol`` decides: the
+    power law gives moderate, the log law severe.
+
+    Returns ``(interval, fitted, fits)``.  ``fitted`` is the power-law slope
+    of a moderate curve whose power-law fit is accepted, else None.  A
+    non-informative curve, or one without a usable sample, is indeterminate
+    with :data:`NO_FIT`; too few samples raise InsufficientDataError.
     """
     if phi.finiteness == NON_INFORMATIVE:
         return indeterminate_interval(
-            "distribution function attains +inf; not informative"), _NO_FIT
+            "distribution function attains +inf; not informative"), None, \
+            dict(NO_FIT)
     eps, neg_log, lp = usable_samples(phi.eps_grid, phi.log_phi)
     if not eps.size:
-        return indeterminate_interval("no usable ratio samples"), _NO_FIT
+        return indeterminate_interval("no usable ratio samples"), None, \
+            dict(NO_FIT)
+    t, need = thresholds, thresholds.min_tail_samples
     if phi.source == CORNERS:
-        thresholds = replace(thresholds, window_fraction=1.0)
-    eps, neg_log, lp = _tail(thresholds, eps, neg_log, lp)
+        t, need = replace(t, window_fraction=1.0), MIN_FIT_SAMPLES
+    if eps.size < need:
+        raise InsufficientDataError(
+            f"need at least {need} samples, got {eps.size}")
+    k = max(t.min_tail_samples, int(math.ceil(eps.size * t.window_fraction)))
+    eps, neg_log, lp = eps[-k:], neg_log[-k:], lp[-k:]
     r = _ratios(neg_log, lp)
-    cls, degree, diags = classify_window(r, thresholds)
+    cls, degree, diags = classify_window(r, t)
     diags["window_eps"] = eps.tolist()
-    diags["window_fraction"] = thresholds.window_fraction
+    diags["window_fraction"] = t.window_fraction
+    fits = decay_fits(neg_log, lp)
+    accepted = {c: rms for c, slope, rms in (
+        (MODERATE, fits["power_slope"], fits["power_rms_rel"]),
+        (SEVERE, fits["log_exponent"], fits["log_rms_rel"]))
+        if r.size >= MIN_FIT_SAMPLES and rms < t.residual_tol and slope > 0}
+    if cls == INDETERMINATE and accepted:
+        cls = min(accepted, key=accepted.get)  # the power law on a tie
     lower = max(0.0, float(r.min()))
     interval = IllPosednessInterval(lower, max(lower, float(r.max())), cls,
                                     degree, diags)
@@ -150,27 +180,27 @@ def read_curve(phi, thresholds=DEFAULT_THRESHOLDS):
         # counts saturated at the stored length somewhere on the grid; the
         # tail of the curve is then an artifact of missing data
         interval.diagnostics["exhausted_data"] = True
-    slope, _, rms = power_law_fit(neg_log, lp)
-    degree = 1.0 / (2.0 * slope) \
-        if rms < thresholds.residual_tol and slope > 0 else None
-    return interval, (slope, rms, degree)
+    fitted = fits["power_slope"] \
+        if cls == MODERATE and MODERATE in accepted else None
+    return interval, fitted, fits
 
 
 def regression_report(phi, thresholds=DEFAULT_THRESHOLDS):
-    """Power-law fit of log Phi against ln(1/eps) over the tail window.
+    """The power-law fit of :func:`read_curve`: ``(slope, rms, fitted)``.
 
-    Returns ``(slope, rms, degree)`` where the degree 1/(2*slope) is None
-    whenever the fit residual exceeds the threshold (the curve is not a
-    power law) or the slope is not positive.  Unlike the raw ratio, the
-    fitted slope is insensitive to constant prefactors in Phi.  A curve
-    with fewer usable samples than a window needs has no fit.
+    The slope of -ln(eps)/2 on ln Phi is the degree, insensitive to
+    constant prefactors in Phi, and the rms is relative to the range of
+    -ln(eps)/2.  ``fitted`` is the slope of a moderate curve whose fit is
+    accepted, else None.  A curve with too few usable samples for a
+    window has no fit.
     """
     try:
-        return read_curve(phi, thresholds)[1]
+        _, fitted, fits = read_curve(phi, thresholds)
     except InsufficientDataError:
-        return _NO_FIT
+        fitted, fits = None, NO_FIT
+    return fits["power_slope"], fits["power_rms_rel"], fitted
 
 
 def regression_estimate(phi, thresholds=DEFAULT_THRESHOLDS):
-    """Degree from the power-law fit, or None when the fit is poor."""
+    """Degree from the power-law fit of a moderate curve, or None."""
     return regression_report(phi, thresholds)[2]

@@ -530,8 +530,8 @@ def analyze(model, grid=None, thresholds=DEFAULT_THRESHOLDS, n_terms=4096,
 
     The report shows :func:`curve`.  The estimate reads the same curve for
     a multiplier and the corners of the counting curve for a singular value
-    law.  The reported degree is the regression-refined one whenever the
-    tail is power-law.
+    law, by the one rule of :func:`counting.estimate_curve`; a moderate
+    degree is the power-law slope whenever that fit is accepted.
     """
     phi = estimated = curve(model, grid, n_terms, method, trim)
     if model.kind == "sigma":  # the estimate reads the corners

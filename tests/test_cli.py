@@ -330,11 +330,37 @@ def test_sigma_report_diagnostics_come_from_the_one_estimator(capsys):
                        "--param", "alpha=0.5")
     assert code == 0
     payload = json.loads(out)
-    assert list(payload["diagnostics"]) == ["regression_slope",
-                                            "regression_rms", "trend", "drift"]
-    # ln n against -2 ln sigma_n = ln n: slope 1/(2 alpha)
-    assert payload["diagnostics"]["regression_slope"] == pytest.approx(1.0)
+    assert list(payload["diagnostics"]) == [
+        "power_slope", "power_rms_rel", "log_exponent", "log_rms_rel",
+        "trend", "drift"]
+    # -ln sigma_n = alpha ln n against ln n: the slope is the degree
+    assert payload["diagnostics"]["power_slope"] == pytest.approx(0.5)
     assert payload["degree"] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("model, terms, degree, tol", [
+    ("riemann_liouville", "16", 1.0, 1e-12),
+    ("riemann_liouville", "8", 1.0, 1e-12),
+    ("sobolev_embedding", "16", 1.0, 1e-12),
+    ("sobolev_embedding", "8", 1.0, 1e-12),
+    # the finite-window bias of the slowly converging law (the limit is 1)
+    ("multivariate_integration", "8", 0.55, 0.01)])
+def test_short_sigma_law_windows_are_read_by_the_fits(capsys, model, terms,
+                                                      degree, tol):
+    # 9 and 5 corners: fewer than the ratio classifier's 10, enough for a fit
+    code, out, err = run(capsys, "analyze", "--model", model,
+                         "--sigma-terms", terms)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["classification"] == "moderate"
+    assert payload["degree"] == pytest.approx(degree, abs=tol)
+
+
+def test_two_corners_leave_no_window(capsys):
+    code, out, err = run(capsys, "analyze", "--model", "riemann_liouville",
+                         "--sigma-terms", "3")
+    assert (code, out) == (1, "")
+    assert "need at least 3 samples, got 2" in err
 
 
 WEYL = ("analyze", "--model", "weyl", "--param", "p=3", "--param", "d=2",

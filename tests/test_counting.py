@@ -105,8 +105,8 @@ class TestCornerCurve:
         ref, degree, info = estimate_curve(corner_curve(seq))
         assert (iv.lower, iv.upper) == (ref.lower, ref.upper)
         assert iv.classification == ref.classification == "moderate"
-        assert iv.diagnostics["regression_slope"] == info["regression_slope"]
-        assert iv.diagnostics["regression_degree"] == degree
+        assert {k: iv.diagnostics[k] for k in info} == info
+        assert iv.diagnostics["power_slope"] == degree
         assert iv.diagnostics["window_indices"] == (512, 1024)
         # the whole window is the tail window
         assert len(iv.diagnostics["window_eps"]) == 513
@@ -119,8 +119,7 @@ class TestCornerCurve:
         assert len(interval.diagnostics["window_eps"]) == len(phi) == 2049
         assert repr(interval_from_counting(phi)) == repr(interval)
         slope, rms, fitted = regression_report(phi)
-        assert (slope, rms) == (info["regression_slope"],
-                                info["regression_rms"])
+        assert (slope, rms) == (info["power_slope"], info["power_rms_rel"])
         assert regression_estimate(phi) == fitted == degree
 
 
@@ -138,7 +137,7 @@ class TestIntervalFromSigma:
         n = np.arange(1, 4097, dtype=float)
         seq = SigmaSequence(n ** -0.5, tail_law=TailLaw.power(0.5))
         iv = interval_from_sigma(seq)
-        assert iv.diagnostics["regression_degree"] == pytest.approx(0.5)
+        assert iv.diagnostics["power_slope"] == pytest.approx(0.5)
 
     def test_multivariate_window_matches_oracle(self):
         # oracle: decay exponents of log(n+1)^2/n over the upper half window;
@@ -176,8 +175,8 @@ class TestIntervalFromSigma:
         # minimum is 1 - log(pi)/log(64) at its coarse end
         oracle = 1.0 - math.log(math.pi) / math.log(64.0)
         assert iv.lower == pytest.approx(oracle, abs=1e-12)
-        # the regression cross-check is prefactor-free
-        assert iv.diagnostics["regression_degree"] == pytest.approx(1.0)
+        # the power-law slope is prefactor-free
+        assert iv.diagnostics["power_slope"] == pytest.approx(1.0)
 
 
 class TestIntervalFromCounting:
@@ -223,15 +222,40 @@ class TestEstimateCurve:
         iv, degree, info = estimate_curve(self.prefactor_curve())
         assert iv.classification == "moderate"
         assert iv.degree == pytest.approx(0.93, abs=0.01)
-        assert degree == pytest.approx(1.0, abs=1e-12)
-        assert info["regression_slope"] == pytest.approx(0.5, abs=1e-12)
+        assert degree == info["power_slope"] == pytest.approx(1.0, abs=1e-12)
 
     def test_rejected_fit_falls_back_to_the_interval_degree(self):
         strict = Thresholds(residual_tol=0.0)  # no fit is ever accepted
         iv, degree, info = estimate_curve(self.prefactor_curve(), strict)
         assert iv.classification == "moderate"
         assert degree == iv.degree == pytest.approx(0.93, abs=0.01)
-        assert info["regression_rms"] >= strict.residual_tol
+        assert info["power_rms_rel"] >= strict.residual_tol
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    def test_log_law_is_severe_with_its_exponent(self, kappa):
+        # Phi = 2 ln(1/eps)^kappa
+        grid = geometric_grid(0.5, 1e-12, 60)
+        curve = DistributionFunction.build(
+            grid, math.log(2.0) + kappa * np.log(-np.log(grid)),
+            source="counting")
+        iv, degree, info = estimate_curve(curve)
+        assert (iv.classification, degree) == ("severe", None)
+        assert info["log_exponent"] == pytest.approx(kappa, abs=1e-10)
+        assert info["log_rms_rel"] < 1e-10
+
+    @pytest.mark.parametrize("sigma, cls, degree", [
+        (np.arange(1, 65, dtype=float) ** -2.0, "moderate", 2.0),
+        (np.exp(-np.arange(1, 65, dtype=float)), "severe", None)])
+    def test_fits_decide_only_below_the_residual_tolerance(self, sigma, cls,
+                                                           degree):
+        # five corners: too few for the ratio classifier, so only a fit
+        # decides; -ln sigma_n = 2 ln n is the power law and
+        # ln n = ln ln(1/sigma_n^2) - ln 2 the log law, exactly
+        phi = corner_curve(SigmaSequence(sigma), (4, 8))
+        iv, got, _ = estimate_curve(phi)
+        assert (iv.classification, got) == (cls, pytest.approx(degree))
+        iv, got, _ = estimate_curve(phi, Thresholds(residual_tol=0.0))
+        assert (iv.classification, got) == ("indeterminate", None)
 
     def test_severe_curve_keeps_no_degree(self):
         grid = geometric_grid(0.5, 1e-12, 60)

@@ -615,14 +615,31 @@ class TestDiscretizeCommand:
 
     @pytest.mark.parametrize("operator", ["j_alpha", "hilbert"])
     def test_two_point_window_leaves_the_class_open(self, capsys, operator):
-        # n = 3 gives the window 2 .. 3, through which both decay models fit
-        # exactly: roundoff in their residuals must not pick the class
+        # n = 3 gives the window 2 .. 3, through which both decay models
+        # fit exactly: two corners are too few for any fit to decide
         code = cli.main(["discretize", "--operator", operator, "--n", "3"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert payload["diagnostics"]["window_indices"] == [2, 3]
-        assert payload["diagnostics"]["power_rms_rel"] < dz.FIT_TOL
-        assert payload["diagnostics"]["exp_rms_rel"] < dz.FIT_TOL
+        diagnostics = payload["diagnostics"]
+        assert diagnostics["window_indices"] == [2, 3]
+        assert (diagnostics["power_slope"], diagnostics["log_exponent"]) == \
+            (None, None)
+        assert (payload["classification"], payload["degree"]) == \
+            ("indeterminate", None)
+        assert payload["interval"] == {"A": 0.0, "B": "inf"}
+
+    def test_residual_tolerance_is_read_from_the_config(self, tmp_path,
+                                                        capsys):
+        # the ratio classifier leaves j_alpha's n = 512 window open, and
+        # with residual_tol = 0 no fit settles it
+        argv = ["discretize", "--operator", "j_alpha", "--n", "512"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["classification"] == \
+            "moderate"
+        cfg = tmp_path / "thresholds.cfg"
+        cfg.write_text("residual_tol = 0\n")
+        assert cli.main(argv + ["--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert (payload["classification"], payload["degree"]) == \
             ("indeterminate", None)
 
@@ -648,6 +665,36 @@ class TestDiscretizeCommand:
         assert err.count("\n") == 1
 
 
+SECTION_SIZES = (3, 8, 16, 32, 64, 128, 289)
+# class and degree of each section by size.  The ratio classifier decides
+# j_alpha at n = 32 (alpha = 0.5, 1 and 2), alpha = 2 at 64 and hilbert
+# from 128; a fit settles hilbert's corner windows of 5 to 9 values
+# (n = 8 to 64) and the windows of j_alpha that the classifier leaves open
+# from n = 64 on
+_OPEN = ("indeterminate", None)
+_SEVERE = ("severe", None)
+SECTION_CLASSES = {
+    ("j_alpha", 0.25): dict(zip(SECTION_SIZES, [
+        _OPEN, _OPEN, _OPEN, _OPEN, ("moderate", 0.2827574462628349),
+        ("moderate", 0.27624719085578825),
+        ("moderate", 0.26856856673141694)])),
+    ("j_alpha", 0.5): dict(zip(SECTION_SIZES, [
+        _OPEN, _OPEN, _OPEN, ("moderate", 0.741993385106632),
+        ("moderate", 0.5744664567654773), ("moderate", 0.550975433665238),
+        ("moderate", 0.5348767965519213)])),
+    ("j_alpha", 1.0): dict(zip(SECTION_SIZES, [
+        _OPEN, _OPEN, _OPEN, _SEVERE, ("moderate", 1.1023216272585206),
+        ("moderate", 1.0771198376482014),
+        ("moderate", 1.0499763817085794)])),
+    ("j_alpha", 2.0): dict(zip(SECTION_SIZES, [
+        _OPEN, _OPEN, _OPEN, ("moderate", None), ("moderate", None),
+        ("moderate", 2.1423837856816395),
+        ("moderate", 2.0916315917764408)])),
+    # n = 8: five corners, which the log law fits
+    ("hilbert", 1.0): dict(zip(SECTION_SIZES, [_OPEN] + [_SEVERE] * 6)),
+}
+
+
 class TestPipelines:
     def test_riemann_liouville_end_to_end(self):
         rep = dz.pipeline_from_matrix(dz.riemann_liouville_section(1.0, 2048),
@@ -661,24 +708,42 @@ class TestPipelines:
         assert rep.classification == "severe"
         assert "discretization_artifact" in rep.diagnostics
 
+    @pytest.mark.parametrize("operator, alpha, n, cls, degree", [
+        (op, alpha, n, *SECTION_CLASSES[op, alpha][n])
+        for op, alpha in SECTION_CLASSES for n in SECTION_SIZES])
+    def test_section_class_table(self, operator, alpha, n, cls, degree):
+        if operator == "hilbert":
+            section = dz.hilbert_section(n)
+        else:
+            section = dz.riemann_liouville_section(alpha, n)
+        rep = dz.pipeline_from_matrix(section, operator=operator)
+        assert rep.classification == cls
+        if degree is None:
+            assert rep.degree is None
+        else:
+            assert rep.degree == pytest.approx(degree, rel=1e-9)
+
     def test_window_above_one_gives_no_ratio_samples(self):
-        # eps = sigma_n^2 >= 1 across the window (4 .. 32): the ratio
-        # ln eps / (-2 ln n) is undefined there, so [A, B] says nothing
+        # eps = sigma_n^2 >= 1 across the window (4 .. 32): the estimator
+        # reads only samples with eps < 1, so nothing decides the class
         scaled = 1e3 * dz.riemann_liouville_matrix(1.0, 256)
         rep = dz.pipeline_from_matrix(scaled)
         assert (rep.interval.lower, rep.interval.upper) == (0.0, math.inf)
-        assert rep.classification == "moderate"
+        assert (rep.classification, rep.degree) == ("indeterminate", None)
+        assert rep.diagnostics["power_slope"] is None
 
     def test_no_decay_fit_falls_back_to_the_corner_estimate(self):
-        # -ln sigma_n = sqrt(n) is neither linear in ln n nor in n over
-        # the window 4 .. 16: the estimator reads the corner curve
+        # -ln sigma_n = (ln n)^2 is neither linear in ln n nor a power of
+        # ln n over the window 4 .. 16: the ratio classifier's class stands
         n = np.arange(1, 65, dtype=float)
-        rep = dz.pipeline_from_matrix(np.diag(np.exp(-np.sqrt(n))))
+        rep = dz.pipeline_from_matrix(np.diag(np.exp(-np.log(n) ** 2)))
         assert rep.diagnostics["window_indices"] == (4, 16)
+        tol = dz.DEFAULT_THRESHOLDS.residual_tol
         assert min(rep.diagnostics["power_rms_rel"],
-                   rep.diagnostics["exp_rms_rel"]) > dz.FIT_TOL
-        iv, degree, _ = counting.estimate_curve(
+                   rep.diagnostics["log_rms_rel"]) > tol
+        iv, degree, fits = counting.estimate_curve(
             counting.corner_curve(rep.sigma, (4, 16)))
+        assert (rep.classification, rep.degree) == ("severe", None)
         assert (rep.classification, rep.degree) == (iv.classification, degree)
         assert (rep.interval.lower, rep.interval.upper) == (iv.lower, iv.upper)
-        assert rep.diagnostics["trend"] == iv.diagnostics["trend"]
+        assert {k: rep.diagnostics[k] for k in fits} == fits

@@ -7,8 +7,8 @@ import pytest
 from illposed.core import (DistributionFunction, InsufficientDataError,
                            Thresholds, geometric_grid)
 from illposed.counting import interval_from_counting
-from illposed.estimate import (ratio_samples, regression_estimate,
-                               regression_report)
+from illposed.estimate import (ratio_samples, read_curve,
+                               regression_estimate, regression_report)
 
 
 def power_curve(s, c=1.0, eps_min=1e-10, points=60, eps_max=0.9):
@@ -108,28 +108,35 @@ class TestIntervalEstimate:
 class TestRegression:
     def test_power_slope_recovers_degree(self):
         slope, rms, degree = regression_report(power_curve(1.0))
-        assert slope == pytest.approx(0.5, abs=1e-13)
+        assert slope == pytest.approx(1.0, abs=1e-12)
         assert rms < 1e-12
         assert degree == pytest.approx(1.0, abs=1e-12)
 
     def test_prefactor_invariance(self):
-        for c in (0.1, 1.0, 10.0):
-            for s in (0.5, 1.0, 2.0):
-                degree = regression_estimate(power_curve(s, c=c))
-                assert degree == pytest.approx(s, abs=1e-9)
+        # deep enough that ln Phi > 0 on most of the grid even at c = 1e-3
+        for c in (1e-3, 1.0, 1e3):
+            for s in (0.25, 1.0, 4.0):
+                curve = power_curve(s, c=c, eps_min=1e-200)
+                degree = regression_estimate(curve)
+                assert degree == pytest.approx(s, abs=1e-12)
 
     def test_log_curve_has_no_power_fit(self):
         grid = geometric_grid(0.9, 1e-12, 60)
         curve = DistributionFunction.build(grid, np.log(2.0 * np.log(1.0 / grid)),
                                            source="counting")
-        assert regression_estimate(curve) is None
+        slope, rms, degree = regression_report(curve)
+        interval, _, fits = read_curve(curve)
+        assert interval.classification == "severe"
+        assert degree is None
+        # ln Phi = ln 2 + ln ln(1/eps) is the log law itself
+        assert fits["log_exponent"] == pytest.approx(1.0, abs=1e-12)
+        assert fits["log_rms_rel"] < 1e-12 < rms
 
     def test_inverse_laplacian_rate(self):
-        # Phi = eps^(-1) in four dimensions: slope 1, degree 1/2 = 2/d
+        # Phi = eps^(-1) in four dimensions: degree 1/2 = 2/d
         curve = power_curve(0.5)
         slope, _, degree = regression_report(curve)
-        assert slope == pytest.approx(1.0, abs=1e-12)
-        assert degree == pytest.approx(0.5, abs=1e-12)
+        assert slope == degree == pytest.approx(0.5, abs=1e-12)
 
     def test_subnormal_eps_fit_without_a_warning(self):
         # 1/eps overflows below 5.6e-309; the fit reads -ln eps instead
@@ -137,8 +144,7 @@ class TestRegression:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             slope, rms, degree = regression_report(curve)
-        assert slope == pytest.approx(0.5, abs=1e-12)
-        assert degree == pytest.approx(1.0, abs=1e-12)
+        assert slope == degree == pytest.approx(1.0, abs=1e-12)
 
 
 def test_window_robustness_on_power_laws():

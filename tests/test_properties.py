@@ -383,7 +383,7 @@ def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
 
 # The estimator as it read curves one sample at a time, kept as the oracle
 # of the array pass: the scalar ratio and its loop, the tail window of a
-# list, and the regression's own filter.
+# list, and the decay fits on lists of the window's samples.
 
 def _ref_ratio(eps, log_phi):
     if not 0.0 < eps < 1.0:
@@ -402,59 +402,79 @@ def _ref_ratio_samples(phi):
     return out
 
 
-def _ref_tail(seq, fraction, minimum):
+def _ref_tail(seq, fraction, minimum, need):
     k = max(minimum, int(math.ceil(len(seq) * fraction)))
-    if len(seq) < minimum:
+    if len(seq) < need:
         raise InsufficientDataError(
-            f"need at least {minimum} samples, got {len(seq)}")
+            f"need at least {need} samples, got {len(seq)}")
     return seq[-k:]
 
 
-def _ref_interval(phi, t):
+_REF_NO_FIT = {"power_slope": None, "power_rms_rel": math.inf,
+               "log_exponent": None, "log_rms_rel": math.inf}
+
+
+def _ref_fit(x, y):
+    slope, _, rms = power_law_fit(x, y)
+    return slope, rms / max(max(y) - min(y), 1e-300)
+
+
+def _ref_read(phi, t):
+    """(interval, fitted degree, fits): the ratio classifier decides, and
+    the better accepted fit settles an open class."""
+    need = t.min_tail_samples
     if phi.source == "corners":
-        t = replace(t, window_fraction=1.0)
+        t, need = replace(t, window_fraction=1.0), 3
     if phi.finiteness == NON_INFORMATIVE:
         return indeterminate_interval(
-            "distribution function attains +inf; not informative")
-    samples = _ref_ratio_samples(phi)
+            "distribution function attains +inf; not informative"), None, \
+            dict(_REF_NO_FIT)
+    samples = [(e, lp) for e, lp in zip(phi.eps_grid.tolist(),
+                                        phi.log_phi.tolist())
+               if _ref_ratio(e, lp) is not None]
     if not samples:
-        return indeterminate_interval("no usable ratio samples")
-    tail = _ref_tail(samples, t.window_fraction, t.min_tail_samples)
-    w = [r for _, r in tail]
+        return indeterminate_interval("no usable ratio samples"), None, \
+            dict(_REF_NO_FIT)
+    tail = _ref_tail(samples, t.window_fraction, t.min_tail_samples, need)
+    w = [_ref_ratio(e, lp) for e, lp in tail]
     cls, degree, diags = classify_window(w, t)
     diags["window_eps"] = [e for e, _ in tail]
     diags["window_fraction"] = t.window_fraction
+    neg_log = [-math.log(e) for e, _ in tail]
+    log_phi = [lp for _, lp in tail]
+    p, p_rms = _ref_fit(log_phi, [0.5 * v for v in neg_log])
+    kappa, k_rms = _ref_fit([math.log(v) for v in neg_log], log_phi)
+    fits = {"power_slope": p, "power_rms_rel": p_rms,
+            "log_exponent": kappa, "log_rms_rel": k_rms}
+    # best first; "moderate" sorts before "severe" on a tie
+    accepted = sorted((rms, c) for rms, slope, c in
+                      ((p_rms, p, MODERATE), (k_rms, kappa, "severe"))
+                      if len(tail) >= 3 and rms < t.residual_tol and slope > 0)
+    if cls == "indeterminate" and accepted:
+        cls = accepted[0][1]
     lower = max(0.0, min(w))
     iv = IllPosednessInterval(lower, max(lower, max(w)), cls, degree, diags)
     if phi.finiteness == "exhausted":
         iv.diagnostics["exhausted_data"] = True
-    return iv
+    power_ok = any(c == MODERATE for _, c in accepted)
+    return iv, p if cls == MODERATE and power_ok else None, fits
+
+
+def _ref_interval(phi, t):
+    return _ref_read(phi, t)[0]
 
 
 def _ref_regression(phi, t):
-    if phi.source == "corners":
-        t = replace(t, window_fraction=1.0)
-    if phi.finiteness == NON_INFORMATIVE:
+    try:
+        _, fitted, fits = _ref_read(phi, t)
+    except InsufficientDataError:
         return None, math.inf, None
-    pairs = [(-math.log(e), lp)
-             for e, lp in zip(phi.eps_grid.tolist(), phi.log_phi.tolist())
-             if math.isfinite(lp) and lp > 0 and 0 < e < 1]
-    if len(pairs) < t.min_tail_samples:
-        return None, math.inf, None
-    tail = _ref_tail(pairs, t.window_fraction, t.min_tail_samples)
-    slope, _, rms = power_law_fit([p[0] for p in tail], [p[1] for p in tail])
-    degree = None
-    if rms < t.residual_tol and slope > 0:
-        degree = 1.0 / (2.0 * slope)
-    return slope, rms, degree
+    return fits["power_slope"], fits["power_rms_rel"], fitted
 
 
 def _ref_estimate_curve(phi, t):
-    interval = _ref_interval(phi, t)
-    slope, rms, degree = _ref_regression(phi, t)
-    if interval.classification != MODERATE or degree is None:
-        degree = interval.degree
-    return interval, degree, {"regression_slope": slope, "regression_rms": rms}
+    interval, fitted, fits = _ref_read(phi, t)
+    return interval, interval.degree if fitted is None else fitted, fits
 
 
 @st.composite
