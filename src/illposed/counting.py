@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (CORNERS, DEFAULT_THRESHOLDS, INF, InsufficientDataError,
                    IllPosednessInterval, LEBESGUE_HALFLINE, MeasureSpace,
-                   Multiplier, DistributionFunction, SigmaSequence)
+                   MODERATE, Multiplier, DistributionFunction, SigmaSequence)
 from . import estimate
 
 __all__ = [
@@ -150,7 +150,8 @@ def estimate_curve(phi: DistributionFunction, thresholds=DEFAULT_THRESHOLDS):
     interval's own.
     """
     interval, fitted, fits = estimate.read_curve(phi, thresholds)
-    return interval, interval.degree if fitted is None else fitted, fits
+    moderate = interval.classification == MODERATE
+    return interval, fitted if moderate and fitted else interval.degree, fits
 
 
 def step_multiplier_from_sigma(sigma: SigmaSequence):

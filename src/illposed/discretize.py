@@ -673,8 +673,9 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
 
     Finite sections carry the true spectrum only in their lower index
     range, :func:`_trusted_window`, whose corner curve is read like any
-    singular value law's, by :func:`counting.estimate_curve`.  A window of
-    two corners is too short for any decision: indeterminate.
+    singular value law's, by :func:`counting.estimate_curve`, and reports
+    its decay fits, trend and drift.  A window too short for any decision
+    (fewer than ``estimate.MIN_FIT_SAMPLES`` corners) is indeterminate.
     """
     seq = singular_values(m)
     kept = seq.kept
@@ -690,7 +691,8 @@ def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
         fits = _estimate.NO_FIT
     diagnostics = {"window_indices": (lo, hi), "kept_values": kept,
                    "spectrum": {"method": seq.method, "computed": len(seq)},
-                   **fits}
+                   **fits, "trend": interval.diagnostics.get("trend"),
+                   "drift": interval.diagnostics.get("drift")}
     if operator == "hilbert":
         diagnostics["discretization_artifact"] = (
             "finite sections of the Hilbert matrix have exponentially "

@@ -34,9 +34,9 @@ __all__ = [
 FIT_KEYS = ("power_slope", "power_rms_rel", "log_exponent", "log_rms_rel")
 # the decay fits of a curve without a window
 NO_FIT = dict(zip(FIT_KEYS, (None, math.inf, None, math.inf)))
-# a line through two points fits exactly, and roundoff in its residual
-# would pick the model, so a fit decides only on three samples or more
-MIN_FIT_SAMPLES = 3
+# a line through two points fits exactly, and the log law may fit three or
+# four corners of a power law better: a fit decides on five samples or more
+MIN_FIT_SAMPLES = 5
 
 
 def power_law_fit(x, y):
@@ -135,16 +135,19 @@ def read_curve(phi, thresholds=DEFAULT_THRESHOLDS):
     The window is the trailing ``window_fraction``, at least
     ``min_tail_samples``, of the samples :func:`core.usable_samples`
     selects; a corner curve (source ``core.CORNERS``), whose window was
-    chosen by index, is read whole and needs three.  :func:`classify_window`
-    classifies the window's ratios.  Where it leaves the class open, a short
-    corner curve included, the better of the :func:`decay_fits` with a
-    positive slope and a relative rms below ``residual_tol`` decides: the
-    power law gives moderate, the log law severe.
+    chosen by index, is read whole and needs :data:`MIN_FIT_SAMPLES` (or
+    ``min_tail_samples`` if fewer).  :func:`classify_window` classifies the
+    window's ratios.  Where it leaves the class open, a short corner curve
+    included, the better of the :func:`decay_fits` with a positive slope, a
+    relative rms below ``residual_tol`` and :data:`MIN_FIT_SAMPLES` samples
+    decides: the power law gives moderate, the log law severe unless the
+    window falls.
 
-    Returns ``(interval, fitted, fits)``.  ``fitted`` is the power-law slope
-    of a moderate curve whose power-law fit is accepted, else None.  A
-    non-informative curve, or one without a usable sample, is indeterminate
-    with :data:`NO_FIT`; too few samples raise InsufficientDataError.
+    Returns ``(interval, fitted, fits)``.  ``fitted`` is the slope of an
+    accepted power-law fit where the class is moderate or the power law is
+    the better accepted fit, else None.  A non-informative curve, or one
+    without a usable sample, is indeterminate with :data:`NO_FIT`; too few
+    samples raise InsufficientDataError.
     """
     if phi.finiteness == NON_INFORMATIVE:
         return indeterminate_interval(
@@ -156,7 +159,7 @@ def read_curve(phi, thresholds=DEFAULT_THRESHOLDS):
             dict(NO_FIT)
     t, need = thresholds, thresholds.min_tail_samples
     if phi.source == CORNERS:
-        t, need = replace(t, window_fraction=1.0), MIN_FIT_SAMPLES
+        t, need = replace(t, window_fraction=1.0), min(need, MIN_FIT_SAMPLES)
     if eps.size < need:
         raise InsufficientDataError(
             f"need at least {need} samples, got {eps.size}")
@@ -171,8 +174,11 @@ def read_curve(phi, thresholds=DEFAULT_THRESHOLDS):
         (MODERATE, fits["power_slope"], fits["power_rms_rel"]),
         (SEVERE, fits["log_exponent"], fits["log_rms_rel"]))
         if r.size >= MIN_FIT_SAMPLES and rms < t.residual_tol and slope > 0}
-    if cls == INDETERMINATE and accepted:
-        cls = min(accepted, key=accepted.get)  # the power law on a tie
+    if diags["trend"] == "decreasing":  # the ratios of a log law rise
+        accepted.pop(SEVERE, None)
+    best = min(accepted, key=accepted.get, default=None)  # power on a tie
+    if cls == INDETERMINATE and best:
+        cls = best
     lower = max(0.0, float(r.min()))
     interval = IllPosednessInterval(lower, max(lower, float(r.max())), cls,
                                     degree, diags)
@@ -181,7 +187,7 @@ def read_curve(phi, thresholds=DEFAULT_THRESHOLDS):
         # tail of the curve is then an artifact of missing data
         interval.diagnostics["exhausted_data"] = True
     fitted = fits["power_slope"] \
-        if cls == MODERATE and MODERATE in accepted else None
+        if MODERATE in accepted and MODERATE in (cls, best) else None
     return interval, fitted, fits
 
 
@@ -190,9 +196,9 @@ def regression_report(phi, thresholds=DEFAULT_THRESHOLDS):
 
     The slope of -ln(eps)/2 on ln Phi is the degree, insensitive to
     constant prefactors in Phi, and the rms is relative to the range of
-    -ln(eps)/2.  ``fitted`` is the slope of a moderate curve whose fit is
-    accepted, else None.  A curve with too few usable samples for a
-    window has no fit.
+    -ln(eps)/2.  ``fitted`` is the slope where that fit is accepted and
+    the class is moderate or it beats the log law (a prefactor can make a
+    power law's ratios rise), else None.  Too few samples give no fit.
     """
     try:
         _, fitted, fits = read_curve(phi, thresholds)
@@ -202,5 +208,5 @@ def regression_report(phi, thresholds=DEFAULT_THRESHOLDS):
 
 
 def regression_estimate(phi, thresholds=DEFAULT_THRESHOLDS):
-    """Degree from the power-law fit of a moderate curve, or None."""
+    """Degree from the accepted power-law fit of :func:`regression_report`."""
     return regression_report(phi, thresholds)[2]

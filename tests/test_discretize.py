@@ -643,6 +643,23 @@ class TestDiscretizeCommand:
         assert (payload["classification"], payload["degree"]) == \
             ("indeterminate", None)
 
+    @pytest.mark.parametrize("operator, cls", [("j_alpha", "moderate"),
+                                               ("hilbert", "severe")])
+    def test_old_absolute_residual_default_leaves_sections_open(
+            self, tmp_path, capsys, operator, cls):
+        # the old default 1e-3, now read as a relative rms, rejects the
+        # power law of j_alpha (0.0028) and the log law of hilbert (0.0017)
+        argv = ["discretize", "--operator", operator, "--n",
+                "512" if operator == "j_alpha" else "16"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["classification"] == cls
+        cfg = tmp_path / "thresholds.cfg"
+        cfg.write_text("residual_tol = 1e-3\n")
+        assert cli.main(argv + ["--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["classification"], payload["degree"]) == \
+            ("indeterminate", None)
+
     def test_infinite_alpha_is_rejected_without_warnings(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -747,3 +764,5 @@ class TestPipelines:
         assert (rep.classification, rep.degree) == (iv.classification, degree)
         assert (rep.interval.lower, rep.interval.upper) == (iv.lower, iv.upper)
         assert {k: rep.diagnostics[k] for k in fits} == fits
+        assert rep.diagnostics["trend"] == iv.diagnostics["trend"]
+        assert rep.diagnostics["drift"] == iv.diagnostics["drift"]

@@ -113,6 +113,12 @@ class TestRegression:
         assert degree == pytest.approx(1.0, abs=1e-12)
 
     def test_prefactor_invariance(self):
+        # at c = 10, s = 2 the ratio window still rises past drift_tol and
+        # reads severe; the exact power fit keeps its degree
+        for c in (0.1, 1.0, 10.0):
+            for s in (0.5, 1.0, 2.0):
+                degree = regression_estimate(power_curve(s, c=c))
+                assert degree == pytest.approx(s, abs=1e-9)
         # deep enough that ln Phi > 0 on most of the grid even at c = 1e-3
         for c in (1e-3, 1.0, 1e3):
             for s in (0.25, 1.0, 4.0):

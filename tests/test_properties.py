@@ -424,7 +424,7 @@ def _ref_read(phi, t):
     the better accepted fit settles an open class."""
     need = t.min_tail_samples
     if phi.source == "corners":
-        t, need = replace(t, window_fraction=1.0), 3
+        t, need = replace(t, window_fraction=1.0), min(need, 5)
     if phi.finiteness == NON_INFORMATIVE:
         return indeterminate_interval(
             "distribution function attains +inf; not informative"), None, \
@@ -449,7 +449,7 @@ def _ref_read(phi, t):
     # best first; "moderate" sorts before "severe" on a tie
     accepted = sorted((rms, c) for rms, slope, c in
                       ((p_rms, p, MODERATE), (k_rms, kappa, "severe"))
-                      if len(tail) >= 3 and rms < t.residual_tol and slope > 0)
+                      if len(tail) >= 5 and rms < t.residual_tol and slope > 0)
     if cls == "indeterminate" and accepted:
         cls = accepted[0][1]
     lower = max(0.0, min(w))
@@ -457,7 +457,8 @@ def _ref_read(phi, t):
     if phi.finiteness == "exhausted":
         iv.diagnostics["exhausted_data"] = True
     power_ok = any(c == MODERATE for _, c in accepted)
-    return iv, p if cls == MODERATE and power_ok else None, fits
+    power_best = cls == MODERATE or accepted[:1] == [(p_rms, MODERATE)]
+    return iv, p if power_ok and power_best else None, fits
 
 
 def _ref_interval(phi, t):
@@ -474,6 +475,8 @@ def _ref_regression(phi, t):
 
 def _ref_estimate_curve(phi, t):
     interval, fitted, fits = _ref_read(phi, t)
+    if interval.classification != MODERATE:
+        fitted = None
     return interval, interval.degree if fitted is None else fitted, fits
 
 
