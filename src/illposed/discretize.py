@@ -54,7 +54,7 @@ EPS = np.finfo(float).eps
 # a Lanczos coefficient this small against the largest one is rounding:
 # the Krylov subspace is exhausted
 EXHAUSTED = 4.0 * EPS
-# Lanczos steps the workspace holds before its one copy: hilbert sections
+# Lanczos steps the basis holds before its one copy: hilbert sections
 # stop within them (by m = 45 at n = 50000), j_alpha sections run on to
 # m = 140-597 at n = 512-2048 and then get all 3n/4 rows at once
 FIRST_ROWS = 64
@@ -62,7 +62,9 @@ FIRST_ROWS = 64
 # on one BLAS thread: the block is read twice in a row, the second time
 # from L2.  On a 2-vCPU Xeon it takes 14-19% off a pass over 150-600 rows
 # of n = 2048 on one thread, and adds 50-60% on two, so solves on the
-# library's threads orthogonalize against the whole basis at once.
+# library's threads orthogonalize against the whole basis at once.  The
+# final residual check multiplies its Ritz vectors by the section in
+# blocks whose FFT arrays hold about this many doubles.
 BLOCK_DOUBLES = 1 << 17
 TOEPLITZ = "toeplitz"
 HANKEL = "hankel"
@@ -91,7 +93,7 @@ DSTEVD_SYMBOLS = tuple(
     (f"{prefix}LAPACKE_dstevd{suffix}", integer)
     for prefix in ("scipy_", "")
     for suffix, integer in (("64_", ctypes.c_int64), ("", ctypes.c_int)))
-LAPACK_ROW_MAJOR = 101
+LAPACK_COL_MAJOR = 102
 
 
 def hilbert_matrix(n):
@@ -179,7 +181,9 @@ class Section:
                                                self.coeffs)), self.n)
 
     def operator(self):
-        """x -> S x by FFTs, for the symmetric form S = ``symmetric()``."""
+        """x -> S x by FFTs, for the symmetric form S = ``symmetric()``: a
+        vector of length n, or a (rows, n) block whose rows are each
+        multiplied."""
         n = self.n
         size = 1 << (2 * n - 2).bit_length()  # the power of two >= 2n - 1
         spectrum = np.fft.rfft(self.symmetric().coeffs, size)
@@ -190,7 +194,7 @@ class Section:
             # of wrap-around
             f = np.fft.rfft(x, size).conj()
             f *= spectrum
-            return np.fft.irfft(f, size)[:n]
+            return np.fft.irfft(f, size)[..., :n]
         return matvec
 
 
@@ -463,24 +467,25 @@ def _lanczos(matvec, n, k, blocked=False):
     kept is decided.  Tests double in size until k steps, then aim 5%
     past where the count of converged values, extrapolated from the last
     two tests, reaches the wanted count: one more step costs far less
-    than one more test.  The products W = S Q are kept, so the residuals
-    cost two matrix products and no FFT.  Q and W hold FIRST_ROWS steps
-    at first; a solve that runs past them copies them once into room for
-    3n/4 steps (``_widened``).
+    than one more test.  Only the basis Q is stored; the residuals of the
+    returned pairs are taken against S itself (``_ritz_residuals``).  Q
+    holds FIRST_ROWS steps at first; a solve that runs past them copies it
+    once into room for 3n/4 steps (``_widened``).
     """
     cap = 3 * n // 4
     rows = min(cap, FIRST_ROWS)
     block = max(1, BLOCK_DOUBLES // n) if blocked else cap + 1
-    Q, W = np.empty((rows + 1, n)), np.empty((rows, n))  # W[j] = S q_j
+    Q = np.empty((rows + 1, n))
     alpha, beta = np.zeros(cap), np.zeros(cap)
     q = np.random.default_rng(0).standard_normal(n)
     Q[0] = q / math.sqrt(q @ q)
     b, norm, test, last = 0.0, 0.0, min(16, cap), None
     for j in range(cap):
         if j == rows:
-            Q, W = _widened(Q, cap + 1), _widened(W, cap)
-        W[j] = matvec(Q[j])
-        r = W[j] - b * Q[j - 1] if j else W[j].copy()
+            Q = _widened(Q, cap + 1)
+        r = matvec(Q[j])
+        if j:
+            r -= b * Q[j - 1]
         a = Q[j] @ r
         r -= a * Q[j]
         b = _orthogonalize(r, Q[:j + 1], block)
@@ -495,22 +500,21 @@ def _lanczos(matvec, n, k, blocked=False):
             continue
         theta, y = _tridiagonal_eigh(alpha[:m], beta[:m - 1])
         order = np.argsort(-np.abs(theta), kind="stable")
-        theta, y = theta[order], y[:, order]
-        s = np.abs(theta)
+        s = np.abs(theta[order])
         # the values down to the first below the tolerance, or all of
         # them once the subspace is exhausted
         drop = SVD_DROP_TOL * s[0]
         above = int(np.count_nonzero(s > drop))
         wanted = min(k, above if exhausted else above + 1)
-        bound = np.abs(beta[m - 1] * y[m - 1, :wanted])
+        pairs = order[:wanted]
+        bound = np.abs(beta[m - 1] * y[pairs, m - 1])
         loose = (bound > RESIDUAL_TOL * s[0]) | (np.abs(s[:wanted] - drop) <= bound)
         if above < min(wanted, m):
             loose[above] |= bound[above] >= 0.5 * s[above]
         converged = int(np.argmax(loose)) if loose.any() else wanted
         if converged == wanted <= m:
-            x = y[:, :wanted].T
-            residual = x @ W[:m] - theta[:wanted, None] * (x @ Q[:m])
-            return s[:wanted], np.sqrt(np.einsum("ij,ij->i", residual, residual))
+            return s[:wanted], _ritz_residuals(matvec, Q[:m], y[pairs],
+                                               theta[pairs])
         if m < k or last is None or converged <= last[1]:
             test = 2 * m
         else:
@@ -518,6 +522,24 @@ def _lanczos(matvec, n, k, blocked=False):
             test = m + math.ceil(1.05 * (wanted - converged) / rate)
         test, last = min(test, cap), (m, converged)
     return None
+
+
+def _ritz_residuals(matvec, basis, vectors, theta):
+    """||S x - theta x|| of each Ritz pair (theta_i, x_i = basis^T
+    vectors_i), taken explicitly, so that a product that is not symmetric
+    shows.  The x are formed in row blocks, each multiplied by S in one FFT
+    product; its rows are zero-padded to at least 2n entries, so blocks of
+    BLOCK_DOUBLES / 2n rows keep each FFT array near BLOCK_DOUBLES doubles.
+    """
+    step = max(1, BLOCK_DOUBLES // (2 * basis.shape[1]))
+    out = np.empty(len(theta))
+    for start in range(0, len(theta), step):
+        x = vectors[start:start + step] @ basis
+        residual = matvec(x)
+        residual -= theta[start:start + step, None] * x
+        out[start:start + step] = np.sqrt(
+            np.einsum("ij,ij->i", residual, residual))
+    return out
 
 
 def _widened(a, rows):
@@ -547,19 +569,24 @@ def _orthogonalize(x, basis, block):
 
 def _tridiagonal_eigh(d, e):
     """``np.linalg.eigh`` of the symmetric tridiagonal matrix with diagonal d
-    and off-diagonal e: (values in ascending order, vectors as columns).
+    and off-diagonal e, its vectors transposed: (values in ascending order,
+    vectors as rows).
 
     LAPACK's tridiagonal divide and conquer (``dstevd``; Gu and Eisenstat,
     SIAM J. Matrix Anal. Appl. 16(1), 1995) through LAPACKE in numpy's
     OpenBLAS.  It is the routine ``eigh`` (``syevd``) calls after its
     Householder reduction to tridiagonal form, and that reduction and its
     back-transformation leave a tridiagonal matrix as it is, so skipping
-    them, and the dense copy of T, gives the same bits.  Without that
-    symbol (another BLAS, no /proc), ``eigh`` of the dense matrix.
+    them, and the dense copy of T, gives the same bits.  It is called in
+    column-major order, so LAPACKE hands it the output directly, without a
+    transposed m x m copy, and the C-contiguous result holds the vectors
+    as rows.  Without that symbol (another BLAS, no /proc), ``eigh`` of
+    the dense matrix.
     """
     dstevd = _lapacke_dstevd()
     if dstevd is None:
-        return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        return w, v.T
     w = np.array(d, dtype=float)  # overwritten by the values
     m = w.size
     if w.shape != (m,) or np.shape(e) != (m - 1,):
@@ -567,7 +594,7 @@ def _tridiagonal_eigh(d, e):
                          "off-diagonal entries")
     work = np.append(e, 0.0)  # float; destroyed; never empty
     z = np.empty((m, m))
-    info = dstevd(LAPACK_ROW_MAJOR, b"V", m, w.ctypes.data, work.ctypes.data,
+    info = dstevd(LAPACK_COL_MAJOR, b"V", m, w.ctypes.data, work.ctypes.data,
                   z.ctypes.data, m)
     if info:
         raise np.linalg.LinAlgError(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -194,6 +195,12 @@ class TestSections:
         scale = np.abs(dense).sum(axis=1).max()
         got = section.operator()(x)
         assert np.abs(got - symmetric @ x).max() <= 1e-12 * scale
+        # a (3, n) block: each row multiplied
+        x = rng.standard_normal((3, n))
+        got = section.operator()(x)
+        assert got.shape == (3, n)
+        for row, want in zip(got, (symmetric @ x.T).T):
+            assert np.abs(row - want).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("n", [128, 512, 1024])
@@ -232,13 +239,31 @@ class TestSections:
 
     def test_large_hilbert_section_solves_in_a_small_workspace(self,
                                                               monkeypatch):
-        # the solve stops after 45 steps; 3n/4 rows of Q and W, reserved
-        # before the first step, would take 14 GiB apiece
+        # the solve stops after 45 steps; 3n/4 rows of Q, reserved before
+        # the first step, would take 14 GiB
         monkeypatch.setattr(dz.Section, "dense", _no_dense)
         seq = dz.singular_values(dz.hilbert_section(50000))
         assert seq.method == "lanczos"
         assert seq.kept == len(seq) == 39
         assert 2.44 < seq.values[0] < math.pi
+
+    @pytest.mark.parametrize("section,rows", [
+        pytest.param(dz.hilbert_section(50000), dz.FIRST_ROWS, id="hilbert"),
+        pytest.param(dz.riemann_liouville_section(0.5, 2048), 3 * 2048 // 4,
+                     id="j_alpha")])
+    def test_solve_peaks_below_twice_its_basis(self, section, rows):
+        # the basis Q of (rows + 1) x n doubles is the one array of that
+        # size: no products S Q are stored, and the residual check forms
+        # its Ritz vectors in row blocks
+        basis = (rows + 1) * len(section) * 8
+        tracemalloc.start()
+        try:
+            seq = dz.singular_values(section)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.method == "lanczos"
+        assert peak < 2 * basis
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_widened_workspace_gives_the_same_values(self, monkeypatch, alpha):
@@ -301,7 +326,7 @@ class TestSections:
 
         def skewed(self):
             matvec = exact(self)
-            return lambda x: matvec(x) + shift * np.roll(x, 1)
+            return lambda x: matvec(x) + shift * np.roll(x, 1, axis=-1)
         monkeypatch.setattr(dz.Section, "operator", skewed)
         seq = dz.singular_values(section)
         assert seq.method == "dense"
@@ -559,9 +584,11 @@ class TestTridiagonalEigh:
             d[rng.permutation(m)[:max(1, m // 5)]] = 0.0
         elif zeros == "offdiagonal":
             e[rng.permutation(m - 1)[:max(1, m // 5)]] = 0.0
-        dense = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        values, vectors = np.linalg.eigh(np.diag(d) + np.diag(e, 1)
+                                         + np.diag(e, -1))
         found = dz._tridiagonal_eigh(d, e)
-        for want, got in zip(dense, found):
+        # the vectors come as rows
+        for want, got in zip((values, vectors.T), found):
             assert got.flags.c_contiguous
             assert np.array_equal(got, want)
 
