@@ -413,9 +413,12 @@ def _leading_values(section):
     of order n <= ONE_THREAD_MAX_N solve on one BLAS thread
     (``_one_blas_thread``): there a second thread saves less wall time
     than half the CPU time it adds (see ONE_THREAD_MAX_N); larger ones,
-    and the dense fallback, keep the library default.
+    and the dense fallback, keep the library default.  A section of zeros
+    raises the dense SVD's ValueError without a solve.
     """
     n = len(section)
+    if not section.coeffs.any():
+        raise ValueError("matrix has no positive singular values")
     if section.kind == TOEPLITZ:
         k = _trusted_window(n)[1]
         if 2 * k >= n or not _clears_drop_tol(section.coeffs):
@@ -433,7 +436,7 @@ def _leading_values(section):
         # coeffs[j] fills the min(j + 1, 2n - 1 - j) entries of antidiagonal j
         j = np.arange(2 * n - 1)
         mass = np.dot(np.minimum(j + 1, 2 * n - 1 - j), section.coeffs ** 2)
-        if mass - np.dot(s, s) > RESIDUAL_TOL * mass:
+        if not s.size or mass - np.dot(s, s) > RESIDUAL_TOL * mass:
             return None
         kept = int(np.count_nonzero(s > SVD_DROP_TOL * s[0]))
         s, residual = s[:kept], residual[:kept]
@@ -451,14 +454,15 @@ def _lanczos(matvec, n, k, blocked=False):
     None if that takes 3n/4 steps.
 
     Symmetric Lanczos with full reorthogonalization (Parlett, *The
-    Symmetric Eigenvalue Problem*, SIAM 1998, ch. 13) from a fixed random
-    start: one product with S per step.  S Q^T = Q^T T + beta_m q_(m+1)
-    e_m^T holds up to the reorthogonalization, with T tridiagonal, so
-    |beta_m s_m| bounds the residual of the Ritz pair (theta, Q^T s).  Each
-    new q is orthogonalized against all of Q, in row blocks of
-    BLOCK_DOUBLES entries if ``blocked``; a coefficient at rounding
-    level ends the recurrence: the subspace is invariant and T's values
-    exact.  Each stop test takes one eigendecomposition of T
+    Symmetric Eigenvalue Problem*, SIAM 1998, ch. 13) from a fixed
+    SplitMix64 start (``_start_vector``, normalized), which needs no
+    ``numpy.random``: one product with S per step.  S Q^T = Q^T T +
+    beta_m q_(m+1) e_m^T holds up to the reorthogonalization, with T
+    tridiagonal, so |beta_m s_m| bounds the residual of the Ritz pair
+    (theta, Q^T s).  Each new q is orthogonalized against all of Q, in row
+    blocks of BLOCK_DOUBLES entries if ``blocked``; a coefficient at
+    rounding level ends the recurrence: the subspace is invariant and T's
+    values exact.  Each stop test takes one eigendecomposition of T
     (``_tridiagonal_eigh``: LAPACK's ``dstevd``, else numpy's ``eigh``)
     and orders the Ritz values by magnitude.  A value has converged when
     its bound is below RESIDUAL_TOL * |theta_1| and does not reach across
@@ -477,7 +481,7 @@ def _lanczos(matvec, n, k, blocked=False):
     block = max(1, BLOCK_DOUBLES // n) if blocked else cap + 1
     Q = np.empty((rows + 1, n))
     alpha, beta = np.zeros(cap), np.zeros(cap)
-    q = np.random.default_rng(0).standard_normal(n)
+    q = _start_vector(n)
     Q[0] = q / math.sqrt(q @ q)
     b, norm, test, last = 0.0, 0.0, min(16, cap), None
     for j in range(cap):
@@ -522,6 +526,22 @@ def _lanczos(matvec, n, k, blocked=False):
             test = m + math.ceil(1.05 * (wanted - converged) / rate)
         test, last = min(test, cap), (m, converged)
     return None
+
+
+def _start_vector(n):
+    """Entries in [-1, 1) for the indices 1..n: the SplitMix64 finaliser
+    (Steele, Lea and Flood, OOPSLA 2014) of each index, its top 53 bits
+    scaled.  Lanczos needs only a start with components along the wanted
+    eigenvectors.  Entry i does not depend on n, and every step is exact
+    in uint64 or float arithmetic, so the vector is the same on every
+    platform.  Array operations only: numpy warns when a uint64 *scalar*
+    product wraps around, never when an array's does.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    return (z >> 11) * 2.0 ** -52 - 1.0
 
 
 def _ritz_residuals(matvec, basis, vectors, theta):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -177,6 +178,13 @@ def _no_dense(self):
     raise AssertionError("a certified section was made dense")
 
 
+@functools.cache
+def _rl_spectrum(alpha, n):
+    """singular_values of riemann_liouville_section(alpha, n), solved once
+    for the tests that read the same section."""
+    return dz.singular_values(dz.riemann_liouville_section(alpha, n))
+
+
 class TestSections:
     @pytest.mark.parametrize("operator,alpha", [("j_alpha", 0.5),
                                                 ("j_alpha", 2.0),
@@ -207,7 +215,7 @@ class TestSections:
     def test_leading_values_match_the_dense_prefix(self, monkeypatch, alpha,
                                                    n):
         monkeypatch.setattr(dz.Section, "dense", _no_dense)
-        seq = dz.singular_values(dz.riemann_liouville_section(alpha, n))
+        seq = _rl_spectrum(alpha, n)
         dense = np.linalg.svd(dz.riemann_liouville_matrix(alpha, n),
                               compute_uv=False)
         assert seq.method == "lanczos"
@@ -365,6 +373,81 @@ class TestSections:
             dz.Section("circulant", [1.0, 0.5], 2)
         with pytest.raises(ValueError):
             dz.hilbert_section(0)
+
+    @pytest.mark.parametrize("kind", ["toeplitz", "hankel"])
+    def test_zero_section_has_no_positive_singular_values(self, monkeypatch,
+                                                          kind):
+        # the same error as the dense path, without a solve or a dense copy
+        with pytest.raises(ValueError, match="no positive singular values"):
+            dz.singular_values(np.zeros((3, 3)))
+        n = 64
+        section = dz.Section(kind, np.zeros(n if kind == "toeplitz"
+                                            else 2 * n - 1), n)
+        monkeypatch.setattr(dz.Section, "dense", _no_dense)
+        with pytest.raises(ValueError, match="no positive singular values"):
+            dz.singular_values(section)
+
+    def test_underflowing_hankel_section_goes_dense(self):
+        # the squares of 5e-324 and the first product underflow to zero, so
+        # the solve finds no value and no missing mass: the dense SVD decides
+        section = dz.Section("hankel", np.full(127, 5e-324), 64)
+        assert dz._lanczos(section.operator(), 64, 64)[0].size == 0
+        seq = dz.singular_values(section)
+        assert seq.method == "dense" and seq.values[0] > 0
+
+
+# the first Lanczos start entries, SplitMix64 of 1..4 scaled to [-1, 1)
+START_HEX = ["0x1.8882a0e5ec772p-1", "-0x1.18761955e46a0p-3",
+             "-0x1.e4ee8b9dffdb0p-1", "0x1.e22ee2a1c9320p-1"]
+
+
+def test_section_solves_are_fixed_and_need_no_numpy_random():
+    # a fresh interpreter, because pytest and this file import numpy.random;
+    # two hash seeds, so that no set or dict order reaches the spectra
+    script = ("import hashlib, json, sys\n"
+              "from illposed import discretize as dz\n"
+              "digests = [hashlib.sha256(dz.pipeline_from_matrix(s).sigma"
+              ".values.tobytes()).hexdigest()\n"
+              "           for s in (dz.riemann_liouville_section(0.5, 512),"
+              " dz.hilbert_section(512))]\n"
+              "print(json.dumps({'random': 'numpy.random' in sys.modules,"
+              " 'digests': digests,"
+              " 'start': [v.hex() for v in dz._start_vector(4).tolist()]}))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dz.__file__)))
+    outs = [json.loads(subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        timeout=300, check=True).stdout) for seed in ("0", "12345")]
+    assert outs[0] == outs[1]
+    assert outs[0]["random"] is False
+    # a platform that computes other start entries fails here first, not
+    # in the golden digests of every section
+    assert outs[0]["start"] == START_HEX
+
+
+# points of the rFFT grid the symbol of a section is sampled on, 0 to 2 pi
+SYMBOL_GRID = 1 << 22
+
+
+@pytest.mark.parametrize("alpha,n", [(0.25, 1024), (0.25, 2048), (0.5, 1024),
+                                     (0.5, 2048), (0.5, 4096)])
+def test_toeplitz_sections_follow_their_symbol(alpha, n):
+    # Avram-Parter: the singular values of T_n(a) are distributed like the
+    # symbol |a(theta)| = |sum_k c_k e^(ik theta)|, so the count
+    # N(sigma) = n |{theta in [0, pi] : |a(theta)| > sigma}| / pi sits
+    # within 1/2 of j - 1/2 at sigma_j (at most 0.44 here) for alpha <= 1/2,
+    # where the coefficients are (borderline) square-summable.  An oracle
+    # that needs neither the dense SVD nor the Lanczos code: a value
+    # missing from the solve shifts every later count by one.
+    seq = _rl_spectrum(alpha, n)
+    assert seq.method == "lanczos" and len(seq) == n // 8
+    j = np.arange(2, n // 8 + 1)
+    sigma = seq.values[j - 1]
+    coeffs = dz.riemann_liouville_section(alpha, n).coeffs
+    symbol = np.abs(np.fft.rfft(coeffs, SYMBOL_GRID))
+    above = np.sort(symbol[symbol > sigma[-1]])
+    count = above.size - np.searchsorted(above, sigma, side="right")
+    assert np.abs(n * count / (SYMBOL_GRID // 2) - (j - 0.5)).max() <= 0.6
 
 
 def _clears_drop_tol_by_substitution(c):

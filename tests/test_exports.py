@@ -30,8 +30,9 @@ def test_package_reexports_resolve():
 def test_commands_run_on_numpy_alone():
     # the package imports no scipy: quadrature is distribution._quad, the
     # section products use numpy.fft and the section spectra come from
-    # discretize._lanczos.  A fresh interpreter, because pytest's
-    # warning filters import scipy.integrate into this one.
+    # discretize._lanczos, whose start needs no numpy.random either.  A
+    # fresh interpreter, because pytest's warning filters import
+    # scipy.integrate into this one.
     script = ("import io, contextlib, sys\n"
               "import illposed, illposed.cli, illposed.acceptance\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -39,7 +40,8 @@ def test_commands_run_on_numpy_alone():
               "    for op in ('j_alpha', 'hilbert'):\n"
               "        assert illposed.cli.main(['discretize', '--operator', op,"
               " '--n', '512']) == 0\n"
-              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'"
+              " or m.startswith('numpy.random')])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(illposed.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
