@@ -2,7 +2,11 @@
 
 Each criterion function returns a list of (name, passed, detail) records so
 the CLI can print one line per check and the test suite can assert them
-individually.  Heavy artifacts (section spectra) are cached across criteria.
+individually.  Heavy artifacts are cached, each for the one criterion that
+reads it: the section pipelines for criterion 4 (the alpha = 1 solve is
+read twice), the Hilbert sigma_max for 5, the Gaussian FFT samples for 6
+(N = 4096 read twice).  Beyond that a cache pays off only when one process
+runs the same criterion again.
 
 Three checks are known to fail by construction and are kept failing on
 purpose; their tolerances cannot be met by the objects they pin down (see

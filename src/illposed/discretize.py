@@ -9,8 +9,9 @@ eigenvalues); FFT estimation
 of convolution multipliers from kernel samples; and the end-to-end
 pipeline matrix -> spectrum -> corner curve -> interval.  Needs numpy
 only: the LAPACK and thread-count routines it calls through ctypes are
-found in the OpenBLAS already mapped into the process, numpy's own, and
-without them the same results come from numpy alone.
+looked up on numpy's own linalg extension, so they are those of the
+OpenBLAS numpy links, and without them the same results come from numpy
+alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -71,27 +71,23 @@ HANKEL = "hankel"
 # Sections up to this order solve on one BLAS thread.  The rule: a second
 # thread stays only at orders where, in warm single j_alpha solves at both
 # alpha = 1 and 0.5, the wall time it saves is at least half the CPU time
-# it adds.  Medians of 30-42 solves on a 2-vCPU Xeon (OpenBLAS 0.3.31),
-# taken with the Golub-Kahan bidiagonalization that the symmetric Lanczos
-# solve replaced (two FFT products a step instead of one), wall saved
-# against CPU added, alpha = 1 and 0.5: n = 1024, 0.01 s for
-# 0.04 s and none for 0.07 s; n = 2048, 0.06 s for 0.15 s and 0.11 s for
-# 0.23 s; n = 3072, 0.23 s for 0.46 s and 0.36 s for 0.57 s; n = 4096,
-# 0.65 s for 0.53 s and 1.10 s for 0.54 s.  n = 3072 is a near tie at
-# alpha = 1, so no order above 2048 is moved to one thread.
+# it adds.  Medians of 12 solves a side, from two fresh processes a side,
+# on a 2-vCPU Xeon (OpenBLAS 0.3.31) with the symmetric Lanczos solver,
+# wall saved against CPU added, alpha = 1 and 0.5, over two runs: n =
+# 2048, 0.04 s for 0.19 s and 0.09 s for 0.20 s; n = 3072, 0.17-0.23 s for
+# 0.47-0.49 s and 0.37-0.43 s for 0.47-0.50 s; n = 4096, 0.39-0.58 s for
+# 0.62-0.73 s and 0.74-1.03 s for 0.61-0.84 s.  By the rule n = 3072 would
+# solve on one thread too (it misses at alpha = 1); the limit stays at 2048
+# until latency after idle has been measured above it.
 ONE_THREAD_MAX_N = 2048
-# (get, set) symbol pairs of OpenBLAS's thread count, first match wins:
-# numpy's scipy-openblas wheels, then plain OpenBLAS, each ILP64 first
-OPENBLAS_THREAD_SYMBOLS = tuple(
-    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
-# LAPACKE_dstevd symbols with the type of their integer arguments, in the
-# same order; the first found in any mapped OpenBLAS wins, so an ILP64
-# library (numpy's wheels) goes before an LP64 one (scipy's).  The 64_
-# suffix marks the ILP64 interface, as OpenBLAS names it.
-DSTEVD_SYMBOLS = tuple(
-    (f"{prefix}LAPACKE_dstevd{suffix}", integer)
-    for prefix in ("scipy_", "")
+# OpenBLAS builds as (thread prefix, LAPACKE prefix, suffix, integer type of
+# the LAPACKE arguments), first match wins: numpy's scipy-openblas wheels,
+# then plain OpenBLAS, each ILP64 first.  The 64_ suffix marks the ILP64
+# interface, as OpenBLAS names it.
+OPENBLAS_BUILDS = tuple(
+    (threads, lapacke, suffix, integer)
+    for threads, lapacke in (("scipy_openblas", "scipy_LAPACKE"),
+                             ("openblas", "LAPACKE"))
     for suffix, integer in (("64_", ctypes.c_int64), ("", ctypes.c_int)))
 LAPACK_COL_MAJOR = 102
 
@@ -308,92 +304,70 @@ def _clears_drop_tol(c):
 
 
 @functools.cache
-def _openblas_libraries():
-    """Every OpenBLAS mapped into the process, from /proc/self/maps, in
-    path order; empty without /proc or without OpenBLAS.  Looked up on
-    first use, so that importing costs nothing."""
-    paths = set()
+def _openblas():
+    """(get, set, dstevd) of the OpenBLAS numpy calls, or None.
+
+    The symbols are looked up on numpy's own linalg extension: ``dlsym``
+    on its handle also searches the libraries it links, so it finds the
+    OpenBLAS numpy itself calls and no other copy in the process.  The
+    first OPENBLAS_BUILDS row whose thread-count functions exist names
+    the build, and ``dstevd`` (its LAPACKE_dstevd, or None) comes from
+    that row only, so its integer width is the build's: a LAPACKE from
+    another BLAS is never called with a guessed width.  None where numpy
+    links no OpenBLAS.  Looked up on first use, so that importing costs
+    nothing.
+    """
     try:
-        with open("/proc/self/maps") as maps:
-            for line in maps:
-                # the pathname is all after the fifth field; it may hold spaces
-                fields = line.rstrip("\n").split(None, 5)
-                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
-                    paths.add(fields[5])
-    except OSError:
-        return ()
-    libraries = []
-    for path in sorted(paths):
-        try:
-            libraries.append(ctypes.CDLL(path))
-        except OSError:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):  # another numpy layout
+        return None
+    for threads, lapacke, suffix, integer in OPENBLAS_BUILDS:
+        get = getattr(lib, f"{threads}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{threads}_set_num_threads{suffix}", None)
+        if get is None or set_ is None:
             continue
-    return tuple(libraries)
-
-
-@functools.cache
-def _openblas_controls():
-    """(get, set) thread-count functions of every mapped OpenBLAS."""
-    controls = []
-    for lib in _openblas_libraries():
-        for get, set_ in OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get) and hasattr(lib, set_):
-                get, set_ = getattr(lib, get), getattr(lib, set_)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return tuple(controls)
-
-
-@functools.cache
-def _lapacke_dstevd():
-    """LAPACKE_dstevd of a mapped OpenBLAS, or None (another BLAS, no
-    /proc)."""
-    for name, integer in DSTEVD_SYMBOLS:
-        for lib in _openblas_libraries():
-            if hasattr(lib, name):
-                dstevd = getattr(lib, name)
-                pointer = ctypes.c_void_p
-                dstevd.argtypes = [ctypes.c_int, ctypes.c_char, integer,
-                                   pointer, pointer, pointer, integer]
-                dstevd.restype = integer
-                return dstevd
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        dstevd = getattr(lib, f"{lapacke}_dstevd{suffix}", None)
+        if dstevd is not None:
+            pointer = ctypes.c_void_p
+            dstevd.argtypes = [ctypes.c_int, ctypes.c_char, integer,
+                               pointer, pointer, pointer, integer]
+            dstevd.restype = integer
+        return get, set_, dstevd
     return None
 
 
 _blocks_lock = threading.Lock()
 _open_blocks = 0
-_saved_counts = ()
+_saved_count = 1
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS on one thread, then restore
-    each library's previous count, also when the block raises.
+    """Run the block with numpy's OpenBLAS (``_openblas``) on one thread,
+    then restore its previous count, also when the block raises.
 
-    Where no OpenBLAS control is found (another BLAS, no /proc) the block
-    runs unchanged.  The count is process-wide: another Python thread that
-    calls BLAS while the block runs also runs on one thread.  Blocks may
-    nest or overlap across threads: the first to open saves the counts and
-    the last to close restores them.
+    Where numpy links no OpenBLAS the block runs unchanged.  The count is
+    process-wide: another Python thread that calls numpy's BLAS while the
+    block runs also runs on one thread.  Blocks may nest or overlap across
+    threads: the first to open saves the count and the last to close
+    restores it.
     """
-    global _open_blocks, _saved_counts
-    controls = _openblas_controls()
+    global _open_blocks, _saved_count
+    blas = _openblas()
     with _blocks_lock:
-        if not _open_blocks:
-            _saved_counts = tuple(get() for get, _ in controls)
-            for _, set_ in controls:
-                set_(1)
+        if blas and not _open_blocks:
+            _saved_count = blas[0]()
+            blas[1](1)
         _open_blocks += 1
     try:
         yield
     finally:
         with _blocks_lock:
             _open_blocks -= 1
-            if not _open_blocks:
-                for (_, set_), count in zip(controls, _saved_counts):
-                    set_(count)
+            if blas and not _open_blocks:
+                blas[1](_saved_count)
 
 
 def _leading_values(section):
@@ -401,15 +375,21 @@ def _leading_values(section):
 
     Both kinds go through ``_lanczos`` on the section's symmetric Hankel
     form S (``Section.symmetric``), whose eigenvalue magnitudes are the
-    section's singular values.  Toeplitz sections: once the certificate
-    shows that all n values clear the drop tolerance, it gives the top
+    section's singular values.  The solve and the checks below run on the
+    section scaled by 2^-e, the power of two that brings its largest
+    coefficient into [1/2, 1): the scaling is exact, and no product or
+    square underflows or overflows however tiny or huge the coefficients
+    are; the values and residuals are scaled back by 2^e at the end.
+    Toeplitz sections: once the certificate shows that all n values clear
+    the drop tolerance, it gives the top
     ``_trusted_window(n)[1]`` values.  Hankel sections: it gives every
     value down to the first converged one below the tolerance, and those
     values must account for the squared Frobenius norm up to RESIDUAL_TOL
     of it, which certifies that none was missed.  No certificate, a window
     of n/2 or more, a solve that does not converge within 3n/4 steps,
     fewer than the wanted values, an eigenpair residual above
-    RESIDUAL_TOL * sigma_1 or missing Hankel mass all give None.  Sections
+    RESIDUAL_TOL * sigma_1, missing Hankel mass or a value that leaves the
+    float range when scaled back all give None.  Sections
     of order n <= ONE_THREAD_MAX_N solve on one BLAS thread
     (``_one_blas_thread``): there a second thread saves less wall time
     than half the CPU time it adds (see ONE_THREAD_MAX_N); larger ones,
@@ -419,15 +399,17 @@ def _leading_values(section):
     n = len(section)
     if not section.coeffs.any():
         raise ValueError("matrix has no positive singular values")
+    e = math.frexp(np.abs(section.coeffs).max())[1]
+    scaled = Section(section.kind, np.ldexp(section.coeffs, -e), n)
     if section.kind == TOEPLITZ:
         k = _trusted_window(n)[1]
-        if 2 * k >= n or not _clears_drop_tol(section.coeffs):
+        if 2 * k >= n or not _clears_drop_tol(scaled.coeffs):
             return None
     else:
         k = n
     one_thread = n <= ONE_THREAD_MAX_N
     with _one_blas_thread() if one_thread else contextlib.nullcontext():
-        found = _lanczos(section.operator(), n, k, one_thread)
+        found = _lanczos(scaled.operator(), n, k, one_thread)
     if found is None:
         return None
     s, residual = found
@@ -435,14 +417,17 @@ def _leading_values(section):
     if section.kind == HANKEL:
         # coeffs[j] fills the min(j + 1, 2n - 1 - j) entries of antidiagonal j
         j = np.arange(2 * n - 1)
-        mass = np.dot(np.minimum(j + 1, 2 * n - 1 - j), section.coeffs ** 2)
-        if not s.size or mass - np.dot(s, s) > RESIDUAL_TOL * mass:
+        mass = np.dot(np.minimum(j + 1, 2 * n - 1 - j), scaled.coeffs ** 2)
+        if mass - np.dot(s, s) > RESIDUAL_TOL * mass:
             return None
         kept = int(np.count_nonzero(s > SVD_DROP_TOL * s[0]))
         s, residual = s[:kept], residual[:kept]
     elif s.size < k:
         return None
-    if s[-1] <= 0 or np.any(residual > RESIDUAL_TOL * s[0]):
+    with np.errstate(over="ignore"):
+        s, residual = np.ldexp(s, e), np.ldexp(residual, e)
+    if not (s[-1] > 0 and math.isfinite(s[0])) \
+            or np.any(residual > RESIDUAL_TOL * s[0]):
         return None
     return Spectrum(s, kept=kept, method="lanczos")
 
@@ -593,17 +578,19 @@ def _tridiagonal_eigh(d, e):
     vectors as rows).
 
     LAPACK's tridiagonal divide and conquer (``dstevd``; Gu and Eisenstat,
-    SIAM J. Matrix Anal. Appl. 16(1), 1995) through LAPACKE in numpy's
-    OpenBLAS.  It is the routine ``eigh`` (``syevd``) calls after its
-    Householder reduction to tridiagonal form, and that reduction and its
+    SIAM J. Matrix Anal. Appl. 16(1), 1995) through the LAPACKE of the
+    OpenBLAS numpy calls (``_openblas``), with that build's integer width.
+    It is the routine ``eigh`` (``syevd``) calls after its Householder
+    reduction to tridiagonal form, and that reduction and its
     back-transformation leave a tridiagonal matrix as it is, so skipping
     them, and the dense copy of T, gives the same bits.  It is called in
     column-major order, so LAPACKE hands it the output directly, without a
     transposed m x m copy, and the C-contiguous result holds the vectors
-    as rows.  Without that symbol (another BLAS, no /proc), ``eigh`` of
-    the dense matrix.
+    as rows.  Where numpy links no OpenBLAS, or its OpenBLAS lacks the
+    symbol, ``eigh`` of the dense matrix.
     """
-    dstevd = _lapacke_dstevd()
+    blas = _openblas()
+    dstevd = blas and blas[2]
     if dstevd is None:
         w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         return w, v.T

@@ -341,7 +341,11 @@ def hausdorff():
 def gaussian_kernel(d=1):
     """Convolution by exp(-|t|^2): lambda = pi^d exp(-|w|^2/2), radial."""
     d = _dimension(d)
-    peak = math.pi ** d
+    try:
+        peak = math.pi ** d
+    except OverflowError:
+        raise ValueError(f"parameter d = {d}: the peak pi^d leaves the "
+                         "float range") from None
 
     def fn(r):
         return peak * np.exp(-0.5 * r * r)
@@ -411,7 +415,20 @@ def parabolic_source(diffusivity=1.0, t0=1.0, d=1):
     d = _dimension(d)
     _positive(diffusivity=diffusivity, t0=t0)
     kap, t0 = float(diffusivity), float(t0)
-    kap4 = kap ** 4
+    # k^4 must be a positive float, or the quotient below reads 0/0 or
+    # inf/inf; t0^2 = inf is an unbounded multiplier, which the measures
+    # handle, but t0^2 = 0 has no superlevel sets at all
+    try:
+        kap4 = kap ** 4
+    except OverflowError:
+        kap4 = math.inf
+    if not 0.0 < kap4 < math.inf:
+        raise ValueError(f"parameter diffusivity = {kap!r}: diffusivity^4 "
+                         "leaves the float range")
+    sup = t0 * t0
+    if sup == 0.0:
+        raise ValueError(f"parameter t0 = {t0!r}: the peak t0^2 underflows "
+                         "to 0")
 
     def fn(r):
         # lambda(0) = t0^2 is the limit of the quotient, which is 0/0 there
@@ -419,15 +436,15 @@ def parabolic_source(diffusivity=1.0, t0=1.0, d=1):
         r = np.where(at0, 1.0, r)
         a = t0 * kap * kap * r * r
         num = -np.expm1(-a)
-        return np.where(at0, t0 * t0, (num * num) / (kap4 * r ** 4))
+        return np.where(at0, sup, (num * num) / (kap4 * r ** 4))
 
-    mult = Multiplier(fn=fn, sup_bound=t0 * t0)
+    mult = Multiplier(fn=fn, sup_bound=sup)
     return OperatorModel(
         id="parabolic_source",
         parameters={"diffusivity": kap, "t0": t0, "d": d},
         multiplier=mult, measure=MeasureSpace(LEBESGUE_RADIAL, dim=d),
         expected=Expected(MODERATE, 2.0 / d, essinf_verdict="ill_posed"),
-        eps_max=min(0.99, 0.99 * t0 * t0),
+        eps_max=min(0.99, 0.99 * sup),
         notes="lambda ~ |w|^-4 at infinity; degree 2/d")
 
 

@@ -327,13 +327,15 @@ class TestSections:
                                              alpha):
         # products off by 1e-8 sigma_1 times a cyclic shift, which is not
         # symmetric: the tridiagonal recurrence does not see it, so only
-        # the explicit residuals ||S x - theta x|| can tell
+        # the explicit residuals ||S x - theta x|| can tell.  sigma_1 is
+        # that of the section whose operator is wrapped: the solve runs on
+        # a scaled copy of the section
         section, matrix = _section_and_matrix(operator, alpha, 256)
         exact = dz.Section.operator
-        shift = 1e-8 * np.linalg.norm(matrix, 2)
 
         def skewed(self):
             matvec = exact(self)
+            shift = 1e-8 * np.linalg.norm(self.dense(), 2)
             return lambda x: matvec(x) + shift * np.roll(x, 1, axis=-1)
         monkeypatch.setattr(dz.Section, "operator", skewed)
         seq = dz.singular_values(section)
@@ -387,13 +389,30 @@ class TestSections:
         with pytest.raises(ValueError, match="no positive singular values"):
             dz.singular_values(section)
 
-    def test_underflowing_hankel_section_goes_dense(self):
-        # the squares of 5e-324 and the first product underflow to zero, so
-        # the solve finds no value and no missing mass: the dense SVD decides
-        section = dz.Section("hankel", np.full(127, 5e-324), 64)
-        assert dz._lanczos(section.operator(), 64, 64)[0].size == 0
-        seq = dz.singular_values(section)
-        assert seq.method == "dense" and seq.values[0] > 0
+    @pytest.mark.parametrize("kind", ["toeplitz", "hankel"])
+    @pytest.mark.parametrize("c", [1e-300, 1e-170, 5e-324, 1e150, 1e300])
+    def test_extreme_coefficients_match_the_scaled_svd(
+            self, monkeypatch, kind, c):
+        # constant coefficients whose squares or products underflow or
+        # overflow: the solve runs on the section scaled by a power of two,
+        # so it certifies the values of the dense SVD of that scaled
+        # section, scaled back (the Hankel section has rank one, 64 c)
+        n = 64
+        section = dz.Section(kind, np.full(n if kind == "toeplitz"
+                                          else 2 * n - 1, c), n)
+        e = math.frexp(c)[1]
+        dense = np.ldexp(np.linalg.svd(np.ldexp(section.dense(), -e),
+                                       compute_uv=False), e)
+        monkeypatch.setattr(dz.Section, "dense", _no_dense)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = dz.singular_values(section)
+        assert seq.method == "lanczos"
+        assert seq.kept == np.count_nonzero(dense > dz.SVD_DROP_TOL * dense[0])
+        assert len(seq) == (16 if kind == "toeplitz" else 1)
+        assert np.abs(seq.values - dense[:len(seq)]).max() <= 4e-15 * dense[0]
+        if kind == "hankel":
+            assert seq.values[0] == pytest.approx(n * c, rel=1e-15)
 
 
 # the first Lanczos start entries, SplitMix64 of 1..4 scaled to [-1, 1)
@@ -523,35 +542,90 @@ def test_random_sections_match_the_dense_svd(section):
     assert np.all((dense[lo:hi] >= 0.5 * drop) & (dense[lo:hi] <= 2.0 * drop))
 
 
-def _thread_counts():
-    return [get() for get, _ in dz._openblas_controls()]
+def _thread_count():
+    return dz._openblas()[0]()
 
 
 def _needs_openblas():
-    if not dz._openblas_controls():
-        pytest.skip("no OpenBLAS thread control in this process")
+    if dz._openblas() is None:
+        pytest.skip("numpy links no OpenBLAS with a thread control")
+
+
+def _src_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dz.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+# a fresh interpreter with scipy's OpenBLAS mapped besides numpy's: the
+# thread counts of both during and after a j_alpha n = 512 solve, numpy's
+# and scipy's each set to 2 before it, and every /proc path opened
+TWO_OPENBLAS_SCRIPT = """\
+import ctypes, json, os, sys
+import numpy as np
+import scipy.linalg
+from scipy.linalg import _flapack
+opened = []
+sys.addaudithook(lambda event, args: opened.append(os.fsdecode(args[0]))
+                 if event == "open" and not isinstance(args[0], int)
+                 else None)
+from illposed import discretize as dz
+
+
+def thread_control(lib):
+    for threads, _, suffix, _ in dz.OPENBLAS_BUILDS:
+        get = getattr(lib, f"{threads}_get_num_threads{suffix}", None)
+        if get is not None:
+            set_ = getattr(lib, f"{threads}_set_num_threads{suffix}")
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+
+
+numpy_get, numpy_set, dstevd = dz._openblas()
+scipy_get, scipy_set = thread_control(ctypes.CDLL(_flapack.__file__))
+numpy_set(2)
+scipy_set(2)
+seen, lanczos = [], dz._lanczos
+
+
+def recorded(*args):
+    seen.append([numpy_get(), scipy_get()])
+    return lanczos(*args)
+
+
+dz._lanczos = recorded
+seq = dz.singular_values(dz.riemann_liouville_section(1.0, 512))
+address = [ctypes.cast(f, ctypes.c_void_p).value for f in (numpy_get, scipy_get)]
+blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+print(json.dumps({
+    "distinct": address[0] != address[1], "method": seq.method,
+    "seen": seen, "after": [numpy_get(), scipy_get()],
+    "proc": [path for path in opened if path.startswith("/proc")],
+    "dstevd": dstevd.__name__, "int64": dstevd.argtypes[2] is ctypes.c_int64,
+    "ilp64": "USE64BITINT" in str(blas.get("openblas configuration"))}))
+"""
 
 
 class TestOneBlasThread:
     def test_block_runs_on_one_thread_and_restores_the_counts(self):
         _needs_openblas()
-        before = _thread_counts()
+        before = _thread_count()
         with dz._one_blas_thread():
-            assert _thread_counts() == [1] * len(before)
-        assert _thread_counts() == before
+            assert _thread_count() == 1
+        assert _thread_count() == before
         with pytest.raises(RuntimeError, match="inside"):
             with dz._one_blas_thread():
-                assert _thread_counts() == [1] * len(before)
+                assert _thread_count() == 1
                 raise RuntimeError("inside")
-        assert _thread_counts() == before
+        assert _thread_count() == before
 
     @staticmethod
     def _counts_seen_by(monkeypatch, name, section):
-        # the thread counts at each call of dz.<name> during one solve
+        # the thread count at each call of dz.<name> during one solve
         seen, call = [], getattr(dz, name)
 
         def counted(*args):
-            seen.append(_thread_counts())
+            seen.append(_thread_count())
             return call(*args)
         monkeypatch.setattr(dz, name, counted)
         return dz.singular_values(section), seen
@@ -563,22 +637,22 @@ class TestOneBlasThread:
     def test_small_sections_solve_on_one_thread(self, monkeypatch, operator,
                                                 n):
         # up to ONE_THREAD_MAX_N the solve sees one thread, and after it
-        # the counts the process had
+        # the count the process had
         _needs_openblas()
         assert n <= dz.ONE_THREAD_MAX_N
-        before = _thread_counts()
+        before = _thread_count()
         monkeypatch.setattr(dz.Section, "dense", _no_dense)
         section = (dz.hilbert_section(n) if operator == "hilbert"
                    else dz.riemann_liouville_section(1.0, n))
         seq, seen = self._counts_seen_by(monkeypatch, "_lanczos",
                                          section)
         assert seq.method == "lanczos"
-        assert seen == [[1] * len(before)]
-        assert _thread_counts() == before
+        assert seen == [1]
+        assert _thread_count() == before
 
     def test_larger_sections_keep_the_process_counts(self, monkeypatch):
         _needs_openblas()
-        before = _thread_counts()
+        before = _thread_count()
         monkeypatch.setattr(dz, "ONE_THREAD_MAX_N", 512)
         monkeypatch.setattr(dz.Section, "dense", _no_dense)
         seq, seen = self._counts_seen_by(
@@ -586,26 +660,34 @@ class TestOneBlasThread:
             dz.riemann_liouville_section(1.0, 1024))
         assert seq.method == "lanczos"
         assert seen == [before]
-        assert _thread_counts() == before
+        assert _thread_count() == before
 
     def test_dense_fallback_keeps_the_process_counts(self, monkeypatch):
         _needs_openblas()
-        before = _thread_counts()
+        before = _thread_count()
         monkeypatch.setattr(dz, "_lanczos", lambda *args: None)
         seq, seen = self._counts_seen_by(
             monkeypatch, "_dense_singular_values",
             dz.riemann_liouville_section(1.0, 256))
         assert seq.method == "dense"
         assert seen == [before]
-        assert _thread_counts() == before
+        assert _thread_count() == before
 
+    @pytest.mark.parametrize("found", ["no-openblas", "fixed-count"])
     @pytest.mark.parametrize("operator,alpha", [("j_alpha", 1.0),
                                                 ("hilbert", None)])
     def test_solve_without_controls_gives_the_same_spectrum(
-            self, monkeypatch, operator, alpha):
+            self, monkeypatch, operator, alpha, found):
+        # no OpenBLAS found (dense eigh in the stop tests), or numpy's
+        # dstevd with a thread count that the solve cannot move
         section, _ = _section_and_matrix(operator, alpha, 512)
         seq = dz.singular_values(section)
-        monkeypatch.setattr(dz, "_openblas_controls", lambda: ())
+        blas = dz._openblas()
+        if found == "fixed-count" and blas is not None:
+            blas = (blas[0], lambda count: None, blas[2])
+        else:
+            blas = None
+        monkeypatch.setattr(dz, "_openblas", lambda: blas)
         again = dz.singular_values(section)
         assert again.method == seq.method == "lanczos"
         assert again.kept == seq.kept
@@ -614,27 +696,43 @@ class TestOneBlasThread:
     def test_import_does_not_look_for_controls(self):
         # a fresh interpreter: this one has solved sections already
         script = ("import illposed, illposed.cli, illposed.discretize as dz\n"
-                  "print([f.cache_info().misses for f in (dz._openblas_libraries,"
-                  " dz._openblas_controls, dz._lapacke_dstevd)])")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(dz.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
+                  "print(dz._openblas.cache_info().misses)")
         out = subprocess.run([sys.executable, "-c", script],
-                             capture_output=True, text=True, env=env,
+                             capture_output=True, text=True, env=_src_env(),
                              timeout=300, check=True)
-        assert out.stdout.strip() == "[0, 0, 0]"
+        assert out.stdout.strip() == "0"
+
+    def test_only_numpys_openblas_moves_and_nothing_reads_proc(self):
+        # scipy imported first, so that its own OpenBLAS copy is mapped
+        # next to numpy's: a solve sets numpy's count to one and back, and
+        # scipy's never moves, read through scipy's own extension handle
+        pytest.importorskip("scipy.linalg")
+        _needs_openblas()
+        out = json.loads(subprocess.run(
+            [sys.executable, "-c", TWO_OPENBLAS_SCRIPT], capture_output=True,
+            text=True, env=_src_env(), timeout=300, check=True).stdout)
+        assert out["distinct"] is True
+        assert out["method"] == "lanczos"
+        assert out["seen"] == [[1, 2]]
+        assert out["after"] == [2, 2]
+        assert out["proc"] == []
+        # dstevd takes the build's integers: 64-bit where numpy's OpenBLAS
+        # is ILP64, as in numpy's wheels
+        assert out["int64"] is out["ilp64"]
+        assert out["dstevd"].endswith("64_") is out["ilp64"]
 
     def test_overlapping_blocks_restore_the_counts(self):
         # threads entering and leaving blocks at random: the count reads 1
         # while any block is open and the old count once all have closed
         _needs_openblas()
-        before, wrong = _thread_counts(), []
+        before, wrong = _thread_count(), []
 
         def enter_many():
             for _ in range(300):
                 with dz._one_blas_thread():
-                    counts = _thread_counts()
-                    if counts != [1] * len(before):
-                        wrong.append(counts)
+                    count = _thread_count()
+                    if count != 1:
+                        wrong.append(count)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -647,12 +745,13 @@ class TestOneBlasThread:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert wrong == []
-        assert _thread_counts() == before
+        assert _thread_count() == before
 
 
 def _needs_dstevd():
-    if dz._lapacke_dstevd() is None:
-        pytest.skip("no LAPACKE_dstevd in this process")
+    blas = dz._openblas()
+    if blas is None or blas[2] is None:
+        pytest.skip("numpy's OpenBLAS has no LAPACKE_dstevd")
 
 
 class TestTridiagonalEigh:
@@ -698,7 +797,9 @@ class TestTridiagonalEigh:
     def test_solve_without_the_symbol_gives_the_same_spectrum(
             self, monkeypatch, section):
         seq = dz.singular_values(section)
-        monkeypatch.setattr(dz, "_lapacke_dstevd", lambda: None)
+        blas = dz._openblas()
+        monkeypatch.setattr(dz, "_openblas",
+                            lambda: blas and (blas[0], blas[1], None))
         again = dz.singular_values(section)
         assert (again.method, again.kept) == (seq.method, seq.kept)
         assert np.array_equal(again.values, seq.values)

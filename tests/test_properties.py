@@ -300,6 +300,18 @@ CLOSED_OVERFLOWS = (
     ("analyze", "--model", "fractional_line", "--param", "s=1e-5"),
     ("analyze", "--model", "fractional_line", "--eps-min=5e-324"),
     ("analyze", "--model", "fractional_line", "--eps-min=1e-310"))
+# a constant a factory derives from its parameters leaves the normal
+# floats: a usage error naming the parameter, not a raw OverflowError or a
+# nan multiplier
+DERIVED_OUT_OF_RANGE = {
+    ("analyze", "--model", "gaussian_kernel", "--param", "d=700"): "d = 700",
+    ("analyze", "--model", "parabolic_source", "--param", "diffusivity=1e80"):
+        "diffusivity = 1e+80",
+    ("analyze", "--model", "parabolic_source", "--param",
+     "diffusivity=1e-100"): "diffusivity = 1e-100",
+    ("analyze", "--model", "parabolic_source", "--param", "t0=1e-200"):
+        "t0 = 1e-200",
+}
 # every sigma_n is 1: exit 1, naming the tie
 FLAT_SPECTRA = (
     ("analyze", "--model", "sobolev_embedding", "--param", "d=1e308"),
@@ -334,6 +346,13 @@ REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
 @example(argv=["analyze", "--model", "fractional_line", "--param", "s=1e-5"])
 @example(argv=["analyze", "--model", "fractional_line", "--eps-min=5e-324"])
 @example(argv=["analyze", "--model", "fractional_line", "--eps-min=1e-310"])
+@example(argv=["analyze", "--model", "gaussian_kernel", "--param", "d=700"])
+@example(argv=["analyze", "--model", "parabolic_source", "--param",
+               "diffusivity=1e80"])
+@example(argv=["analyze", "--model", "parabolic_source", "--param",
+               "diffusivity=1e-100"])
+@example(argv=["analyze", "--model", "parabolic_source", "--param",
+               "t0=1e-200"])
 @example(argv=["analyze", "--model", "sobolev_embedding", "--param", "d=1e308"])
 @example(argv=["analyze", "--model", "riemann_liouville", "--param",
                "alpha=1e-300"])
@@ -375,6 +394,10 @@ def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
     if tuple(argv) in CLOSED_OVERFLOWS:
         assert code == 2
         assert "the closed form leaves the float range at eps = " \
+            in err.getvalue()
+    if tuple(argv) in DERIVED_OUT_OF_RANGE:
+        assert code == 2
+        assert f"parameter {DERIVED_OUT_OF_RANGE[tuple(argv)]}: " \
             in err.getvalue()
     if tuple(argv) in FLAT_SPECTRA:
         assert code == 1
