@@ -67,9 +67,8 @@ def _hilbert_sigma_max(n):
 
 @lru_cache(maxsize=None)
 def _gaussian_fft(n):
-    kernel = discretize.KernelSampler(fn=lambda x: math.exp(-x * x),
-                                      L=12.0, N=n)
-    return discretize.fft_multiplier(kernel)
+    return discretize.fft_multiplier(discretize.KernelSampler(
+        fn=lambda x: np.exp(-x * x), L=12.0, N=n))
 
 
 def _gaussian_fft_max_rel_err(n, omega_cap=5.0):

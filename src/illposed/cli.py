@@ -46,13 +46,11 @@ def to_json(obj):
         items = ",".join(f"{to_json(str(k))}:{to_json(v)}"
                          for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(to_json(v) for v in obj) + "]"
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
-    if isinstance(obj, (np.floating,)):
-        return _fmt(float(obj))
     return _fmt(obj)
 
 
@@ -88,8 +86,8 @@ def _payload(report):
     iv, tag = report.interval, report.expected
     return {
         **report.header,
-        "eps_grid": [float(v) for v in report.phi.eps_grid],
-        "log_phi": [float(v) for v in report.phi.log_phi],
+        "eps_grid": report.phi.eps_grid,
+        "log_phi": report.phi.log_phi,
         "ratios": [[e, r] for e, r in report.ratios],
         "interval": {"A": float(iv.lower), "B": float(iv.upper)},
         "classification": report.classification,
@@ -143,7 +141,8 @@ def _thresholds(args):
 def _grid_for(model, args, points=None, depth=2.0 ** -59):
     """The eps grid from the flags; eps_min defaults to depth * eps_max."""
     eps_max = args.eps_max if args.eps_max is not None else model.eps_max
-    eps_min = args.eps_min if args.eps_min is not None else eps_max * depth
+    eps_min = (args.eps_min if args.eps_min is not None
+               else gallery._default_eps_min(eps_max, depth))
     return geometric_grid(eps_max, eps_min, points or args.points)
 
 
@@ -199,7 +198,6 @@ def _cmd_rearrange(args):
     with np.errstate(over="ignore"):  # geomspace sets the endpoints exactly
         ts = np.geomspace(args.t_min, args.t_max, args.points)
     vals = distribution.decreasing_rearrangement(phi, ts)
-    ts, vals = [float(t) for t in ts], [float(v) for v in vals]
     payload = {"model": model.id, "mode": args.mode, "t": ts,
                "lambda_star": vals}
     return _emit(args, payload, "t,lambda_star", zip(ts, vals))
@@ -252,14 +250,13 @@ def _cmd_fft_multiplier(args):
         raise ValueError(f"--a must be finite and --b finite and positive, "
                          f"got a = {args.a!r}, b = {args.b!r}")
     if args.kernel == "gaussian":
-        fn = lambda x: math.exp(-x * x)
+        fn = lambda x: np.exp(-x * x)
     else:
         a, b = args.a, args.b
-        fn = lambda x: a * math.exp(-abs(x) / b)
+        fn = lambda x: a * np.exp(-np.abs(x) / b)
     sampled = discretize.fft_multiplier(
         discretize.KernelSampler(fn=fn, L=args.L, N=args.N))
-    omega = [float(v) for v in sampled.omega]
-    lam = [float(v) for v in sampled.values]
+    omega, lam = sampled.omega, sampled.values
     payload = {"kernel": args.kernel, "L": args.L, "N": args.N,
                "omega": omega, "lambda": lam,
                "truncation_bound": sampled.truncation_bound,

@@ -277,7 +277,8 @@ class Multiplier:
     point / radius of the superlevel set); ``cutoff_hint`` maps eps to an
     integer beyond which a discrete multiplier stays at or below eps.
     Reweighted curves need no further data: ``distribution.reweight``
-    integrates the density over the superlevel sets.
+    integrates its density, the one scalar callback, over the superlevel
+    sets.  ``discretize.KernelSampler.fn`` takes arrays as ``fn`` does.
     """
 
     fn: Callable

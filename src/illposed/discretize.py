@@ -616,11 +616,12 @@ def _tridiagonal_eigh(d, e):
 class KernelSampler:
     """Sampling plan for a convolution kernel on [-L, L) with N cells.
 
-    |kernel| must be integrable: the a-posteriori truncation and aliasing
-    bounds integrate it.  N must be a power of two.
+    ``fn`` maps an array of points to an array of its shape, under
+    ``np.errstate``.  |kernel| must be integrable: the a-posteriori
+    truncation and aliasing bounds integrate it.  N must be a power of two.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     L: float
     N: int
 
@@ -649,17 +650,21 @@ class SampledMultiplier:
 def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
     """Multiplier lambda = |F h|^2 estimated by a length-N DFT.
 
-    Samples of h on x_m = -L + m dx are turned into values of the
-    continuous transform integral F h(w) = int exp(-i w x) h(x) dx at the
-    dual frequencies w_k = pi k / L, k = -N/2 .. N/2 - 1, via the exact
-    phase factor (-1)^k dx.  The truncation bound integrates |kernel|
-    beyond [-L, L]; the aliasing bound is the mass of |kernel| beyond half
-    the first alias distance.
+    Samples of h on x_m = -L + m dx, from one call of ``kernel.fn``, become
+    values of F h(w) = int exp(-i w x) h(x) dx at the dual frequencies
+    w_k = pi k / L, k = -N/2 .. N/2 - 1, via the exact phase factor
+    (-1)^k dx.  The truncation bound integrates |kernel| beyond [-L, L];
+    the aliasing bound, a crude bound on |F h| at the first alias image,
+    is the mass of |kernel| beyond half the alias distance.
     """
     L, N = kernel.L, kernel.N
     dx = 2.0 * L / N
     x = -L + dx * np.arange(N)
-    h = np.asarray([kernel.fn(v) for v in x.tolist()], dtype=float)
+    with np.errstate(all="ignore"):
+        h = np.asarray(kernel.fn(x), dtype=float)
+    if h.shape != x.shape:
+        raise ValueError(f"kernel must return an array of shape {x.shape}, "
+                         f"got shape {h.shape}")
     k = np.arange(-N // 2, N // 2)
     # a kernel too large for its transform or |transform|^2 to be a float
     # raises FloatingPointError
@@ -669,22 +674,14 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
         lam = np.abs(hhat) ** 2
     omega = np.pi * k / L
 
-    magnitude = _distribution._pointwise(lambda t: abs(kernel.fn(t)))
+    magnitude = lambda t: np.abs(kernel.fn(t))
     truncation = 2.0 * _distribution._quad(magnitude, L, math.inf)[0]
-    # first alias image sits 2 pi / dx away from the kept band
+    # the first alias image sits pi N / (2 L) > 0 beyond the kept band
     alias_dist = 2.0 * math.pi / dx - np.abs(omega).max()
-    aliasing = _gauss_tail_bound(magnitude, alias_dist)
+    aliasing = 2.0 * _distribution._quad(magnitude, alias_dist / 2.0,
+                                         math.inf)[0]
 
-    return SampledMultiplier(omega=omega, values=lam,
-                             truncation_bound=float(truncation),
-                             aliasing_bound=float(aliasing))
-
-
-def _gauss_tail_bound(magnitude, dist):
-    """Crude |F h|(dist) bound: L1 mass of |h| beyond dist/2."""
-    if dist <= 0:
-        return math.inf
-    return 2.0 * _distribution._quad(magnitude, dist / 2.0, math.inf)[0]
+    return SampledMultiplier(omega, lam, truncation, aliasing)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ rearrangements, reweighted curves and the essential-infimum diagnostic.
 
 The numeric search works on a whole eps grid at once.  Multiplier
 callbacks take an array of points and return an array of its shape, and
-``_values`` evaluates and checks each grid in one call.  Every continuous
-profile is walked branch by branch between its breakpoints; the branch
-that runs to infinity gets one bracket per eps, grown along one ladder of
-doublings shared by the grid, and one bisection then halves every
-crossing together, each stopping on the rule a lone bracket would use.
-The doubling loop of the indicator sums settles each eps on its own.  A
-single eps is a one-element grid, so a sample's value does not depend on
+``_values`` evaluates and checks each grid in one call.  The reweighting
+density alone is scalar, as callers write it with ``math.exp``;
+``_positive`` adapts it to arrays by calling it point by point.  Every
+continuous profile is walked branch by branch between its breakpoints; the
+branch that runs to infinity gets one bracket per eps, grown along one
+ladder of doublings shared by the grid, and one bisection then halves
+every crossing together, each stopping on the rule a lone bracket would
+use.  The doubling loop of the indicator sums settles each eps on its own.
+A single eps is a one-element grid, so a sample's value does not depend on
 the grid it was computed in.
 
 All functions are pure; per-epsilon results are independent and
@@ -209,27 +211,20 @@ def _superlevel_set(lam, eps, domain_hi=INF):
 
 def _discrete_scan(lam, eps, weight=None):
     """Sum of weights over {k in Z : lam(k) > eps[i]} for every i; counts
-    when weight is None.  Exact: one call of fn enumerates every |k| up to
-    the largest cutoff_hint(eps[i])."""
-    kmax = [int(lam.cutoff_hint(float(e))) for e in eps]
-    top = max(kmax, default=0)
+    when weight is None.  Exact: one call of fn covers every |k| up to the
+    largest cutoff_hint, past which lam <= eps[i]; one call of weight every
+    k kept, each sum adding its terms one at a time in ascending k."""
+    top = max((int(lam.cutoff_hint(float(e))) for e in eps), default=0)
     if 2 * top + 1 > SCAN_POINTS:
         raise MemoryError(f"the discrete scan needs {float(2 * top + 1):.3g} "
                           f"points, more than the {SCAN_POINTS} it may hold")
     ks = np.arange(-top, top + 1)
     vals = _values(lam.fn, ks)
-    out = np.empty(eps.shape)
-    for i, (e, m) in enumerate(zip(eps, kmax)):
-        window = slice(top - m, top + m + 1)
-        hits = ks[window][vals[window] > e]
-        if weight is None:
-            out[i] = float(hits.size)
-        else:
-            total = 0.0
-            for k in hits:
-                total += weight(int(k))
-            out[i] = total
-    return out
+    if weight is None:
+        return _count_above(vals, eps).astype(float)
+    kept = vals > np.min(eps, initial=INF)
+    vals, w = vals[kept], weight(ks[kept])
+    return np.array([np.cumsum(np.append(0.0, w[vals > e]))[-1] for e in eps])
 
 
 def _sampled_measure(lam, eps):
@@ -340,7 +335,7 @@ def _check_trim(trim):
         raise ValueError(f"trim must be a finite radius >= 0, got {trim!r}")
 
 
-def _numeric_path(lam, mu, eps, method, trim):
+def _numeric_path(lam, eps, method, trim):
     """Check a request; True when it takes the numeric search."""
     if np.any(eps <= 0):
         raise ValueError("eps must be positive")
@@ -357,7 +352,7 @@ def _numeric_path(lam, mu, eps, method, trim):
 
 
 def _measure(lam, mu, eps, method, trim, want_log):
-    if not _numeric_path(lam, mu, eps, method, trim):
+    if not _numeric_path(lam, eps, method, trim):
         try:
             return _closed_measure(lam, mu, eps, want_log, trim)
         except OverflowError:
@@ -377,7 +372,7 @@ def phi_curve(lam, mu, grid, method="auto", trim=None):
     they are numeric failures).
     """
     eps = np.asarray(grid, dtype=float)
-    if _numeric_path(lam, mu, eps, method, trim):
+    if _numeric_path(lam, eps, method, trim):
         logs = [_log(m) for m in _numeric_measure(lam, mu, eps, trim)]
     else:
         logs = [log_superlevel_measure(lam, mu, float(e), method, trim)
@@ -572,14 +567,6 @@ def _quad(f, a, b):
             err.append(float(e[1]))
 
 
-def _pointwise(f):
-    """The array integrand of a scalar callback, called point by point."""
-    def g(x):
-        return np.array([f(v) for v in x.ravel().tolist()],
-                        dtype=float).reshape(x.shape)
-    return g
-
-
 def _merge(intervals):
     out = []
     for a, b in sorted(intervals):
@@ -632,30 +619,32 @@ def _mass(weight, mu, pieces):
     spans = _merge([(float(a), float(b)) for a, b in pieces if a < b])
     if spans and spans[-1][1] == INF:
         return INF
-    g = _pointwise(weight)
     mass = 0.0
     for a, b in spans:
         if mu.kind == LEBESGUE_LINE:
-            mass += _quad(g, -b, -a)[0] if a > 0 else 0.0
-            mass += _quad(g, a if a > 0 else -b, b)[0]
+            mass += _quad(weight, -b, -a)[0] if a > 0 else 0.0
+            mass += _quad(weight, a if a > 0 else -b, b)[0]
         else:
-            mass += _quad(g, a, b)[0]
+            mass += _quad(weight, a, b)[0]
     return mass
 
 
 def _positive(kappa):
-    def wrapped(x):
+    """The scalar density kappa as an array callback, the one place it is
+    called: point by point on Python numbers, each value finite and > 0."""
+    def checked(p):
         try:
-            v = kappa(x)
+            v = kappa(p)
         except OverflowError:
             v = INF
         if v == INF:
             raise FloatingPointError(
-                f"the density leaves the float range at {x!r}")
+                f"the density leaves the float range at {p!r}")
         if not v > 0:
             raise ValueError(f"density must be strictly positive, got {v!r}")
         return v
-    return wrapped
+    return lambda x: np.fromiter(map(checked, x.ravel().tolist()), float,
+                                 x.size).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

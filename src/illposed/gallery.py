@@ -521,6 +521,17 @@ def available_models():
 # ---------------------------------------------------------------------------
 # the end-to-end pipeline
 
+def _default_eps_min(eps_max, depth=2.0 ** -59):
+    """eps_max * depth, the bottom of a default grid, unless it underflows."""
+    if eps_max * depth == 0.0 < eps_max:
+        power = math.log2(depth)
+        factor = f"2^{power:.0f}" if power.is_integer() else f"{depth:g}"
+        raise ValueError(f"eps_max = {eps_max!r}: the default eps_min = "
+                         f"eps_max * {factor} underflows to 0; set it with "
+                         "--eps-min or an explicit grid")
+    return eps_max * depth
+
+
 def curve(model, grid=None, n_terms=4096, method="auto", trim=None):
     """The distribution curve of a gallery model on a descending eps grid.
 
@@ -531,7 +542,7 @@ def curve(model, grid=None, n_terms=4096, method="auto", trim=None):
     """
     _distribution._check_trim(trim)
     if grid is None:
-        grid = geometric_grid(model.eps_max, model.eps_max * 2.0 ** -59)
+        grid = geometric_grid(model.eps_max, _default_eps_min(model.eps_max))
     if model.kind == "multiplier":
         return _distribution.phi_curve(model.multiplier, model.measure, grid,
                                        method=method, trim=trim)

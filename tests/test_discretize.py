@@ -97,7 +97,7 @@ class TestSingularValues:
             dz.singular_values(np.array([[1.0, math.nan], [0.0, 1.0]]))
 
 
-GAUSS = dict(fn=lambda x: math.exp(-x * x))
+GAUSS = dict(fn=lambda x: np.exp(-x * x))
 
 
 class TestFftMultiplier:
@@ -147,7 +147,7 @@ class TestFftMultiplier:
                                          (3.0, 0.5, 20.0, 256)])
     def test_laplace_bounds_are_the_exact_tails(self, a, b, L, n):
         # 2 int_r^inf a exp(-t / b) dt = 2 a b exp(-r / b)
-        env = lambda x: a * math.exp(-abs(x) / b)
+        env = lambda x: a * np.exp(-np.abs(x) / b)
         sampled = dz.fft_multiplier(dz.KernelSampler(fn=env, L=L, N=n))
         # the first alias image sits 2 pi / dx - pi N / (2 L) = pi N / (2 L)
         # from the band, and the bound counts the mass beyond half of that
@@ -165,6 +165,31 @@ class TestFftMultiplier:
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError):
             dz.KernelSampler(L=4.0, N=100, **GAUSS)
+
+    def test_samples_are_taken_in_one_array_call(self):
+        calls = []
+
+        def fn(x):
+            calls.append(np.array(x, copy=True))
+            return np.exp(-x * x)
+
+        L, n = 12.0, 4096
+        sampled = dz.fft_multiplier(dz.KernelSampler(fn=fn, L=L, N=n))
+        # the first call holds every sample point; the rest are the bounds'
+        # quadrature cells, 21 points each
+        dx = 2.0 * L / n
+        np.testing.assert_array_equal(calls[0], -L + dx * np.arange(n))
+        assert all(c.size < 64 and c.size % 21 == 0 for c in calls[1:])
+        reference = dz.fft_multiplier(dz.KernelSampler(L=L, N=n, **GAUSS))
+        np.testing.assert_array_equal(sampled.values, reference.values)
+
+    @pytest.mark.parametrize("fn", [lambda x: 1.0,
+                                    lambda x: np.exp(-x * x)[:-1],
+                                    lambda x: np.exp(-x * x)[:, None]])
+    def test_kernel_of_the_wrong_shape_is_refused(self, fn):
+        with pytest.raises(ValueError, match="kernel must return an array "
+                                             r"of shape \(64,\)"):
+            dz.fft_multiplier(dz.KernelSampler(fn=fn, L=4.0, N=64))
 
 
 def _section_and_matrix(operator, alpha, n):

@@ -47,3 +47,18 @@ def test_commands_run_on_numpy_alone():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env=env, timeout=300, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(illposed.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = lambda *argv: subprocess.run(
+        [sys.executable, "-m", "illposed", *argv], capture_output=True,
+        text=True, env=env, timeout=120)
+    listed = run("gallery", "list")
+    assert listed.returncode == 0, listed.stderr
+    assert listed.stdout.split()[:2] == ["model", "parameters"]
+    # the exit code of cli.main is the process's
+    refused = run("check", "--only", "99")
+    assert refused.returncode == 2
+    assert "unknown criteria 99" in refused.stderr

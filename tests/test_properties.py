@@ -26,7 +26,7 @@ from illposed.distribution import (decreasing_rearrangement,
 from illposed.core import (CLASSIFICATIONS, DistributionFunction,
                            LEBESGUE_HALFLINE, LEBESGUE_LINE,
                            LEBESGUE_UNIT_INTERVAL)
-from illposed import cli, gallery
+from illposed import cli, distribution, gallery
 
 
 HALF = MeasureSpace(LEBESGUE_HALFLINE)
@@ -196,6 +196,41 @@ def test_unit_density_reweighting_matches_the_numeric_curve(knots, v0, kind,
                                np.exp(numeric.log_phi), rtol=1e-6, atol=0.0)
 
 
+def _brute_force_scan(lam, e, kappa):
+    """The count of {lam(k) > e} and the sum of kappa over it, one k at a
+    time in ascending order up to cutoff_hint(e)."""
+    m = int(lam.cutoff_hint(e))
+    ks = np.arange(-m, m + 1)
+    count, total = 0, 0.0
+    for k, v in zip(ks.tolist(), lam.fn(ks).tolist()):
+        if v > e:
+            count += 1
+            total += kappa(k)
+    return float(count), total
+
+
+INVERSE_SQUARES = Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), sup_bound=1.0,
+                             cutoff_hint=lambda e: math.ceil(math.sqrt(1.0 / e)))
+
+
+@given(t_bar=st.one_of(st.none(), st.floats(min_value=1e-4, max_value=10.0)),
+       eps=st.lists(st.floats(min_value=1e-6, max_value=1.5), min_size=1,
+                    max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_discrete_scan_equals_the_brute_force_scan(t_bar, eps):
+    # backward_heat at the drawn t_bar, or 1/(1 + k^2) when none is drawn
+    lam = (INVERSE_SQUARES if t_bar is None
+           else gallery.make("backward_heat", t_bar=t_bar).multiplier)
+    kappa = lambda k: 1.0 / 3.0 + math.exp(0.01 * k)
+    eps = np.array(eps)
+    counts = distribution._discrete_scan(lam, eps)
+    sums = distribution._discrete_scan(lam, eps,
+                                       weight=distribution._positive(kappa))
+    want = [_brute_force_scan(lam, float(e), kappa) for e in eps]
+    assert counts.tolist() == [c for c, _ in want]
+    assert sums.tolist() == [w for _, w in want]
+
+
 odd_floats = st.one_of(
     st.sampled_from(["inf", "-inf", "nan", "-1", "0", "1e-300", "0.5", "2",
                      "300", "1e308"]),
@@ -312,6 +347,19 @@ DERIVED_OUT_OF_RANGE = {
     ("analyze", "--model", "parabolic_source", "--param", "t0=1e-200"):
         "t0 = 1e-200",
 }
+# a default eps_min, eps_max * 2^-59 (eps_max * 1e-8 for reweight), that
+# underflows to 0: a usage error naming eps_max and --eps-min
+UNDERFLOWING_EPS_MIN = {
+    ("analyze", "--model", "parabolic_source", "--param", "t0=1e-158"):
+        "9.9e-317",
+    ("analyze", "--model", "counterexample_const", "--param", "c=1e-310"):
+        "9.9e-311",
+    ("analyze", "--model", "hausdorff", "--eps-max", "1e-310"): "1e-310",
+    ("rearrange", "--model", "parabolic_source", "--param", "t0=1e-158"):
+        "9.9e-317",
+    ("reweight", "--model", "hausdorff", "--density", "exp-pi", "--eps-max",
+     "1e-316"): "1e-316",
+}
 # every sigma_n is 1: exit 1, naming the tie
 FLAT_SPECTRA = (
     ("analyze", "--model", "sobolev_embedding", "--param", "d=1e308"),
@@ -353,6 +401,15 @@ REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
                "diffusivity=1e-100"])
 @example(argv=["analyze", "--model", "parabolic_source", "--param",
                "t0=1e-200"])
+@example(argv=["analyze", "--model", "parabolic_source", "--param",
+               "t0=1e-158"])
+@example(argv=["analyze", "--model", "counterexample_const", "--param",
+               "c=1e-310"])
+@example(argv=["analyze", "--model", "hausdorff", "--eps-max", "1e-310"])
+@example(argv=["rearrange", "--model", "parabolic_source", "--param",
+               "t0=1e-158"])
+@example(argv=["reweight", "--model", "hausdorff", "--density", "exp-pi",
+               "--eps-max", "1e-316"])
 @example(argv=["analyze", "--model", "sobolev_embedding", "--param", "d=1e308"])
 @example(argv=["analyze", "--model", "riemann_liouville", "--param",
                "alpha=1e-300"])
@@ -399,6 +456,11 @@ def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
         assert code == 2
         assert f"parameter {DERIVED_OUT_OF_RANGE[tuple(argv)]}: " \
             in err.getvalue()
+    if tuple(argv) in UNDERFLOWING_EPS_MIN:
+        assert code == 2
+        assert (f"eps_max = {UNDERFLOWING_EPS_MIN[tuple(argv)]}: the default "
+                "eps_min = eps_max * ") in err.getvalue()
+        assert "underflows to 0; set it with --eps-min" in err.getvalue()
     if tuple(argv) in FLAT_SPECTRA:
         assert code == 1
         assert "a flat spectrum has no decay" in err.getvalue()
