@@ -2,14 +2,13 @@
 
 Finite sections (Hilbert matrix, product-quadrature fractional
 integration), dense or as structured Toeplitz/Hankel sections with FFT
-matrix-vector products; singular value computation with a drop
-tolerance and residual-checked symmetric Lanczos on each section's
-symmetric Hankel form (a singular value is the magnitude of one of its
-eigenvalues); FFT estimation
-of convolution multipliers from kernel samples; and the end-to-end
-pipeline matrix -> spectrum -> corner curve -> interval.  Needs numpy
-only: the LAPACK and thread-count routines it calls through ctypes are
-looked up on numpy's own linalg extension, so they are those of the
+matrix-vector products; singular value computation with a drop tolerance
+and residual-checked symmetric Lanczos on each section's symmetric Hankel
+form (a singular value is the magnitude of one of its eigenvalues); FFT
+estimation of convolution multipliers from kernel samples; and the
+end-to-end pipeline matrix -> spectrum -> corner curve -> interval.  Needs
+numpy only: the LAPACK and thread-count routines it calls through ctypes
+are looked up on numpy's own linalg extension, so they are those of the
 OpenBLAS numpy links, and without them the same results come from numpy
 alone.
 """
@@ -69,16 +68,12 @@ BLOCK_DOUBLES = 1 << 17
 TOEPLITZ = "toeplitz"
 HANKEL = "hankel"
 # Sections up to this order solve on one BLAS thread.  The rule: a second
-# thread stays only at orders where, in warm single j_alpha solves at both
-# alpha = 1 and 0.5, the wall time it saves is at least half the CPU time
-# it adds.  Medians of 12 solves a side, from two fresh processes a side,
-# on a 2-vCPU Xeon (OpenBLAS 0.3.31) with the symmetric Lanczos solver,
-# wall saved against CPU added, alpha = 1 and 0.5, over two runs: n =
-# 2048, 0.04 s for 0.19 s and 0.09 s for 0.20 s; n = 3072, 0.17-0.23 s for
-# 0.47-0.49 s and 0.37-0.43 s for 0.47-0.50 s; n = 4096, 0.39-0.58 s for
-# 0.62-0.73 s and 0.74-1.03 s for 0.61-0.84 s.  By the rule n = 3072 would
-# solve on one thread too (it misses at alpha = 1); the limit stays at 2048
-# until latency after idle has been measured above it.
+# thread stays where, at alpha = 1 and 0.5, the wall time it saves in a
+# fresh j_alpha `discretize` process is at least half the CPU it adds.  On
+# a 2-vCPU Xeon (OpenBLAS 0.3.31), medians of 8 alternating pairs, wall/CPU
+# on the library's threads against one: n = 3072, 0.60/1.13 against
+# 0.77/0.90 s (alpha = 1), 0.77/1.47 against 1.08/1.20 s (0.5); n = 4096
+# by more.  At n = 2048 it saved 0.04-0.09 s for 0.19-0.20 s (warm solves).
 ONE_THREAD_MAX_N = 2048
 # OpenBLAS builds as (thread prefix, LAPACKE prefix, suffix, integer type of
 # the LAPACKE arguments), first match wins: numpy's scipy-openblas wheels,
@@ -231,8 +226,9 @@ class Spectrum(SigmaSequence):
 
     ``values`` holds the ``len(values)`` largest singular values; ``kept``
     is how many of all n values clear the drop tolerance, which is what a
-    dense SVD would keep (``len(values)`` for ``dense`` itself).
-    ``method`` is ``lanczos`` or ``dense``.
+    dense SVD would keep (``len(values)`` for ``dense`` itself).  Past 16
+    kept values the window stops short of the last, where the two methods
+    may count one apart.  ``method`` is ``lanczos`` or ``dense``.
     """
 
     kept: int = 0
@@ -687,26 +683,25 @@ def fft_multiplier(kernel: KernelSampler) -> SampledMultiplier:
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 
-def _trusted_window(n_kept):
-    """Index window for degree estimation on discretized spectra.
-
-    The upper part of a quadrature matrix's spectrum reflects the grid, not
-    the operator, so the window stays in the low-to-mid range; very short
-    spectra fall back to their upper half.
-    """
-    if n_kept < 64:
-        return max(2, n_kept // 2), n_kept
-    return max(4, n_kept // 128), max(16, n_kept // 8)
+def _trusted_window(kept):
+    """Index window (lo, hi) of a section's kept singular values to read:
+    the top of a quadrature matrix's spectrum reflects the grid, not the
+    operator, and its last kept values sit at the drop tolerance, where
+    they depend on the solver.  A section that keeps 16 values or fewer
+    (hilbert n <= 64) reads its whole kept spectrum from index 2."""
+    lo = 2 if kept < 64 else max(4, kept // 128)
+    return lo, min(kept, max(16, kept // 8))
 
 
 def pipeline_from_matrix(m, operator="matrix", thresholds=DEFAULT_THRESHOLDS):
     """matrix or Section -> singular values -> corner curve -> classification.
 
-    Finite sections carry the true spectrum only in their lower index
-    range, :func:`_trusted_window`, whose corner curve is read like any
-    singular value law's, by :func:`counting.estimate_curve`, and reports
-    its decay fits, trend and drift.  A window too short for any decision
-    (fewer than ``estimate.MIN_FIT_SAMPLES`` corners) is indeterminate.
+    Finite sections carry the true spectrum only in a lower index range,
+    the one rule of :func:`_trusted_window`, whose corner curve is read like
+    any singular value law's, by :func:`counting.estimate_curve`, with its
+    decay fits, trend and drift, whichever solver gave the values.  A window
+    too short for any decision (fewer than ``estimate.MIN_FIT_SAMPLES``
+    corners) is indeterminate.
     """
     seq = singular_values(m)
     kept = seq.kept

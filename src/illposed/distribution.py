@@ -62,6 +62,7 @@ SAMPLE_STEP = 1.0 / 64.0
 # most integers a discrete scan enumerates at once: 2^24 of them take
 # about 0.6 GB at peak, and backward_heat at t_bar = 1e-12 needs 1.3e7
 SCAN_POINTS = 1 << 24
+DENSITY_SLICE = 1 << 12  # points _positive lists for the density at once
 # truncation schedule of essinf (see its docstring)
 R0 = 8.0
 ESSINF_DOUBLINGS = 14
@@ -631,7 +632,8 @@ def _mass(weight, mu, pieces):
 
 def _positive(kappa):
     """The scalar density kappa as an array callback, the one place it is
-    called: point by point on Python numbers, each value finite and > 0."""
+    called: point by point in order, on Python numbers listed DENSITY_SLICE
+    at a time, each value finite and > 0."""
     def checked(p):
         try:
             v = kappa(p)
@@ -643,8 +645,10 @@ def _positive(kappa):
         if not v > 0:
             raise ValueError(f"density must be strictly positive, got {v!r}")
         return v
-    return lambda x: np.fromiter(map(checked, x.ravel().tolist()), float,
-                                 x.size).reshape(x.shape)
+    return lambda x: np.fromiter(
+        (checked(p) for i in range(0, x.size, DENSITY_SLICE)
+         for p in x.flat[i:i + DENSITY_SLICE].tolist()),
+        float, x.size).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

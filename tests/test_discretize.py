@@ -879,22 +879,33 @@ class TestDiscretizeCommand:
         assert (payload["classification"], payload["degree"]) == \
             ("indeterminate", None)
 
-    @pytest.mark.parametrize("operator, cls", [("j_alpha", "moderate"),
-                                               ("hilbert", "severe")])
     def test_old_absolute_residual_default_leaves_sections_open(
-            self, tmp_path, capsys, operator, cls):
+            self, tmp_path, capsys):
         # the old default 1e-3, now read as a relative rms, rejects the
-        # power law of j_alpha (0.0028) and the log law of hilbert (0.0017)
-        argv = ["discretize", "--operator", operator, "--n",
-                "512" if operator == "j_alpha" else "16"]
+        # power law of j_alpha (0.0028), which alone settles its class
+        argv = ["discretize", "--operator", "j_alpha", "--n", "512"]
         assert cli.main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["classification"] == cls
+        assert json.loads(capsys.readouterr().out)["classification"] == \
+            "moderate"
         cfg = tmp_path / "thresholds.cfg"
         cfg.write_text("residual_tol = 1e-3\n")
         assert cli.main(argv + ["--config", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["classification"], payload["degree"]) == \
             ("indeterminate", None)
+
+    def test_residual_tolerance_leaves_the_ratio_class_alone(self, tmp_path,
+                                                             capsys):
+        # hilbert's window 2 .. 12 is severe by its ratios, before any fit:
+        # no residual tolerance opens it
+        argv = ["discretize", "--operator", "hilbert", "--n", "16"]
+        cfg = tmp_path / "thresholds.cfg"
+        cfg.write_text("residual_tol = 0\n")
+        for extra in ([], ["--config", str(cfg)]):
+            assert cli.main(argv + extra) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert (payload["classification"], payload["degree"]) == \
+                ("severe", None)
 
     def test_infinite_alpha_is_rejected_without_warnings(self, capsys):
         with warnings.catch_warnings():
@@ -919,36 +930,63 @@ class TestDiscretizeCommand:
 
 
 SECTION_SIZES = (3, 8, 16, 32, 64, 128, 289)
-# class and degree of each section by size.  The ratio classifier decides
-# j_alpha at n = 32 (alpha = 0.5, 1 and 2), alpha = 2 at 64 and hilbert
-# from 128; a fit settles hilbert's corner windows of 5 to 9 values
-# (n = 8 to 64) and the windows of j_alpha that the classifier leaves open
-# from n = 64 on
+# class and degree of each section by size, read over its window: 2 ..
+# min(kept, 16) below 64 kept values, else 4 .. 16 (n = 64, 128) or 4 .. 36.
+# The ratio classifier decides hilbert from n = 16 and j_alpha alpha = 1
+# at n = 16; a power fit settles every other moderate j_alpha window.
+# hilbert n = 8 (window 2 .. 8) fits neither law within residual_tol
 _OPEN = ("indeterminate", None)
 _SEVERE = ("severe", None)
 SECTION_CLASSES = {
     ("j_alpha", 0.25): dict(zip(SECTION_SIZES, [
-        _OPEN, _OPEN, _OPEN, _OPEN, ("moderate", 0.2827574462628349),
+        _OPEN, _OPEN, _OPEN, ("moderate", 0.2953726153220634),
+        ("moderate", 0.2827574462628349),
         ("moderate", 0.27624719085578825),
         ("moderate", 0.26856856673141694)])),
     ("j_alpha", 0.5): dict(zip(SECTION_SIZES, [
-        _OPEN, _OPEN, _OPEN, ("moderate", 0.741993385106632),
+        _OPEN, ("moderate", 0.7192996905913033),
+        ("moderate", 0.6749080189998885), ("moderate", 0.6254404885248489),
         ("moderate", 0.5744664567654773), ("moderate", 0.550975433665238),
         ("moderate", 0.5348767965519213)])),
     ("j_alpha", 1.0): dict(zip(SECTION_SIZES, [
-        _OPEN, _OPEN, _OPEN, _SEVERE, ("moderate", 1.1023216272585206),
+        _OPEN, _OPEN, ("moderate", None), ("moderate", 1.2067565385366545),
+        ("moderate", 1.1023216272585206),
         ("moderate", 1.0771198376482014),
         ("moderate", 1.0499763817085794)])),
     ("j_alpha", 2.0): dict(zip(SECTION_SIZES, [
-        _OPEN, _OPEN, _OPEN, ("moderate", None), ("moderate", None),
+        _OPEN, _OPEN, ("moderate", 2.255830507747094),
+        ("moderate", 2.257558982341118), ("moderate", 2.227011393356296),
         ("moderate", 2.1423837856816395),
         ("moderate", 2.0916315917764408)])),
-    # n = 8: five corners, which the log law fits
-    ("hilbert", 1.0): dict(zip(SECTION_SIZES, [_OPEN] + [_SEVERE] * 6)),
+    ("hilbert", 1.0): dict(zip(SECTION_SIZES, [_OPEN] * 2 + [_SEVERE] * 5)),
 }
 
 
 class TestPipelines:
+    @pytest.mark.parametrize("kept, lo, hi", [
+        (2, 2, 2), (3, 2, 3), (16, 2, 16), (17, 2, 16), (63, 2, 16),
+        (64, 4, 16), (127, 4, 16), (128, 4, 16), (1024, 8, 128),
+        (2048, 16, 256)])
+    def test_trusted_window_is_one_rule(self, kept, lo, hi):
+        assert dz._trusted_window(kept) == (lo, hi)
+        if kept >= 64:  # the windows every long spectrum has always read
+            assert (lo, hi) == (max(4, kept // 128), max(16, kept // 8))
+
+    @pytest.mark.parametrize("n", [289, 512, 1024])
+    def test_hilbert_reads_the_same_whichever_solver_ran(self, n):
+        # the window stops below the drop tolerance, where the Lanczos and
+        # dense counts may differ by one (21 against 22 values at n = 289)
+        fast = dz.pipeline_from_matrix(dz.hilbert_section(n))
+        slow = dz.pipeline_from_matrix(dz.hilbert_matrix(n))
+        assert fast.diagnostics["spectrum"]["method"] == "lanczos"
+        assert fast.diagnostics["window_indices"] == \
+            slow.diagnostics["window_indices"]
+        assert fast.classification == slow.classification
+        assert fast.interval.lower == pytest.approx(slow.interval.lower,
+                                                    rel=1e-8)
+        assert fast.interval.upper == pytest.approx(slow.interval.upper,
+                                                    rel=1e-8)
+
     def test_riemann_liouville_end_to_end(self):
         rep = dz.pipeline_from_matrix(dz.riemann_liouville_section(1.0, 2048),
                                       operator="j_alpha")

@@ -334,6 +334,20 @@ class TestReweight:
         b = dist.phi_curve(model.multiplier, model.measure, grid)
         assert np.allclose(a.log_phi, b.log_phi, rtol=1e-12, atol=0.0)
 
+    def test_density_is_called_once_per_point_in_order(self):
+        # more points than one slice holds, in a transposed 2-d array:
+        # every point is passed as the Python number tolist gives, in
+        # ravel order
+        n = 2 * dist.DENSITY_SLICE + 7
+        x = np.arange(-n, n).reshape(2, n).T
+        calls = []
+        weight = dist._positive(lambda k: calls.append(k) or 2.0 + k / n)
+        got = weight(x)
+        assert calls == x.ravel().tolist()
+        assert all(type(k) is int for k in calls)
+        assert got.shape == x.shape
+        assert got.ravel().tolist() == [2.0 + k / n for k in calls]
+
     def test_rejects_nonpositive_density(self):
         model = gallery.make("hausdorff")
         with pytest.raises(ValueError):

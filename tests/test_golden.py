@@ -11,8 +11,8 @@ digits of the sha256 of its output:
   lines, with every runtime masked.
 
 A change that means to move bytes rewrites the file with
-``PYTHONPATH=src python tests/test_golden.py``; the diff of ``golden.json``
-then names the requests whose output changed.
+``PYTHONPATH=src python tests/test_golden.py``, which first prints the name,
+old and new digest of every request whose digest moved.
 """
 
 import hashlib
@@ -104,16 +104,43 @@ def test_every_request_has_a_digest():
         assert set(golden[w]) == {req.name for req in workloads.requests(w, 0)}
 
 
+def moved(old, new):
+    """``(workload/request, old, new)`` for every request of the digest
+    table ``new`` whose [exit code, digest] differs in ``old`` (None where
+    ``old`` has no such request), in the order of ``new``."""
+    return [(f"{w}/{name}", old.get(w, {}).get(name), got)
+            for w, rows in new.items() if w != "header"
+            for name, got in rows.items()
+            if old.get(w, {}).get(name) != got]
+
+
+def test_moved_names_every_changed_digest():
+    old = {"header": "h", "a": {"x": [0, "11"], "y": [0, "22"]},
+           "b": {"z": [1, "33"]}}
+    new = {"header": "h2", "a": {"x": [0, "11"], "y": [0, "2f"]},
+           "b": {"z": [0, "33"], "w": [0, "44"]}}
+    assert moved(old, new) == [("a/y", [0, "22"], [0, "2f"]),
+                               ("b/z", [1, "33"], [0, "33"]),
+                               ("b/w", None, [0, "44"])]
+    assert moved(new, new) == []
+
+
 def main(tmp_dir):
-    """Rewrite golden.json from the program as it stands, one line per
-    request, so that a diff names the requests whose output moved."""
-    blocks = [f'  "header": {json.dumps(HEADER)}']
+    """Print the requests whose digest moved, then rewrite golden.json from
+    the program as it stands, one line per request, so that a diff names
+    them too."""
+    table = {"header": HEADER}
     for w in workloads.WORKLOADS:
         reqs = sorted(workloads.requests(w, 0), key=lambda r: r.name)
-        rows = ",\n".join(
-            f"    {json.dumps(req.name)}: "
-            f"{json.dumps(digest(req, workloads.out_path(tmp_dir, i, req)))}"
-            for i, req in enumerate(reqs))
+        table[w] = {req.name: digest(req, workloads.out_path(tmp_dir, i, req))
+                    for i, req in enumerate(reqs)}
+    old = _golden() if os.path.exists(GOLDEN) else {}
+    for name, was, now in moved(old, table):
+        print(f"{name}: {json.dumps(was)} -> {json.dumps(now)}")
+    blocks = [f'  "header": {json.dumps(HEADER)}']
+    for w in workloads.WORKLOADS:
+        rows = ",\n".join(f"    {json.dumps(name)}: {json.dumps(got)}"
+                          for name, got in table[w].items())
         blocks.append(f'  "{w}": {{\n{rows}\n  }}')
     with open(GOLDEN, "w") as fh:
         fh.write("{\n" + ",\n".join(blocks) + "\n}\n")
