@@ -62,8 +62,9 @@ FIRST_ROWS = 64
 # from L2.  On a 2-vCPU Xeon it takes 14-19% off a pass over 150-600 rows
 # of n = 2048 on one thread, and adds 50-60% on two, so solves on the
 # library's threads orthogonalize against the whole basis at once.  The
-# final residual check multiplies its Ritz vectors by the section in
-# blocks whose FFT arrays hold about this many doubles.
+# final residual check forms its Ritz vectors in blocks of half this many
+# doubles and multiplies them by the section in slices whose FFT arrays
+# hold about a quarter of it.
 BLOCK_DOUBLES = 1 << 17
 TOEPLITZ = "toeplitz"
 HANKEL = "hankel"
@@ -498,8 +499,10 @@ def _lanczos(matvec, n, k, blocked=False):
             loose[above] |= bound[above] >= 0.5 * s[above]
         converged = int(np.argmax(loose)) if loose.any() else wanted
         if converged == wanted <= m:
-            return s[:wanted], _ritz_residuals(matvec, Q[:m], y[pairs],
-                                               theta[pairs])
+            # only the wanted rows of y stay: the m x m vectors are freed
+            # before the residual check allocates
+            y, theta = y[pairs], theta[pairs]
+            return s[:wanted], _ritz_residuals(matvec, Q[:m], y, theta)
         if m < k or last is None or converged <= last[1]:
             test = 2 * m
         else:
@@ -528,18 +531,21 @@ def _start_vector(n):
 def _ritz_residuals(matvec, basis, vectors, theta):
     """||S x - theta x|| of each Ritz pair (theta_i, x_i = basis^T
     vectors_i), taken explicitly, so that a product that is not symmetric
-    shows.  The x are formed in row blocks, each multiplied by S in one FFT
-    product; its rows are zero-padded to at least 2n entries, so blocks of
-    BLOCK_DOUBLES / 2n rows keep each FFT array near BLOCK_DOUBLES doubles.
+    shows.  The x are formed in row blocks of BLOCK_DOUBLES / 2n rows, one
+    pass over the basis per block, and each block is multiplied by S in
+    quarter slices: FFT rows are zero-padded to at least 2n entries, so
+    each FFT array holds about BLOCK_DOUBLES / 4 doubles.
     """
     step = max(1, BLOCK_DOUBLES // (2 * basis.shape[1]))
+    part = max(1, step // 4)
     out = np.empty(len(theta))
     for start in range(0, len(theta), step):
         x = vectors[start:start + step] @ basis
-        residual = matvec(x)
-        residual -= theta[start:start + step, None] * x
-        out[start:start + step] = np.sqrt(
-            np.einsum("ij,ij->i", residual, residual))
+        for i in range(0, len(x), part):
+            rows = slice(start + i, start + i + part)
+            residual = matvec(x[i:i + part])
+            residual -= theta[rows, None] * x[i:i + part]
+            out[rows] = np.sqrt(np.einsum("ij,ij->i", residual, residual))
     return out
 
 

@@ -219,13 +219,22 @@ def _discrete_scan(lam, eps, weight=None):
     if 2 * top + 1 > SCAN_POINTS:
         raise MemoryError(f"the discrete scan needs {float(2 * top + 1):.3g} "
                           f"points, more than the {SCAN_POINTS} it may hold")
-    ks = np.arange(-top, top + 1)
-    vals = _values(lam.fn, ks)
+    vals = _values(lam.fn, np.arange(-top, top + 1))
     if weight is None:
         return _count_above(vals, eps).astype(float)
+    # only the kept points' values and weights outlive the density calls:
+    # the whole scan's values go first, and its points are made again
     kept = vals > np.min(eps, initial=INF)
-    vals, w = vals[kept], weight(ks[kept])
-    return np.array([np.cumsum(np.append(0.0, w[vals > e]))[-1] for e in eps])
+    vals = vals[kept]
+    w = weight(np.arange(-top, top + 1)[kept])
+    return np.array([_running_sum(w[vals > e]) for e in eps])
+
+
+def _running_sum(w):
+    """Sum of w adding one term at a time from w[0], 0.0 for none.  The
+    running sums overwrite w, so each eps's copy of its kept weights is
+    the one array it adds, freed before the next eps's."""
+    return np.cumsum(w, out=w)[-1] if w.size else 0.0
 
 
 def _sampled_measure(lam, eps):

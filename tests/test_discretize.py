@@ -298,6 +298,44 @@ class TestSections:
         assert seq.method == "lanczos"
         assert peak < 2 * basis
 
+    def test_solve_peaks_a_few_mib_beyond_its_basis(self):
+        # past its basis capacity of 3n/4 + 1 rows, this solve holds the
+        # final test's m x m eigenvectors (m = 582, 2.6 MiB), then, once
+        # they are freed, its 256 Ritz vectors' coordinates and the
+        # residual check's slices; the two together took 7.5 MiB
+        n = 2048
+        section = dz.riemann_liouville_section(0.5, n)
+        tracemalloc.start()
+        try:
+            seq = dz.singular_values(section)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.method == "lanczos"
+        assert peak - (3 * n // 4 + 1) * n * 8 < 5 * 2 ** 20
+
+    def test_residual_check_multiplies_in_small_slices(self):
+        # 256 pairs at n = 2048: Ritz vectors in blocks of 32 rows (512 KiB),
+        # each multiplied by S 8 rows at a time; one FFT product of the
+        # whole block took 3.5 MiB
+        n, pairs = 2048, 256
+        rng = np.random.default_rng(n)
+        basis = np.linalg.qr(rng.standard_normal((n, pairs)))[0].T.copy()
+        vectors = np.linalg.qr(rng.standard_normal((pairs, pairs)))[0]
+        theta = rng.standard_normal(pairs)
+        matvec = dz.riemann_liouville_section(0.5, n).operator()
+        matvec(basis[:1])
+        tracemalloc.start()
+        try:
+            got = dz._ritz_residuals(matvec, basis, vectors, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        x = vectors @ basis
+        want = np.linalg.norm(matvec(x) - theta[:, None] * x, axis=1)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+        assert peak < 1.5 * 2 ** 20
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_widened_workspace_gives_the_same_values(self, monkeypatch, alpha):
         # these solves run past FIRST_ROWS steps and copy their bases once

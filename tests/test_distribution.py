@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -326,6 +327,38 @@ class TestReweight:
                                  np.array([eps * 2, eps]))
         assert math.exp(weighted.log_phi[-1]) \
             == pytest.approx(1.0 + 2.0 * math.e + 2.0 * math.e ** 4, rel=1e-12)
+
+    def test_eps_above_every_value_weighs_nothing(self):
+        # lambda <= lambda(0) = 1: no integer is kept at eps = 2, so its
+        # weighted sum is 0.0 and ln Phi is -inf
+        model = gallery.make("backward_heat", t_bar=1.0)
+        kappa = lambda k: math.exp(float(k) ** 2)
+        curve = dist.reweight(model.multiplier, model.measure, kappa,
+                              np.array([2.0, math.exp(-9.0)]))
+        assert curve.log_phi[0] == -math.inf
+        assert math.exp(curve.log_phi[1]) \
+            == pytest.approx(1.0 + 2.0 * math.e + 2.0 * math.e ** 4, rel=1e-12)
+        sums = dist._discrete_scan(model.multiplier, np.array([2.0, 1.0]),
+                                   weight=dist._positive(kappa))
+        assert sums.tolist() == [0.0, 0.0]
+
+    def test_weighted_scan_holds_one_copy_of_the_weights_per_eps(self):
+        # t_bar = 1e-9 scans 271,451 integers.  The kept values and
+        # weights (8 bytes a point each), two masks and one copy of the
+        # weights an eps keeps, which its running sums overwrite, come to
+        # 26 bytes a point; holding the whole scan through the density
+        # calls and copying each eps's weights twice took 41
+        lam = gallery.make("backward_heat", t_bar=1e-9).multiplier
+        eps = geometric_grid(0.99, 1e-8, 40)
+        weight = dist._positive(lambda k: 1.0 / 3.0 + math.exp(-1e-9 * k * k))
+        points = 2 * int(lam.cutoff_hint(float(eps[-1]))) + 1
+        tracemalloc.start()
+        try:
+            dist._discrete_scan(lam, eps, weight=weight)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * points
 
     def test_unit_density_reproduces_phi_curve(self):
         model = gallery.make("hausdorff")

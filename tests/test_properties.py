@@ -216,6 +216,7 @@ INVERSE_SQUARES = Multiplier(fn=lambda k: 1.0 / (1.0 + k * k), sup_bound=1.0,
 @given(t_bar=st.one_of(st.none(), st.floats(min_value=1e-4, max_value=10.0)),
        eps=st.lists(st.floats(min_value=1e-6, max_value=1.5), min_size=1,
                     max_size=8))
+@example(t_bar=None, eps=[1.5])  # above every value: nothing kept
 @settings(max_examples=60, deadline=None)
 def test_discrete_scan_equals_the_brute_force_scan(t_bar, eps):
     # backward_heat at the drawn t_bar, or 1/(1 + k^2) when none is drawn
