@@ -531,13 +531,14 @@ def _start_vector(n):
 def _ritz_residuals(matvec, basis, vectors, theta):
     """||S x - theta x|| of each Ritz pair (theta_i, x_i = basis^T
     vectors_i), taken explicitly, so that a product that is not symmetric
-    shows.  The x are formed in row blocks of BLOCK_DOUBLES / 2n rows, one
-    pass over the basis per block, and each block is multiplied by S in
-    quarter slices: FFT rows are zero-padded to at least 2n entries, so
-    each FFT array holds about BLOCK_DOUBLES / 4 doubles.
+    shows.  The x are formed in row blocks of about BLOCK_DOUBLES / 2n
+    rows, one pass over the basis per block, and each block is multiplied
+    by S in four slices: FFT rows are zero-padded to at least 2n entries,
+    so each FFT array holds about BLOCK_DOUBLES / 4 doubles.  A block is
+    exactly four slices, so no slice reaches into the next block.
     """
-    step = max(1, BLOCK_DOUBLES // (2 * basis.shape[1]))
-    part = max(1, step // 4)
+    part = max(1, BLOCK_DOUBLES // (8 * basis.shape[1]))
+    step = 4 * part
     out = np.empty(len(theta))
     for start in range(0, len(theta), step):
         x = vectors[start:start + step] @ basis

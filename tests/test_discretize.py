@@ -336,6 +336,32 @@ class TestSections:
         assert got == pytest.approx(want, rel=1e-13, abs=0)
         assert peak < 1.5 * 2 ** 20
 
+    @pytest.mark.parametrize("n,pairs,m", [(1000, 130, 260), (3072, 100, 150)])
+    def test_residual_check_covers_every_pair(self, n, pairs, m):
+        # 2^17 / 2n rows is not a multiple of four at these n (65 and 21),
+        # and there are more pairs than one block holds: every residual is
+        # still the one of the whole-block product
+        rng = np.random.default_rng(n)
+        basis = np.linalg.qr(rng.standard_normal((n, m)))[0].T.copy()
+        vectors = np.linalg.qr(rng.standard_normal((m, m)))[0][:pairs]
+        theta = rng.standard_normal(pairs)
+        matvec = dz.riemann_liouville_section(0.5, n).operator()
+        got = dz._ritz_residuals(matvec, basis, vectors, theta)
+        x = vectors @ basis
+        want = np.linalg.norm(matvec(x) - theta[:, None] * x, axis=1)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_solve_at_an_order_that_is_no_power_of_two(self, monkeypatch):
+        # 125 pairs at n = 1000 fill two residual-check blocks of 64 rows
+        n = 1000
+        monkeypatch.setattr(dz.Section, "dense", _no_dense)
+        seq = dz.singular_values(dz.riemann_liouville_section(1.0, n))
+        dense = np.linalg.svd(dz.riemann_liouville_matrix(1.0, n),
+                              compute_uv=False)
+        assert seq.method == "lanczos"
+        assert len(seq) == n // 8 and seq.kept == n
+        assert seq.values == pytest.approx(dense[:n // 8], rel=1e-12)
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_widened_workspace_gives_the_same_values(self, monkeypatch, alpha):
         # these solves run past FIRST_ROWS steps and copy their bases once
