@@ -2,11 +2,7 @@
 
 Each criterion function returns a list of (name, passed, detail) records so
 the CLI can print one line per check and the test suite can assert them
-individually.  Heavy artifacts are cached, each for the one criterion that
-reads it: the section pipelines for criterion 4 (the alpha = 1 solve is
-read twice), the Hilbert sigma_max for 5, the Gaussian FFT samples for 6
-(N = 4096 read twice).  Beyond that a cache pays off only when one process
-runs the same criterion again.
+individually.
 
 Three checks are known to fail by construction and are kept failing on
 purpose; their tolerances cannot be met by the objects they pin down (see
@@ -22,7 +18,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,32 +43,18 @@ def _result(name, passed, detail):
     return CheckResult(name, bool(passed), detail)
 
 
-def _rl_sigma(alpha, n):
-    """Leading singular values of the section, the first n/8 of them."""
-    return _rl_pipeline(alpha, n).sigma
-
-
-@lru_cache(maxsize=None)
-def _rl_pipeline(alpha, n):
+def _rl_pipeline(alpha):
     return discretize.pipeline_from_matrix(
-        discretize.riemann_liouville_section(alpha, n), operator="j_alpha")
+        discretize.riemann_liouville_section(alpha, 1024), operator="j_alpha")
 
 
-@lru_cache(maxsize=None)
-def _hilbert_sigma_max(n):
-    return float(discretize.singular_values(
-        discretize.hilbert_section(n)).values[0])
-
-
-@lru_cache(maxsize=None)
 def _gaussian_fft(n):
     return discretize.fft_multiplier(discretize.KernelSampler(
         fn=lambda x: np.exp(-x * x), L=12.0, N=n))
 
 
-def _gaussian_fft_max_rel_err(n, omega_cap=5.0):
-    sampled = _gaussian_fft(n)
-    mask = np.abs(sampled.omega) <= omega_cap
+def _gaussian_fft_max_rel_err(sampled):
+    mask = np.abs(sampled.omega) <= 5.0
     analytic = math.pi * np.exp(-0.5 * sampled.omega[mask] ** 2)
     return float(np.max(np.abs(sampled.values[mask] - analytic) / analytic))
 
@@ -196,22 +177,21 @@ def criterion_4():
     """Discretized fractional integration against the analytic spectrum."""
     out = []
     t0 = time.perf_counter()
-    seq = _rl_sigma(1.0, 1024)
+    rep = _rl_pipeline(1.0)
     n = np.arange(1, 129)
     oracle = 2.0 / ((2 * n - 1) * math.pi)
-    rel = float(np.max(np.abs(seq.values[:128] - oracle) / oracle))
+    rel = float(np.max(np.abs(rep.sigma.values[:128] - oracle) / oracle))
     # known red: the midpoint rule's relative error at n=128, N=1024 is
     # 1.283e-2 (it grows like (n pi / 2N)^2 / 3), so the stated 1% cannot
     # be met by the matrix this criterion pins down
     out.append(_result("4a sigma within 1% of 2/((2n-1) pi) for n <= 128",
                        rel <= 1e-2, f"max rel dev {rel:.4e} (tol 1e-2)"))
-    rep = _rl_pipeline(1.0, 1024)
     out.append(_result("4b end-to-end degree 1.0 +/- 0.05 at alpha=1",
                        rep.degree is not None
                        and abs(rep.degree - 1.0) <= 0.05
                        and rep.classification == MODERATE,
                        f"degree {rep.degree}, {rep.classification}"))
-    rep_half = _rl_pipeline(0.5, 1024)
+    rep_half = _rl_pipeline(0.5)
     out.append(_result("4c end-to-end degree 0.5 +/- 0.1 at alpha=0.5",
                        rep_half.degree is not None
                        and abs(rep_half.degree - 0.5) <= 0.1
@@ -225,7 +205,8 @@ def criterion_4():
 def criterion_5():
     """Hilbert matrix finite sections."""
     out = []
-    smax = {n: _hilbert_sigma_max(n) for n in (64, 256, 1024)}
+    smax = {n: float(discretize.singular_values(
+        discretize.hilbert_section(n)).values[0]) for n in (64, 256, 1024)}
     # known red: sigma_max(1024) = 2.445; the sections converge to pi only
     # logarithmically, reaching 2.9 would need N of order 1e10
     out.append(_result("5a sigma_max(1024) in [2.9, pi]",
@@ -248,10 +229,10 @@ def criterion_5():
 def criterion_6():
     """FFT multiplier for the Gaussian kernel."""
     out = []
-    err = _gaussian_fft_max_rel_err(4096)
+    sampled = _gaussian_fft(4096)
+    err = _gaussian_fft_max_rel_err(sampled)
     out.append(_result("6a max rel error below 1e-6 on |w| <= 5 (N=4096)",
                        err <= 1e-6, f"max rel err {err:.3e}"))
-    sampled = _gaussian_fft(4096)
     L, n = 12.0, 4096
     dx = 2 * L / n
     x = -L + dx * np.arange(n)
@@ -261,7 +242,7 @@ def criterion_6():
     plancherel = abs(lhs - rhs) / lhs
     out.append(_result("6b Plancherel identity within 1e-8",
                        plancherel <= 1e-8, f"rel defect {plancherel:.3e}"))
-    err_coarse = _gaussian_fft_max_rel_err(2048)
+    err_coarse = _gaussian_fft_max_rel_err(_gaussian_fft(2048))
     # known red: both N sit at the float64 rounding floor (~8e-15), the
     # discretization error proper is ~1e-60 here, so no halving is visible
     out.append(_result("6c error halves from N=2048 to N=4096",

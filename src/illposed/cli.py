@@ -9,6 +9,7 @@ produce byte-identical output.  Exit codes: 0 success, 1 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -290,7 +291,10 @@ def _add_common(parser, grid=True):
         parser.add_argument("--points", type=int, default=60)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and ``--param``'s default is None, so no list is shared."""
     parser = argparse.ArgumentParser(
         prog="illposed",
         description="degree-of-ill-posedness diagnostics from spectral data")

@@ -450,10 +450,11 @@ def _lanczos(matvec, n, k, blocked=False):
     its bound is below RESIDUAL_TOL * |theta_1| and does not reach across
     the drop tolerance; the first value below the tolerance, also only
     once its bound is below half its own magnitude, so that the count
-    kept is decided.  Tests double in size until k steps, then aim 5%
-    past where the count of converged values, extrapolated from the last
-    two tests, reaches the wanted count: one more step costs far less
-    than one more test.  Only the basis Q is stored; the residuals of the
+    kept is decided.  Tests double in size until k steps, then aim where
+    the count of converged values, extrapolated linearly from the last two
+    tests, reaches the wanted count: that count rises faster and faster
+    with the steps, so the forecast lands past the fewest steps that
+    converge, and one more step costs far less than one more test.  Only the basis Q is stored; the residuals of the
     returned pairs are taken against S itself (``_ritz_residuals``).  Q
     holds FIRST_ROWS steps at first; a solve that runs past them copies it
     once into room for 3n/4 steps (``_widened``).
@@ -503,11 +504,13 @@ def _lanczos(matvec, n, k, blocked=False):
             # before the residual check allocates
             y, theta = y[pairs], theta[pairs]
             return s[:wanted], _ritz_residuals(matvec, Q[:m], y, theta)
+        # nor do they stay bound while the next test's dstevd allocates
+        del theta, y
         if m < k or last is None or converged <= last[1]:
             test = 2 * m
         else:
             rate = (converged - last[1]) / (m - last[0])
-            test = m + math.ceil(1.05 * (wanted - converged) / rate)
+            test = m + math.ceil((wanted - converged) / rate)
         test, last = min(test, cap), (m, converged)
     return None
 

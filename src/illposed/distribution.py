@@ -315,7 +315,13 @@ def _closed_measure(lam, mu, eps, want_log, trim=None):
         except OverflowError:
             raise ValueError(f"the measure exp({log_m!r}) overflows a float; "
                              "use log_superlevel_measure") from None
-    m = float(_interval_measure(mu, max(0.0, lam.boundary(eps))))
+    x = max(0.0, lam.boundary(eps))
+    if want_log and mu.kind == LEBESGUE_RADIAL:
+        # ln of ball_volume, which stays finite where the volume overflows
+        d = mu.dim
+        return (0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+                + d * math.log(x)) if x > 0 else -INF
+    m = float(_interval_measure(mu, x))
     return _log(m) if want_log else m
 
 

@@ -17,7 +17,7 @@ they pin down (see README, "Known failing checks"):
 
 import pytest
 
-from illposed import acceptance
+from illposed import acceptance, discretize
 
 
 def _run(results):
@@ -103,3 +103,38 @@ def test_criterion_9_unbounded_gallery():
 
 def test_criterion_10_rearrangement_duality():
     _run(acceptance.criterion_10())
+
+
+# the criteria keep nothing between calls: each computes what it reads once
+
+def _counted(monkeypatch, name, key):
+    calls, real = [], getattr(discretize, name)
+
+    def counted(*args, **kwargs):
+        calls.append(key(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(discretize, name, counted)
+    return calls
+
+
+def test_criterion_4_solves_its_two_sections_on_every_call(monkeypatch):
+    calls = _counted(monkeypatch, "pipeline_from_matrix",
+                     lambda section, operator: (operator, len(section)))
+    for _ in range(2):
+        calls.clear()
+        acceptance.criterion_4()
+        assert calls == [("j_alpha", 1024)] * 2
+
+
+def test_criterion_6_transforms_each_size_once_on_every_call(monkeypatch):
+    calls = _counted(monkeypatch, "fft_multiplier", lambda sampler: sampler.N)
+    for _ in range(2):
+        calls.clear()
+        acceptance.criterion_6()
+        assert calls == [4096, 2048]
+
+
+def test_acceptance_keeps_no_cache():
+    assert not [name for name in dir(acceptance)
+                if hasattr(getattr(acceptance, name), "cache_info")]

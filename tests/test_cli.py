@@ -15,6 +15,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_parser_is_built_once_and_each_call_parses_afresh(capsys):
+    cli.build_parser.cache_clear()
+    code, _, err = run(capsys, "rearrange", "--model", "multiplier_b",
+                       "--param", "s=2")
+    assert code == 0, err
+    # a --param list carried over from the first call would hand
+    # laplace_kernel the unknown key s
+    code, out, err = run(capsys, "analyze", "--model", "laplace_kernel",
+                         "--param", "a=0.5")
+    assert code == 0, err
+    assert json.loads(out)["params"] == {"a": 0.5, "b": 1.0, "d": 1}
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_gallery_list(capsys):
     code, out, _ = run(capsys, "gallery", "list")
     assert code == 0

@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -313,6 +314,24 @@ class TestSections:
             tracemalloc.stop()
         assert seq.method == "lanczos"
         assert peak - (3 * n // 4 + 1) * n * 8 < 5 * 2 ** 20
+
+    def test_stop_tests_free_their_vectors_before_the_next(self,
+                                                            monkeypatch):
+        # a test that does not stop the solve drops its m x m vectors, so
+        # the next test's dstevd allocates beside none of them
+        eigh, vectors, alive = dz._tridiagonal_eigh, [], []
+
+        def tracked(d, e):
+            alive.append(sum(ref() is not None for ref in vectors))
+            theta, y = eigh(d, e)
+            vectors.append(weakref.ref(y))
+            return theta, y
+
+        monkeypatch.setattr(dz, "_tridiagonal_eigh", tracked)
+        seq = dz.singular_values(dz.riemann_liouville_section(1.0, 512))
+        assert seq.method == "lanczos"
+        assert len(alive) >= 3
+        assert alive == [0] * len(alive)
 
     def test_residual_check_multiplies_in_small_slices(self):
         # 256 pairs at n = 2048: Ritz vectors in blocks of 32 rows (512 KiB),

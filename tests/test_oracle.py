@@ -8,12 +8,15 @@ relative:
 - the boundary sqrt(eps^(-1/s) - 1) of ``multiplier_a1``;
 - the boundary sqrt((eps^(-1/(2a)) - 1) / b) of ``laplace_kernel``;
 - ln Phi = ln c + (d/2)(-ln eps)/p of ``weyl`` and ``inverse_laplacian``.
+
+The radial measure's ln Phi, the log of the d-ball volume at the boundary,
+is checked to 1e-12 where the volume itself leaves the floats.
 """
 
 import mpmath
 import pytest
 
-from illposed import gallery
+from illposed import distribution, gallery
 from illposed.core import geometric_grid
 
 DIGITS = 50
@@ -70,3 +73,30 @@ def test_weyl_log_phi_where_phi_underflows():
     log_phi = gallery.make("weyl", p=0.1).multiplier.log_superlevel(1e40)
     assert log_phi == pytest.approx(-921.0340371976183, rel=1e-15)
     assert _rel_error(log_phi, _weyl_log_phi(0.1, 2), 1e40) <= REL_TOL
+
+
+def _log_ball_volume(d, radius):
+    """ln(pi^(d/2) r^d / Gamma(d/2 + 1)) with r = radius(eps)."""
+    return lambda eps: (mpmath.mpf(d) / 2 * mpmath.log(mpmath.pi)
+                        - mpmath.loggamma(mpmath.mpf(d) / 2 + 1)
+                        + d * mpmath.log(radius(eps)))
+
+
+RADIAL = {
+    # boundary sqrt(2 (d ln pi - ln eps)) of pi^d exp(-r^2 / 2)
+    "gaussian_kernel d=300": ("gaussian_kernel", _log_ball_volume(
+        300, lambda eps: mpmath.sqrt(2 * (300 * mpmath.log(mpmath.pi)
+                                          - mpmath.log(eps))))),
+    "laplace_kernel d=300": ("laplace_kernel", _log_ball_volume(
+        300, _boundary(2.0))),
+}
+
+
+@pytest.mark.parametrize("case", list(RADIAL))
+@pytest.mark.parametrize("eps", [0.5, 1e-6, 1e-12])
+def test_radial_log_measure_where_the_volume_overflows(case, eps):
+    model_id, exact = RADIAL[case]
+    model = gallery.make(model_id, d=300)
+    got = distribution.log_superlevel_measure(model.multiplier, model.measure,
+                                              eps)
+    assert _rel_error(got, exact, eps) <= 1e-12

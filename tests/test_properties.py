@@ -327,6 +327,12 @@ WEYL_POWERS = {
 WEYL_OVERFLOWS = (
     ("analyze", "--model", "weyl", "--param", "p=1e-300", "--param",
      "d=10000000"),)
+# radial balls whose volume leaves the floats though its log does not: each
+# reports, its ln Phi taken as the log of the volume
+RADIAL_LOG_VOLUMES = {
+    ("analyze", "--model", "gaussian_kernel", "--param", "d=300"): "severe",
+    ("analyze", "--model", "laplace_kernel", "--param", "d=300"): "mild",
+}
 # a closed form whose measure leaves the floats at some eps of the grid: a
 # usage error naming that eps, not a raw OverflowError
 CLOSED_OVERFLOWS = (
@@ -396,6 +402,8 @@ REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
 @example(argv=["analyze", "--model", "fractional_line", "--eps-min=5e-324"])
 @example(argv=["analyze", "--model", "fractional_line", "--eps-min=1e-310"])
 @example(argv=["analyze", "--model", "gaussian_kernel", "--param", "d=700"])
+@example(argv=["analyze", "--model", "gaussian_kernel", "--param", "d=300"])
+@example(argv=["analyze", "--model", "laplace_kernel", "--param", "d=300"])
 @example(argv=["analyze", "--model", "parabolic_source", "--param",
                "diffusivity=1e80"])
 @example(argv=["analyze", "--model", "parabolic_source", "--param",
@@ -446,6 +454,9 @@ def test_cli_exit_codes_are_clean_on_odd_numbers(argv):
         assert payload["log_phi"][-1] == pytest.approx(closed, rel=1e-12)
         assert payload["interval"] == {"A": pytest.approx(p / 2, rel=1e-12),
                                        "B": pytest.approx(p / 2, rel=1e-12)}
+    if tuple(argv) in RADIAL_LOG_VOLUMES:
+        assert code == 0
+        assert payload["classification"] == RADIAL_LOG_VOLUMES[tuple(argv)]
     if tuple(argv) in WEYL_OVERFLOWS:
         assert code == 2
         assert "p = 1e-300 and d = 10000000" in err.getvalue()
