@@ -454,10 +454,11 @@ def _lanczos(matvec, n, k, blocked=False):
     the count of converged values, extrapolated linearly from the last two
     tests, reaches the wanted count: that count rises faster and faster
     with the steps, so the forecast lands past the fewest steps that
-    converge, and one more step costs far less than one more test.  Only the basis Q is stored; the residuals of the
-    returned pairs are taken against S itself (``_ritz_residuals``).  Q
-    holds FIRST_ROWS steps at first; a solve that runs past them copies it
-    once into room for 3n/4 steps (``_widened``).
+    converge, and one more step costs far less than one more test.  Only
+    the basis Q is stored; the residuals of the returned pairs are taken
+    against S itself (``_ritz_residuals``).  Q holds FIRST_ROWS steps at
+    first; a solve that runs past them copies it once into room for 3n/4
+    steps (``_widened``).
     """
     cap = 3 * n // 4
     rows = min(cap, FIRST_ROWS)
@@ -504,7 +505,7 @@ def _lanczos(matvec, n, k, blocked=False):
             # before the residual check allocates
             y, theta = y[pairs], theta[pairs]
             return s[:wanted], _ritz_residuals(matvec, Q[:m], y, theta)
-        # nor do they stay bound while the next test's dstevd allocates
+        # a test that does not stop frees them before the next one's dstevd
         del theta, y
         if m < k or last is None or converged <= last[1]:
             test = 2 * m
