@@ -19,6 +19,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import mmap
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -458,19 +459,24 @@ def _lanczos(matvec, n, k, blocked=False):
     the basis Q is stored; the residuals of the returned pairs are taken
     against S itself (``_ritz_residuals``).  Q holds FIRST_ROWS steps at
     first; a solve that runs past them copies it once into room for 3n/4
-    steps (``_widened``).
+    steps (``_widened``).  A ``blocked`` solve, which runs on one BLAS
+    thread, keeps both in private mappings of their own (``_basis``), so
+    it holds only the small pages of the rows it wrote and gives them all
+    back when it ends.  A threaded solve keeps ``np.empty``: at n = 4096
+    on a 2-vCPU Xeon, small pages made its reorthogonalization about 11%
+    slower and the whole warm solve 16%.
     """
     cap = 3 * n // 4
     rows = min(cap, FIRST_ROWS)
     block = max(1, BLOCK_DOUBLES // n) if blocked else cap + 1
-    Q = np.empty((rows + 1, n))
+    Q = _basis(rows + 1, n, blocked)
     alpha, beta = np.zeros(cap), np.zeros(cap)
     q = _start_vector(n)
     Q[0] = q / math.sqrt(q @ q)
     b, norm, test, last = 0.0, 0.0, min(16, cap), None
     for j in range(cap):
         if j == rows:
-            Q = _widened(Q, cap + 1)
+            Q = _widened(Q, cap + 1, blocked)
         r = matvec(Q[j])
         if j:
             r -= b * Q[j - 1]
@@ -554,10 +560,32 @@ def _ritz_residuals(matvec, basis, vectors, theta):
     return out
 
 
-def _widened(a, rows):
-    """a copied into the first rows of a fresh ``np.empty`` array of that
-    many rows; the pages of the rest are allocated only when written."""
-    out = np.empty((rows, a.shape[1]))
+def _basis(rows, n, mapped):
+    """An uninitialized rows x n float array for a Lanczos basis, whose
+    pages are allocated only when written.
+
+    ``mapped``: in a private anonymous mapping of its own, without
+    huge-page advice, where ``mmap`` has those flags (not on Windows).  It
+    then holds only the 4 KiB pages of the rows written, and goes back to
+    the system whole once the last view of it is freed.  ``np.empty``
+    gives a basis of 4 MiB or more huge-page advice, so where transparent
+    huge pages are on request (``madvise``) the partly written last 2 MiB
+    page counts in full; and once glibc has raised its dynamic mmap
+    threshold a basis comes from the heap, which keeps its pages after the
+    solve.  Otherwise ``np.empty``.
+    """
+    private = getattr(mmap, "MAP_PRIVATE", None)
+    anonymous = getattr(mmap, "MAP_ANONYMOUS", None)
+    if not mapped or private is None or anonymous is None:
+        return np.empty((rows, n))
+    pages = mmap.mmap(-1, rows * n * 8, flags=private | anonymous)
+    return np.frombuffer(pages).reshape(rows, n)
+
+
+def _widened(a, rows, mapped):
+    """a copied into the first rows of a fresh ``_basis`` of that many
+    rows; the pages of the rest are allocated only when written."""
+    out = _basis(rows, a.shape[1], mapped)
     out[:len(a)] = a
     return out
 

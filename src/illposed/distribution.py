@@ -19,7 +19,9 @@ ladder of doublings shared by the grid, and one bisection then halves
 every crossing together, each stopping on the rule a lone bracket would
 use.  The doubling loop of the indicator sums settles each eps on its own.
 A single eps is a one-element grid, so a sample's value does not depend on
-the grid it was computed in.
+the grid it was computed in.  The logs of radial measures are taken from
+the radii, so a ball whose volume leaves the floats still has a finite
+ln Phi; plain measures keep plain arithmetic.
 
 All functions are pure; per-epsilon results are independent and
 truncation schedules are deterministic, so results are reproducible.
@@ -90,6 +92,26 @@ def _values(fn, x):
 
 def _log(m):
     return math.log(m) if m > 0 else -INF
+
+
+def _log_ball_volume(d, r):
+    """ln ``ball_volume(d, r)`` for a radius r >= 0, finite where the volume
+    overflows: (d/2) ln pi - lgamma(d/2 + 1) + d ln r, -inf at r = 0."""
+    return (0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+            + d * math.log(r)) if r > 0 else -INF
+
+
+def _log_shells(d, pieces):
+    """ln of the volume of the disjoint shells a <= |x| < b in R^d, one
+    per (a, b) pair of arrays, 0 <= a <= b, at every index: with R the
+    largest b, ln V(R) + ln sum((b/R)^d - (a/R)^d), so it stays finite
+    where the volumes overflow; -inf for no volume, +inf for an unbounded
+    shell."""
+    radius = np.max([b for _, b in pieces], axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = sum((b / radius) ** d - (a / radius) ** d for a, b in pieces)
+    return [INF if r == INF else _log_ball_volume(d, r) + _log(v)
+            for r, v in zip(radius.tolist(), shares.tolist())]
 
 
 def _interval_measure(mu, x):
@@ -289,6 +311,17 @@ def _numeric_measure(lam, mu, eps, trim=None):
     return m
 
 
+def _numeric_log_measure(lam, mu, eps, trim=None):
+    """ln of ``_numeric_measure`` for every eps, as a list: radial sets are
+    measured in logs (``_log_shells``), so they stay finite where their
+    volume overflows."""
+    if mu.kind != LEBESGUE_RADIAL or lam.shape in (DISCRETE, GENERIC_SAMPLED):
+        return [_log(m) for m in _numeric_measure(lam, mu, eps, trim)]
+    t = trim or 0.0
+    return _log_shells(mu.dim, [(np.maximum(a, t), np.maximum(b, t))
+                                for a, b in _superlevel_set(lam, eps)])
+
+
 def _closed_form(lam, trim):
     """Whether _closed_measure has a hook for this multiplier and trim."""
     if trim:
@@ -300,6 +333,9 @@ def _closed_form(lam, trim):
 def _closed_measure(lam, mu, eps, want_log, trim=None):
     if trim:
         x = max(0.0, lam.boundary(eps))
+        if want_log and mu.kind == LEBESGUE_RADIAL:
+            return _log_shells(mu.dim, [(np.array([min(trim, x)]),
+                                         np.array([x]))])[0]
         m = float(_interval_measure(mu, x)
                   - _interval_measure(mu, min(trim, x)))
         return _log(m) if want_log else m
@@ -317,10 +353,7 @@ def _closed_measure(lam, mu, eps, want_log, trim=None):
                              "use log_superlevel_measure") from None
     x = max(0.0, lam.boundary(eps))
     if want_log and mu.kind == LEBESGUE_RADIAL:
-        # ln of ball_volume, which stays finite where the volume overflows
-        d = mu.dim
-        return (0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
-                + d * math.log(x)) if x > 0 else -INF
+        return _log_ball_volume(mu.dim, x)
     m = float(_interval_measure(mu, x))
     return _log(m) if want_log else m
 
@@ -374,8 +407,10 @@ def _measure(lam, mu, eps, method, trim, want_log):
         except OverflowError:
             raise ValueError(f"the closed form leaves the float range at "
                              f"eps = {eps!r}") from None
-    m = float(_numeric_measure(lam, mu, np.array([float(eps)]), trim)[0])
-    return _log(m) if want_log else m
+    eps = np.array([float(eps)])
+    if want_log:
+        return _numeric_log_measure(lam, mu, eps, trim)[0]
+    return float(_numeric_measure(lam, mu, eps, trim)[0])
 
 
 def phi_curve(lam, mu, grid, method="auto", trim=None):
@@ -389,7 +424,7 @@ def phi_curve(lam, mu, grid, method="auto", trim=None):
     """
     eps = np.asarray(grid, dtype=float)
     if _numeric_path(lam, eps, method, trim):
-        logs = [_log(m) for m in _numeric_measure(lam, mu, eps, trim)]
+        logs = _numeric_log_measure(lam, mu, eps, trim)
     else:
         logs = [log_superlevel_measure(lam, mu, float(e), method, trim)
                 for e in eps]

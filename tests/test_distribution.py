@@ -8,8 +8,8 @@ import pytest
 
 from illposed.core import (COUNTING_INTEGERS, LEBESGUE_HALFLINE,
                            LEBESGUE_LINE, LEBESGUE_UNIT_INTERVAL, MeasureSpace,
-                           Multiplier, UnsupportedMeasureError, geometric_grid,
-                           DistributionFunction)
+                           Multiplier, UnsupportedMeasureError, ball_volume,
+                           geometric_grid, DistributionFunction)
 from illposed import distribution as dist
 from illposed import gallery
 
@@ -191,6 +191,38 @@ class TestPhiCurve:
         curve = dist.phi_curve(lam, mu, geometric_grid(0.9, 1e-2, 12))
         assert curve.finiteness == "non_informative"
         assert np.all(np.isposinf(curve.log_phi))
+
+    @pytest.mark.parametrize("model_id", ["gaussian_kernel", "laplace_kernel",
+                                          "parabolic_source"])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("trim", [None, 1.0])
+    def test_radial_log_measure_agrees_with_the_plain_volumes(self, model_id,
+                                                              d, trim):
+        # the numeric curve measures radial sets in logs, relative to the
+        # largest radius; where the volumes are floats it gives the plain
+        # volumes' measure, and each sample is its one-element grid's
+        lam, mu = bare(model_id, d=d)
+        grid = geometric_grid(gallery.make(model_id, d=d).eps_max, 1e-10, 40)
+        curve = dist.phi_curve(lam, mu, grid, trim=trim)
+        plain = dist._numeric_measure(lam, mu, grid, trim)
+        # a trimmed shell just past the trim radius cancels in both
+        assert np.exp(curve.log_phi) == pytest.approx(
+            plain, rel=1e-13, abs=1e-13 * ball_volume(d, trim) if trim else 0.0)
+        assert list(curve.log_phi) == [
+            dist.log_superlevel_measure(lam, mu, float(e), trim=trim)
+            for e in grid]
+
+    def test_radial_log_measure_where_the_volume_overflows(self):
+        # at d = 300 the ball of radius 100 has volume e^830: the plain
+        # measure raises, its log is a float
+        lam, mu = bare("parabolic_source", d=300)
+        with pytest.raises(FloatingPointError):
+            dist.superlevel_measure(lam, mu, 1e-8)
+        r = dist._superlevel_set(lam, np.array([1e-8]))[0][1][0]
+        assert r == pytest.approx(100.0, rel=1e-6)
+        assert dist.log_superlevel_measure(lam, mu, 1e-8) == pytest.approx(
+            150.0 * math.log(math.pi) - math.lgamma(151.0)
+            + 300.0 * math.log(r), rel=1e-14)
 
     def test_pole_trim_shifts_by_constant(self):
         model = gallery.make("fractional_line", s=0.5)

@@ -327,11 +327,15 @@ WEYL_POWERS = {
 WEYL_OVERFLOWS = (
     ("analyze", "--model", "weyl", "--param", "p=1e-300", "--param",
      "d=10000000"),)
-# radial balls whose volume leaves the floats though its log does not: each
-# reports, its ln Phi taken as the log of the volume
+# radial sets whose volume leaves the floats though its log does not: each
+# reports, its ln Phi taken in logs, by the closed form's radius or by the
+# numeric search's shells, trimmed or not
 RADIAL_LOG_VOLUMES = {
     ("analyze", "--model", "gaussian_kernel", "--param", "d=300"): "severe",
     ("analyze", "--model", "laplace_kernel", "--param", "d=300"): "mild",
+    ("analyze", "--model", "parabolic_source", "--param", "d=300"): "mild",
+    ("analyze", "--model", "gaussian_kernel", "--param", "d=300", "--trim",
+     "1"): "severe",
 }
 # a closed form whose measure leaves the floats at some eps of the grid: a
 # usage error naming that eps, not a raw OverflowError
@@ -404,6 +408,9 @@ REPORT_KEYS = ["eps_grid", "log_phi", "ratios", "interval", "classification",
 @example(argv=["analyze", "--model", "gaussian_kernel", "--param", "d=700"])
 @example(argv=["analyze", "--model", "gaussian_kernel", "--param", "d=300"])
 @example(argv=["analyze", "--model", "laplace_kernel", "--param", "d=300"])
+@example(argv=["analyze", "--model", "parabolic_source", "--param", "d=300"])
+@example(argv=["analyze", "--model", "gaussian_kernel", "--param", "d=300",
+               "--trim", "1"])
 @example(argv=["analyze", "--model", "parabolic_source", "--param",
                "diffusivity=1e80"])
 @example(argv=["analyze", "--model", "parabolic_source", "--param",
